@@ -26,6 +26,7 @@ from .states import (
     product_state,
     projector_sphere,
     pure_state_from_amplitudes,
+    pure_state_from_spheres,
     sphere_state,
     w_state,
 )

@@ -54,6 +54,8 @@ def load_state(path: str) -> np.ndarray:
             f"state file {path}: {amps.size} amplitudes for n_qubits={n}",
             EXIT_VALIDATION,
         )
+    if not np.isfinite(amps).all():
+        raise CliError(f"state file {path}: amplitudes must be finite", EXIT_VALIDATION)
     nrm = np.linalg.norm(amps)
     if abs(nrm - 1.0) > 1e-9:
         raise CliError(f"state file {path}: norm {nrm} differs from 1", EXIT_VALIDATION)
@@ -219,6 +221,8 @@ def cmd_region_scan(args) -> int:
     for v in (args.va, args.vb, args.vc):
         if not 0.0 < v < 1.0:
             raise CliError(f"Bloch lengths must be in (0, 1), got {v}", EXIT_VALIDATION)
+    if args.grid < 2:
+        raise CliError(f"--grid must be at least 2, got {args.grid}", EXIT_VALIDATION)
     rows = region_scan_rows(args.va, args.vb, args.vc, args.grid)
     emit(
         args,
@@ -364,6 +368,8 @@ def verify_tangle_once(rng: np.random.Generator) -> float | None:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise CliError(f"--samples must be positive, got {args.samples}", EXIT_VALIDATION)
     rng = np.random.default_rng(args.seed)
     rows = []
     failures_total = 0

@@ -3,10 +3,15 @@
 A pure product state is a product of per-qubit Bloch projectors
 (1 + s n)/2.  Two orthogonal product states span a projector space with
 its own Pauli-like basis (P, X, Y, Z), the projector sphere; any
-superposition of the pair is a point on that sphere.  The general pure
-state combines the diagonal product-state expansion with one X-term per
-pair of basis states, weighted by sqrt(p_i p_j) and rotated by the phase
-difference of the amplitudes.
+superposition of the pair is a point on that sphere.
+
+The general pure state is built by `pure_state_from_amplitudes` with the
+dense core of `msta.algebra`: one per-qubit Walsh-Hadamard decomposition
+of |psi><psi|, O(n 4^n).  `pure_state_from_spheres` is the paper's
+construction and the reference the tests hold it equal to: the diagonal
+product-state expansion plus one X-term per pair of basis states,
+weighted by sqrt(p_i p_j) and rotated by the phase difference of the
+amplitudes, O(4^n) sphere products.
 """
 
 from __future__ import annotations
@@ -17,9 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import oracle
-from .algebra import Multivector, exp_i
+from .algebra import HERMITIAN_TOL, Multivector, _from_dense, exp_i
 
-HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 UNIT_TOL = 1e-12
 
@@ -219,28 +223,74 @@ def sphere_state(sph: ProjectorSphere, theta: float, phi: float) -> DensityOpera
     return DensityOperator(0.5 * (sph.p + s))
 
 
-def pure_state_from_amplitudes(amps, axes=None) -> DensityOperator:
-    """Density operator of sum_i alpha_i |i> built term by term.
-
-    Diagonal part: probability-weighted product states in index order
-    (qubit 0's bit is the most significant).  Off-diagonal part: for every
-    pair i < j an X-term of the pair's projector sphere with weight
-    sqrt(p_i p_j), rotated by arg(alpha_j) - arg(alpha_i).  Zero-probability
-    basis states contribute no X-terms and arg(0) is taken as 0.
-    """
+def _checked_amplitudes(amps, axes) -> tuple[np.ndarray, int, list]:
+    """Normalised amplitudes, qubit count and one unit axis per qubit."""
     psi = np.asarray(amps, dtype=complex).ravel()
     dim = psi.size
     n = dim.bit_length() - 1
     if (1 << n) != dim:
         raise ValueError(f"amplitude count {dim} is not a power of two")
+    if not np.isfinite(psi).all():
+        raise ValueError("amplitudes must be finite")
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"amplitudes are not normalised (norm {nrm})")
-    psi = psi / nrm
     if axes is None:
         axes = [(0.0, 0.0, 1.0)] * n
+    if len(axes) != n:
+        raise ValueError(f"{len(axes)} axes given for {n} qubits")
     axes = [tuple(float(c) for c in _unit3(ax)) for ax in axes]
+    return psi / nrm, n, axes
 
+
+# code order I, X, Z, Y -> Bloch component x, y, z
+_COMPONENT_OF_CODE = (0, 2, 1)
+
+
+def _frame_map(axis) -> np.ndarray:
+    """diag(1, R) in code order, R = [e1 | e2 | axis] from `frame_for`.
+
+    Bit 0 of a qubit is spin up along its axis and e1 swaps up and down,
+    so a state on these axes is the z-axis state conjugated by the local
+    unitaries taking (x, y, z) to (e1, e2, axis); on Pauli coefficients
+    that is R.
+    """
+    r = np.column_stack(frame_for(axis))
+    out = np.zeros((4, 4))
+    out[0, 0] = 1.0
+    out[1:, 1:] = r[np.ix_(_COMPONENT_OF_CODE, _COMPONENT_OF_CODE)]
+    return out
+
+
+def pure_state_from_amplitudes(amps, axes=None) -> DensityOperator:
+    """Density operator of sum_i alpha_i |i> (qubit 0's bit the most
+    significant), bit 0 of qubit q being spin up along ``axes[q]``.
+
+    The Pauli coefficients of |psi><psi| come from one per-qubit
+    Walsh-Hadamard decomposition; custom axes rotate each qubit's
+    coefficients by diag(1, R_q).  Equal to `pure_state_from_spheres`.
+    Measured up to n = 10 (2-vCPU Xeon guest, one BLAS thread): 0.1, 0.37
+    and 190 ms at n = 4, 6 and 10, and the full-density product
+    ``rho.mv * rho.mv`` (matrix route) 0.15 ms, 0.8 ms and 0.8 s.
+    """
+    psi, _, checked = _checked_amplitudes(amps, axes)
+    # on the default z axes every frame map is the identity
+    maps = None if axes is None else [_frame_map(ax) for ax in checked]
+    return DensityOperator(_from_dense(np.outer(psi, psi.conj()), maps))
+
+
+def pure_state_from_spheres(amps, axes=None) -> DensityOperator:
+    """The paper's construction of sum_i alpha_i |i>, term by term.
+
+    Diagonal part: probability-weighted product states in index order
+    (qubit 0's bit is the most significant).  Off-diagonal part: for every
+    pair i < j an X-term of the pair's projector sphere with weight
+    sqrt(p_i p_j), rotated by arg(alpha_j) - arg(alpha_i).  Zero-probability
+    basis states contribute no X-terms and arg(0) is taken as 0.  This is
+    the reference `pure_state_from_amplitudes` is tested against.
+    """
+    psi, n, axes = _checked_amplitudes(amps, axes)
+    dim = psi.size
     probs = np.abs(psi) ** 2
     phases = np.where(np.abs(psi) > 0.0, np.angle(psi), 0.0)
     bits = [format(i, f"0{n}b") for i in range(dim)]

@@ -156,6 +156,15 @@ def test_exp_rejects_non_hermitian():
         exp_i(Multivector(1, {"X": 1.0j}), 1.0)
 
 
+def test_exp_rejects_non_finite_and_huge_times():
+    h = Multivector(2, {"XX": 0.5, "ZI": 0.25})
+    for t in (np.nan, np.inf, -np.inf, 1e300):
+        with pytest.raises(ValueError):
+            exp_i(h, t)
+    with pytest.raises(ValueError):
+        exp_i(Multivector(1, {"X": np.inf}), 1.0)
+
+
 def test_rotors_are_unitary(rng):
     for _ in range(10):
         h = random_hermitian_mv(2, rng)

@@ -259,6 +259,28 @@ def test_region_scan_range_validation(capsys):
     assert code == 2
 
 
+def test_region_scan_rejects_small_grid(capsys):
+    for grid in ("0", "1", "-3"):
+        code, out = run_cli(capsys, "region-scan", "--va", "0.3", "--vb", "0.3", "--vc", "0.3", "--grid", grid)
+        assert code == 2
+        assert out == ""
+
+
+def test_verify_rejects_non_positive_samples(capsys):
+    for samples in ("0", "-1"):
+        code, out = run_cli(capsys, "verify", "--samples", samples)
+        assert code == 2
+        assert out == ""
+
+
+def test_non_finite_state_is_validation_error(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    with open(path, "w") as f:
+        json.dump({"n_qubits": 2, "amplitudes": [[float("nan"), 0], [0, 0], [0, 0], [0, 0]]}, f)
+    code, _ = run_cli(capsys, "invariants", "--state", str(path))
+    assert code == 2
+
+
 def test_region_scan_feasible_points_are_solvable():
     # scan-wide consistency: the solver closes the sums at every grid point
     # flagged feasible; infeasible points fail the probability or B test by

@@ -16,6 +16,7 @@ from msta.states import (
     product_state,
     projector_sphere,
     pure_state_from_amplitudes,
+    pure_state_from_spheres,
     sphere_state,
     w_state,
 )
@@ -142,6 +143,15 @@ def test_pure_state_from_amplitudes_basics():
     assert allclose(pure_state_from_amplitudes(ghz_amps).mv, ghz().mv, 1e-12)
     with pytest.raises(ValueError):
         pure_state_from_amplitudes(np.ones(8))
+
+
+def test_pure_state_rejects_non_finite_amplitudes():
+    for bad in ([np.nan, 0, 0, 0], [np.inf, 0, 0, 0], [1, 0, 0, complex(0, np.nan)]):
+        for build in (pure_state_from_amplitudes, pure_state_from_spheres):
+            with pytest.raises(ValueError, match="finite"):
+                build(bad)
+    with pytest.raises(ValueError):
+        pure_state_from_amplitudes([1, 0, 0, 0], axes=[(0.0, 0.0, 1.0)])
 
 
 def test_pure_state_from_amplitudes_matches_oracle(rng):
