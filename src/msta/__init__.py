@@ -6,10 +6,7 @@ from .algebra import (
     PauliString,
     allclose,
     exp_i,
-    geometric_product,
     partial_drop,
-    reverse,
-    scalar_part,
     single_letter_product,
 )
 from .states import (

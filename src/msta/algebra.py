@@ -21,6 +21,7 @@ per-qubit reversal, iota flips sign).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -191,6 +192,7 @@ class Multivector:
 
     Canonical form: keys strictly increasing, no coefficient below the prune
     threshold.  Two multivectors are equal iff their canonical term maps are.
+    A non-finite coefficient, or scalar operand, raises ValueError.
     """
 
     __slots__ = ("n_qubits", "_keys", "_coeffs")
@@ -200,7 +202,10 @@ class Multivector:
         object.__setattr__(self, "n_qubits", n_qubits)
         if terms:
             keys = np.array([_key_of(self._checked_label(s)) for s in terms], dtype=np.int64)
-            coeffs = np.array([complex(c) for c in terms.values()], dtype=np.complex128)
+            values = [complex(c) for c in terms.values()]
+            if not all(map(cmath.isfinite, values)):
+                raise ValueError("multivector coefficients must be finite")
+            coeffs = np.array(values, dtype=np.complex128)
             keys, coeffs = _merge_terms(n_qubits, keys, coeffs)
         else:
             keys = np.empty(0, dtype=np.int64)
@@ -261,14 +266,6 @@ class Multivector:
 
     # -- term access -------------------------------------------------------
 
-    @property
-    def keys_array(self) -> np.ndarray:
-        return self._keys
-
-    @property
-    def coeffs_array(self) -> np.ndarray:
-        return self._coeffs
-
     def items(self) -> Iterator[tuple[int, complex]]:
         return zip(self._keys.tolist(), self._coeffs.tolist())
 
@@ -321,6 +318,8 @@ class Multivector:
 
     def __mul__(self, other) -> "Multivector":
         if isinstance(other, (int, float, complex)):
+            if not cmath.isfinite(other):
+                raise ValueError(f"cannot scale a multivector by {other}")
             if abs(other) == 0.0:
                 return Multivector.zero(self.n_qubits)
             coeffs = self._coeffs * other
@@ -454,18 +453,6 @@ def single_letter_product(p: str, q: str) -> tuple[str, complex]:
     a = Multivector.blade(p) * Multivector.blade(q)
     ((key, coeff),) = a.items()
     return _CHAR_OF[key & 3], coeff
-
-
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
-def reverse(a: Multivector) -> Multivector:
-    return a.reverse()
-
-
-def scalar_part(a: Multivector) -> float:
-    return a.scalar_part()
 
 
 def partial_drop(a: Multivector, qubits: Iterable[int]) -> Multivector:

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import dynamics, entanglement, invariants, oracle, states, vectorsum
-from .algebra import Multivector, exp_i
+from .algebra import exp_i
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -171,49 +171,49 @@ def _markers(va: float, vb: float, vc: float) -> list[tuple[str, float, float]]:
     return out
 
 
-def _point_row(kind: str, label: str, va: float, vb: float, vc: float, v2: float, v3: float) -> dict:
+def _scan_rows(kind: str, labels, va: float, vb: float, vc: float, v2: np.ndarray, v3: np.ndarray) -> list[dict]:
+    """Region-scan rows for arrays of (vbar2, vbar3) points, one per label."""
     inv = invariants.InvariantSet3Q(va, vb, vc, v2, v3)
-    probs = invariants.expansion_probabilities(inv)
-    p_ok = bool(probs.min() >= -1e-10)
-    b_val = invariants.B_function(inv)
-    b_ok = bool(b_val <= 1e-10)
-    return {
-        "kind": kind,
-        "label": label,
-        "vbar2": _fmt(v2),
-        "vbar3": _fmt(v3),
-        "p_ok": int(p_ok),
-        "B": _fmt(b_val),
-        "B_ok": int(b_ok),
-        "feasible": int(p_ok and b_ok),
-        "I6": _fmt(invariants.sudbery(inv).i6),
-    }
+    p_ok = (invariants.expansion_probabilities(inv).min(axis=0) >= -1e-10).tolist()
+    b_vals = invariants.B_function(inv).tolist()
+    i6 = invariants.sudbery(inv).i6.tolist()
+    return [
+        {
+            "kind": kind,
+            "label": label,
+            "vbar2": _fmt(x2),
+            "vbar3": _fmt(x3),
+            "p_ok": int(p),
+            "B": _fmt(b),
+            "B_ok": int(b <= 1e-10),
+            "feasible": int(p and b <= 1e-10),
+            "I6": _fmt(i),
+        }
+        for label, x2, x3, p, b, i in zip(labels, v2.tolist(), v3.tolist(), p_ok, b_vals, i6)
+    ]
 
 
 def region_scan_rows(va: float, vb: float, vc: float, grid: int) -> list[dict]:
-    markers = _markers(va, vb, vc)
+    labels, m2, m3 = zip(*_markers(va, vb, vc))
+    m2, m3 = np.array(m2), np.array(m3)
     # coarse pass to find the feasible bounding box, seeded by the markers
     coarse = np.linspace(-1.0, 1.0, 41)
-    pts = [(v2, v3) for (_, v2, v3) in markers]
-    for v2 in coarse:
-        for v3 in coarse:
-            row = _point_row("probe", "", va, vb, vc, v2, v3)
-            if row["feasible"]:
-                pts.append((v2, v3))
-    lo2 = min(p[0] for p in pts)
-    hi2 = max(p[0] for p in pts)
-    lo3 = min(p[1] for p in pts)
-    hi3 = max(p[1] for p in pts)
+    c2, c3 = np.repeat(coarse, coarse.size), np.tile(coarse, coarse.size)
+    feasible = np.array(
+        [r["feasible"] for r in _scan_rows("probe", [""] * c2.size, va, vb, vc, c2, c3)], dtype=bool
+    )
+    pts2 = np.concatenate([m2, c2[feasible]])
+    pts3 = np.concatenate([m3, c3[feasible]])
+    lo2, hi2, lo3, hi3 = pts2.min(), pts2.max(), pts3.min(), pts3.max()
     pad2 = 0.1 * max(hi2 - lo2, 1e-3)
     pad3 = 0.1 * max(hi3 - lo3, 1e-3)
     g2 = np.linspace(lo2 - pad2, hi2 + pad2, grid)
     g3 = np.linspace(lo3 - pad3, hi3 + pad3, grid)
     rows = []
+    # one grid row at a time keeps the arrays, and peak memory, small
     for v2 in g2:
-        for v3 in g3:
-            rows.append(_point_row("grid", "", va, vb, vc, float(v2), float(v3)))
-    for label, v2, v3 in markers:
-        rows.append(_point_row("marker", label, va, vb, vc, float(v2), float(v3)))
+        rows += _scan_rows("grid", [""] * grid, va, vb, vc, np.full(grid, v2), g3)
+    rows += _scan_rows("marker", labels, va, vb, vc, m2, m3)
     return rows
 
 
@@ -316,21 +316,10 @@ def cmd_bell(args) -> int:
 # -- verify -----------------------------------------------------------------
 
 
-def _random_multivector(n: int, rng: np.random.Generator, max_terms: int = 6) -> Multivector:
-    n_terms = int(rng.integers(1, max_terms + 1))
-    keys = rng.integers(0, 1 << (2 * n), size=n_terms)
-    letters = "IXZY"
-    terms = {}
-    for key in keys:
-        label = "".join(letters[(int(key) >> (2 * q)) & 3] for q in range(n))
-        terms[label] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return Multivector(n, terms)
-
-
 def verify_algebra_once(n: int, rng: np.random.Generator) -> float:
     """One randomized oracle-equivalence trial; returns the worst error."""
-    a = _random_multivector(n, rng)
-    b = _random_multivector(n, rng)
+    a = oracle.random_multivector(n, rng)
+    b = oracle.random_multivector(n, rng)
     ma, mb = oracle.to_matrix(a), oracle.to_matrix(b)
     errs = [
         float(np.abs(oracle.to_matrix(a * b) - ma @ mb).max()),

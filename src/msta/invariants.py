@@ -26,6 +26,9 @@ from .states import DensityOperator
 
 DEGENERATE_V = 1e-8
 
+# the sign of qubit a, b and c (rows) in each of the eight p[ijk] (columns)
+_SIGNS = 1.0 - 2.0 * ((np.arange(8) >> np.array([[2], [1], [0]])) & 1)
+
 
 class InfeasibleInvariantsError(ValueError):
     """Raised when no pure state exists with the requested invariants."""
@@ -33,13 +36,18 @@ class InfeasibleInvariantsError(ValueError):
 
 @dataclass(frozen=True)
 class InvariantSet3Q:
-    """The five local-unitary invariants (v_a, v_b, v_c, vbar2, vbar3)."""
+    """The five local-unitary invariants (v_a, v_b, v_c, vbar2, vbar3).
+
+    vbar2 and vbar3 may be arrays (of one shape, or one of them a float):
+    `expansion_probabilities`, `sudbery` and `B_function` then evaluate
+    every (vbar2, vbar3) point at once.  The Bloch lengths are floats.
+    """
 
     v_a: float
     v_b: float
     v_c: float
-    vbar2: float
-    vbar3: float
+    vbar2: float | np.ndarray
+    vbar3: float | np.ndarray
 
     @property
     def vs(self) -> tuple[float, float, float]:
@@ -67,10 +75,6 @@ class SudberyInvariants(NamedTuple):
     i6: float
 
 
-def _vector_mv(n: int, qubit: int, vec: np.ndarray) -> Multivector:
-    return Multivector.vector(n, qubit, vec)
-
-
 def _pure_or_raise(rho: DensityOperator, tol: float = 1e-8) -> None:
     if not rho.is_pure(tol):
         raise ValueError("invariant extraction requires a pure state")
@@ -94,7 +98,7 @@ def invariants_2q(rho: DensityOperator) -> float:
     v = 0.5 * (la + lb)
     if v > DEGENERATE_V:
         vab = mv4.support_equals([0, 1])
-        corr = (_vector_mv(2, 0, va) * _vector_mv(2, 1, vb) * vab).scalar_part()
+        corr = (Multivector.vector(2, 0, va) * Multivector.vector(2, 1, vb) * vab).scalar_part()
         if abs(corr - v * v) > 1e-9:
             raise ValueError(f"pair correlation {corr} inconsistent with v^2 = {v * v}")
     return v
@@ -117,7 +121,7 @@ def invariants_3q(rho: DensityOperator) -> InvariantSet3Q:
         raise ValueError(
             "vanishing reduced Bloch vector: use degenerate_limit for this state"
         )
-    vmvs = [_vector_mv(3, q, vecs[q]) for q in range(3)]
+    vmvs = [Multivector.vector(3, q, vecs[q]) for q in range(3)]
     pair_scalars = []
     for qa, qb in ((0, 1), (0, 2), (1, 2)):
         vab = mv8.support_equals([qa, qb])
@@ -133,7 +137,10 @@ def invariants_3q(rho: DensityOperator) -> InvariantSet3Q:
 
 def expansion_probabilities(inv: InvariantSet3Q) -> np.ndarray:
     """The eight probabilities p[ijk], indexed by sign bits (0 = +, qubit a
-    most significant); sums to one identically."""
+    most significant); sums to one identically.
+
+    Shape (8,) for float vbar2 and vbar3, (8,) + their shape for arrays.
+    """
     va, vb, vc = inv.vs
     if min(va, vb, vc) < 1e-10:
         raise ValueError("expansion probabilities require nonvanishing Bloch lengths")
@@ -141,22 +148,18 @@ def expansion_probabilities(inv: InvariantSet3Q) -> np.ndarray:
     vbar_ac = inv.vbar2 / (va * vc)
     vbar_bc = inv.vbar2 / (vb * vc)
     vbar_abc = inv.vbar3 / (va * vb * vc)
-    out = np.empty(8)
-    for idx in range(8):
-        i = 1.0 if not (idx & 4) else -1.0
-        j = 1.0 if not (idx & 2) else -1.0
-        k = 1.0 if not (idx & 1) else -1.0
-        out[idx] = (
-            1.0
-            + i * va
-            + j * vb
-            + k * vc
-            + i * j * vbar_ab
-            + i * k * vbar_ac
-            + j * k * vbar_bc
-            + i * j * k * vbar_abc
-        ) / 8.0
-    return out
+    point_axes = max(np.ndim(inv.vbar2), np.ndim(inv.vbar3))
+    i, j, k = _SIGNS.reshape((3, 8) + (1,) * point_axes)
+    return (
+        1.0
+        + i * va
+        + j * vb
+        + k * vc
+        + i * j * vbar_ab
+        + i * k * vbar_ac
+        + j * k * vbar_bc
+        + i * j * k * vbar_abc
+    ) / 8.0
 
 
 def sudbery(inv: InvariantSet3Q) -> SudberyInvariants:
@@ -213,13 +216,16 @@ def B_function(inv: InvariantSet3Q) -> float:
     """Boundary cubic in vbar3; pure states exist only where B <= 0."""
     a, b, g = inv.alpha, inv.beta, inv.gamma
     v2, v3 = inv.vbar2, inv.vbar3
+    # rounds like Python's float ** k, where numpy's array ** k can differ
+    # in the last ulp
+    pw = np.float_power
     return (
-        -(v3**3)
-        + (b + v2) * v3**2
-        + (a * v2**2 - 2.0 * b * v2 + g * (1.0 - a)) * v3
-        + v2**4
-        - a * v2**3
-        + (b - 2.0 * g) * v2**2
+        -pw(v3, 3)
+        + (b + v2) * pw(v3, 2)
+        + (a * pw(v2, 2) - 2.0 * b * v2 + g * (1.0 - a)) * v3
+        + pw(v2, 4)
+        - a * pw(v2, 3)
+        + (b - 2.0 * g) * pw(v2, 2)
         - g * (1.0 - a) * v2
         + g * g
     )

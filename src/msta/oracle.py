@@ -77,7 +77,8 @@ def jacobi_eigh(h: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
 
     Returns (eigenvalues ascending, eigenvector columns).  Convergence is
     declared when the off-diagonal Frobenius norm drops below ``tol``
-    (scaled by the matrix norm for badly scaled inputs).
+    (scaled by the matrix norm for badly scaled inputs); if it has not
+    after ``max_sweeps`` sweeps, `np.linalg.LinAlgError` is raised.
     """
     m = np.array(h, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -89,10 +90,15 @@ def jacobi_eigh(h: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
     if d == 1:
         return m.real.ravel(), v
     scale = max(1.0, float(np.linalg.norm(m)))
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps + 1):
         off = math.sqrt(float((np.abs(m - np.diag(np.diag(m))) ** 2).sum()))
         if off < tol * scale:
             break
+        if sweep == max_sweeps:
+            raise np.linalg.LinAlgError(
+                f"jacobi_eigh: off-diagonal norm {off:.3g} after {max_sweeps} sweeps "
+                f"exceeds the tolerance {tol * scale:.3g}"
+            )
         for p in range(d - 1):
             for q in range(p + 1, d):
                 g = m[p, q]
@@ -169,6 +175,17 @@ def partial_trace_matrix(m: np.ndarray, keep, n: int) -> np.ndarray:
         t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
     dim = 1 << len(keep)
     return t.reshape(dim, dim)
+
+
+def random_multivector(n: int, rng: np.random.Generator, max_terms: int = 6) -> Multivector:
+    """A sparse multivector: 1..max_terms random blades (repeats merge) with
+    uniform complex coefficients in [-1, 1] + i [-1, 1]."""
+    n_terms = int(rng.integers(1, max_terms + 1))
+    terms = {}
+    for key in rng.integers(0, 1 << (2 * n), size=n_terms):
+        label = "".join("IXZY"[(int(key) >> (2 * q)) & 3] for q in range(n))
+        terms[label] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return Multivector(n, terms)
 
 
 def random_statevector(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -117,9 +117,6 @@ class ProductState:
             tuple(1 if b == 0 else -1 for b in bit_list),
         )
 
-    def flipped(self) -> "ProductState":
-        return ProductState(self.axes, tuple(-s for s in self.signs))
-
 
 def bloch_state(n) -> DensityOperator:
     """Single-qubit (1 + n . sigma)/2 for |n| <= 1."""

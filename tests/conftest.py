@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msta.algebra import Multivector
+from msta.oracle import random_multivector
 
 
 @pytest.fixture
@@ -9,17 +9,6 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-def random_multivector(n, rng, max_terms=6, scale=1.0):
-    """A sparse multivector with uniform complex coefficients."""
-    letters = "IXZY"
-    n_terms = int(rng.integers(1, max_terms + 1))
-    terms = {}
-    for key in rng.integers(0, 1 << (2 * n), size=n_terms):
-        label = "".join(letters[(int(key) >> (2 * q)) & 3] for q in range(n))
-        terms[label] = scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return Multivector(n, terms)
-
-
-def random_hermitian_mv(n, rng, max_terms=6, scale=1.0):
-    a = random_multivector(n, rng, max_terms, scale)
+def random_hermitian_mv(n, rng, max_terms=6):
+    a = random_multivector(n, rng, max_terms)
     return a + a.reverse()

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,3 +204,51 @@ def test_associativity(ta, tb, tc):
 def test_scalar_part_is_trace(terms):
     a = Multivector(2, terms)
     assert abs(a.scalar_part() - np.trace(oracle.to_matrix(a)).real / 4.0) < 1e-12
+
+
+def test_non_finite_coefficients_are_rejected():
+    # each used to return a multivector with the NaN term pruned as if zero
+    with pytest.raises(ValueError):
+        Multivector(1, {"X": np.nan})
+    with pytest.raises(ValueError):
+        Multivector(1, {"X": 1.0}) * np.nan
+    with pytest.raises(ValueError):
+        Multivector(1, {"X": 1.0}) + np.nan
+
+
+_non_finite = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.builds(complex, st.floats(), st.floats()).filter(lambda c: not cmath.isfinite(c)),
+)
+_bounded = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(_label2, _coeff, min_size=1, max_size=4), _label2, _non_finite)
+def test_non_finite_input_raises(terms, label, bad):
+    with pytest.raises(ValueError):
+        Multivector(2, {**terms, label: bad})
+    a = Multivector(2, terms)
+    for op in (
+        lambda: a * bad,
+        lambda: bad * a,
+        lambda: a + bad,
+        lambda: bad + a,
+        lambda: a - bad,
+        lambda: bad - a,
+    ):
+        with pytest.raises(ValueError):
+            op()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(_label2, _bounded, min_size=1, max_size=4),
+    st.dictionaries(_label2, _bounded, min_size=1, max_size=4),
+    _bounded,
+)
+def test_bounded_finite_input_stays_finite(ta, tb, c):
+    a, b = Multivector(2, ta), Multivector(2, tb)
+    h = a + a.reverse()
+    for r in (a * b, a + b, a - b, a * c, c - a, a.reverse(), exp_i(h, 1.0)):
+        assert all(cmath.isfinite(x) for _, x in r.items())

@@ -114,6 +114,58 @@ def test_expansion_probabilities_seed_pattern():
     assert abs(pneg[0b111] - (1 - va - vb - vc) / 4) < 1e-12
 
 
+def _loop_probabilities(va, vb, vc, v2, v3):
+    """The per-index float loop that the array form replaced."""
+    out = []
+    for idx in range(8):
+        i, j, k = (-1.0 if idx & bit else 1.0 for bit in (4, 2, 1))
+        out.append(
+            (
+                1.0
+                + i * va
+                + j * vb
+                + k * vc
+                + i * j * (v2 / (va * vb))
+                + i * k * (v2 / (va * vc))
+                + j * k * (v2 / (vb * vc))
+                + i * j * k * (v3 / (va * vb * vc))
+            )
+            / 8.0
+        )
+    return out
+
+
+def _python_b(inv):
+    """B_function in Python floats and ``**``."""
+    a, b, g = inv.alpha, inv.beta, inv.gamma
+    v2, v3 = inv.vbar2, inv.vbar3
+    return (
+        -(v3**3)
+        + (b + v2) * v3**2
+        + (a * v2**2 - 2.0 * b * v2 + g * (1.0 - a)) * v3
+        + v2**4
+        - a * v2**3
+        + (b - 2.0 * g) * v2**2
+        - g * (1.0 - a) * v2
+        + g * g
+    )
+
+
+def test_array_and_float_evaluations_are_bit_identical(rng):
+    for _ in range(20):
+        va, vb, vc = rng.uniform(0.05, 0.95, 3).tolist()
+        v2, v3 = rng.uniform(-1.0, 1.0, (2, 100))
+        arr = InvariantSet3Q(va, vb, vc, v2, v3)
+        probs, b_vals, i6 = expansion_probabilities(arr), B_function(arr), sudbery(arr).i6
+        assert probs.shape == (8, 100)
+        for n, (x2, x3) in enumerate(zip(v2.tolist(), v3.tolist())):
+            inv = InvariantSet3Q(va, vb, vc, x2, x3)
+            assert expansion_probabilities(inv).tolist() == probs[:, n].tolist()
+            assert probs[:, n].tolist() == _loop_probabilities(va, vb, vc, x2, x3)
+            assert B_function(inv) == b_vals[n] == _python_b(inv)
+            assert sudbery(inv).i6 == i6[n]
+
+
 def test_sudbery_examples():
     assert sudbery(InvariantSet3Q(0, 0, 0, 0, 0)).i6 == 1.0
     w = sudbery(InvariantSet3Q(1 / 3, 1 / 3, 1 / 3, -1 / 27, -1 / 27))

@@ -45,6 +45,19 @@ def test_jacobi_against_numpy(rng):
         assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-12
 
 
+def test_jacobi_raises_when_sweeps_run_out(rng):
+    # one sweep leaves a random 8x8 decomposition off by about 1; it used
+    # to be returned without a word
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    with pytest.raises(np.linalg.LinAlgError, match="off-diagonal norm"):
+        oracle.jacobi_eigh((a + a.conj().T) / 2, max_sweeps=1)
+    # one rotation diagonalises a 2x2 matrix: converging on the last sweep
+    # is not a failure
+    h = np.array([[1.0, 0.5], [0.5, -1.0]])
+    w, _ = oracle.jacobi_eigh(h, max_sweeps=1)
+    assert np.abs(w - np.linalg.eigvalsh(h)).max() < 1e-14
+
+
 def test_jacobi_rejects_non_hermitian():
     with pytest.raises(ValueError):
         oracle.jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
