@@ -41,10 +41,6 @@ _PHASES = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 # failing; |t| * norm1(a) ~ 2^31 carries no more absolute phase precision.
 _MAX_SQUARINGS = 32
 
-# bincount-based term merging is used while the full blade space fits
-# comfortably in memory; beyond that we sort and reduce.
-_DENSE_MERGE_BITS = 16
-
 
 def _x_mask(n: int) -> int:
     """Mask with the x-bit of every qubit set (0b...010101)."""
@@ -97,24 +93,49 @@ class PauliString:
         return self.letters
 
 
+def _kept(coeffs: np.ndarray) -> np.ndarray:
+    """Mask of the coefficients above the prune threshold.
+
+    Raises ValueError if any coefficient is not finite: an overflowing
+    product or sum gives inf or nan, which the prune alone would keep (inf)
+    or silently drop (nan)."""
+    mags = np.abs(coeffs)
+    if not mags.max(initial=0.0) < np.inf:
+        raise ValueError("multivector coefficient overflowed to a non-finite value")
+    return mags > PRUNE_EPS
+
+
 def _merge_terms(n: int, keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum duplicate keys, prune negligible coefficients, sort ascending."""
+    """Sum duplicate keys, prune negligible coefficients, sort ascending.
+
+    The sums run over either the whole 4^n blade span or the sorted
+    distinct keys; both sum in input order, so they agree bit for bit.  The
+    span costs one slot per blade and the distinct keys a sort of the
+    terms; the span is used while it has at most 64 slots per term, which
+    keeps every n <= 3 product on it.  Timed on random keys, the distinct
+    keys win from about 64 slots per term at n = 5, 32 at n = 6, 7 and 10
+    and 16 at n = 8, 9; the span wins at every ratio at n <= 4.  (An 8 x
+    4-term product at n = 8 takes 1.8 ms over the span, 0.04 ms over the
+    keys.)  Raises ValueError if a sum is not finite.
+    """
     if keys.size == 0:
         return keys.astype(np.int64), coeffs.astype(np.complex128)
-    if 2 * n <= _DENSE_MERGE_BITS:
-        span = 1 << (2 * n)
-        acc = np.bincount(keys, weights=coeffs.real, minlength=span).astype(np.complex128)
-        acc += 1j * np.bincount(keys, weights=coeffs.imag, minlength=span)
-        nz = np.flatnonzero(np.abs(acc) > PRUNE_EPS)
-        return nz.astype(np.int64), acc[nz]
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    cs = coeffs[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(ks)) + 1))
-    sums = np.add.reduceat(cs, starts)
-    uk = ks[starts]
-    keep = np.abs(sums) > PRUNE_EPS
-    return uk[keep].astype(np.int64), sums[keep].astype(np.complex128)
+    span = 1 << (2 * n)
+    if span > 64 * keys.size:
+        distinct = np.unique(keys)
+        slots, sums = _sum_by_slot(distinct.searchsorted(keys), coeffs, distinct.size)
+        return distinct[slots], sums
+    return _sum_by_slot(keys, coeffs, span)
+
+
+def _sum_by_slot(slot: np.ndarray, coeffs: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients summed per slot in 0..size-1, in input order, and
+    pruned: (kept slots ascending, their sums)."""
+    sums = np.bincount(slot, weights=coeffs.real, minlength=size) + 1j * np.bincount(
+        slot, weights=coeffs.imag, minlength=size
+    )
+    slots = _kept(sums).nonzero()[0]
+    return slots, sums[slots]
 
 
 # -- dense core ------------------------------------------------------------
@@ -183,8 +204,8 @@ def _from_dense(m: np.ndarray, maps=None) -> "Multivector":
         maps = [r @ _ENTRIES_TO_CODES for r in maps]
     t = m.reshape((2,) * (2 * n)).transpose(_pair_axes(n)).reshape(-1)
     c = _per_qubit(t, maps)
-    keys = np.flatnonzero(np.abs(c) > PRUNE_EPS)
-    return Multivector._raw(n, keys.astype(np.int64), c[keys])
+    keys = _kept(c).nonzero()[0]
+    return Multivector._raw(n, keys, c[keys])
 
 
 class Multivector:
@@ -323,7 +344,12 @@ class Multivector:
             if abs(other) == 0.0:
                 return Multivector.zero(self.n_qubits)
             coeffs = self._coeffs * other
-            keep = np.abs(coeffs) > PRUNE_EPS
+            # stored coefficients have finite moduli (`_kept`), so only
+            # |other| > 1 can overflow one.  Skipping the finiteness
+            # reduction otherwise is worth 3 % of `trajectory2q` throughput:
+            # 47.8 against 46.3 norm ops/s, medians of 10 alternating 20 s
+            # pairs (the unconditional check won 1 of 10).
+            keep = _kept(coeffs) if abs(other) > 1.0 else np.abs(coeffs) > PRUNE_EPS
             return Multivector._raw(self.n_qubits, self._keys[keep], coeffs[keep])
         self._require_same_n(other)
         if self._keys.size == 0 or other._keys.size == 0:

@@ -10,13 +10,15 @@ three reference vectors leaves four free angles
 from which the remaining two named angles follow by the closure rules
 phi_ac' = phi_ac + phi_ab' - phi_ab and phi_bc' = phi_bc + phi_ab' - phi_ab.
 A pure state requires the four vectors of every qubit to sum to zero: six
-scalar equations solved here by damped Gauss-Newton with multiple starts.
+scalar equations solved here by batched multi-start damped Gauss-Newton,
+every start advancing together as one row of a (starts, 4) array.
 Solutions come in conjugate pairs (negate every angle); boundary solutions
 with all angles in {0, pi} are self-conjugate.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,55 +153,80 @@ def vector_lengths(probs, floor: float = 1e-13) -> np.ndarray:
     return out
 
 
-def residual(lengths: np.ndarray, free_angles: np.ndarray) -> np.ndarray:
-    """Six components of the three planar sums at the given free angles."""
-    ang = _ANGLE_MATRIX @ free_angles
-    cos, sin = np.cos(ang), np.sin(ang)
-    out = np.empty(6)
-    for g in range(3):
-        sl = slice(4 * g, 4 * g + 4)
-        out[2 * g] = lengths[sl] @ cos[sl]
-        out[2 * g + 1] = lengths[sl] @ sin[sl]
-    return out
+def residual(lengths, free_angles) -> np.ndarray:
+    """Six components (x_a, y_a, x_b, y_b, x_c, y_c) of the three planar
+    sums at the given free angles, broadcast over their leading axes:
+    shape (..., 4) in, (..., 6) out."""
+    ang = np.asarray(free_angles, dtype=float) @ _ANGLE_MATRIX.T
+    vecs = lengths * np.exp(1j * ang)
+    return vecs.reshape(ang.shape[:-1] + (3, 4)).sum(axis=-1).view(np.float64)
 
 
 def _jacobian(lengths: np.ndarray, free_angles: np.ndarray) -> np.ndarray:
-    ang = _ANGLE_MATRIX @ free_angles
-    cos, sin = np.cos(ang), np.sin(ang)
-    jac = np.zeros((6, 4))
-    for g in range(3):
-        sl = slice(4 * g, 4 * g + 4)
-        jac[2 * g] = -(lengths[sl] * sin[sl]) @ _ANGLE_MATRIX[sl]
-        jac[2 * g + 1] = (lengths[sl] * cos[sl]) @ _ANGLE_MATRIX[sl]
-    return jac
+    """d residual / d free angles, shape (..., 6, 4)."""
+    ang = free_angles @ _ANGLE_MATRIX.T
+    turned = (1j * lengths * np.exp(1j * ang)).reshape(ang.shape[:-1] + (3, 1, 4))
+    per_qubit = (turned @ _ANGLE_MATRIX.reshape(3, 4, 4))[..., 0, :]
+    return np.stack([per_qubit.real, per_qubit.imag], axis=-2).reshape(ang.shape[:-1] + (6, 4))
 
 
-def _newton_from(
+def _newton(
     lengths: np.ndarray,
-    start: np.ndarray,
+    starts: np.ndarray,
     tol: float,
     max_iter: int,
     max_halvings: int = 40,
-) -> np.ndarray | None:
-    x = start.astype(float)
+) -> np.ndarray:
+    """The converged iterates of damped Gauss-Newton from each start, in
+    start order.
+
+    All starts advance together.  Each takes the minimum-norm least-squares
+    step at the first length in 1, 1/2, ..., 2^(1 - max_halvings) that
+    lowers its max-abs residual, and retires once that residual is below
+    ``tol`` or no length lowers it.  The shorter lengths are only tried,
+    in one array pass, by the starts whose full step failed.
+    """
+    x = np.array(starts, dtype=float)
     r = residual(lengths, x)
-    rnorm = np.abs(r).max()
+    rnorm = np.abs(r).max(axis=-1)
+    active = np.ones(len(x), dtype=bool)
+    ladder = 0.5 ** np.arange(1, max_halvings)[:, None, None]
     for _ in range(max_iter):
-        if rnorm < tol:
-            return x
-        jac = _jacobian(lengths, x)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        lam = 1.0
-        for _ in range(max_halvings):
-            cand = x + lam * step
-            rc = residual(lengths, cand)
-            if np.abs(rc).max() < rnorm:
-                x, r, rnorm = cand, rc, np.abs(rc).max()
-                break
-            lam *= 0.5
-        else:
-            return x if rnorm < tol else None
-    return x if rnorm < tol else None
+        active &= rnorm >= tol
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        # rtol=None cuts singular values at eps * max(M, N), as lstsq does
+        pinv = np.linalg.pinv(_jacobian(lengths, x[idx]), rtol=None)
+        step = (pinv @ -r[idx, :, None])[..., 0]
+        cand = x[idx] + step
+        rc = residual(lengths, cand)
+        rcn = np.abs(rc).max(axis=-1)
+        ok = rcn < rnorm[idx]
+        short = np.flatnonzero(~ok)
+        if short.size:
+            cands = x[idx[short]] + ladder * step[short]
+            rcs = residual(lengths, cands)
+            rcns = np.abs(rcs).max(axis=-1)
+            better = rcns < rnorm[idx[short]]
+            pick = better.argmax(axis=0), np.arange(short.size)
+            cand[short], rc[short], rcn[short] = cands[pick], rcs[pick], rcns[pick]
+            ok[short] = better.any(axis=0)
+        moved = idx[ok]
+        x[moved], r[moved], rnorm[moved] = cand[ok], rc[ok], rcn[ok]
+        active[idx[~ok]] = False
+    return x[rnorm < tol]
+
+
+def _distinct(points: np.ndarray) -> np.ndarray:
+    """Each point farther than 1e-6 (per angle, modulo 2 pi) from every
+    earlier kept point, in order."""
+    near = np.abs(_wrap(points[:, None] - points[None, :])).max(axis=-1) < 1e-6
+    keep: list[int] = []
+    for i in range(len(points)):
+        if not near[i, keep].any():
+            keep.append(i)
+    return points[keep]
 
 
 def solve(
@@ -211,13 +238,14 @@ def solve(
 ) -> list[AngleSet]:
     """All distinct angle assignments closing the three vector sums.
 
-    Multi-start damped Gauss-Newton over the four free angles.  Starts are
-    the sixteen {0, pi}^4 lattice points (boundary solutions live there)
-    plus uniform random draws; the random budget is enlarged once before
-    giving up.  Returned solutions are deduplicated modulo 2 pi, completed
-    with their sign-flipped conjugates, and deterministically ordered.  An
-    empty list means no assignment closed the sums: genuinely infeasible
-    lengths, or a solver failure if feasibility said a state exists.
+    Batched multi-start damped Gauss-Newton over the four free angles (see
+    `_newton`).  Starts are the sixteen {0, pi}^4 lattice points (boundary
+    solutions live there) plus ``restarts`` uniform random draws; if none
+    converges, ``8 * restarts`` more are drawn from the same stream.
+    Returned solutions are deduplicated modulo 2 pi, completed with their
+    sign-flipped conjugates, and deterministically ordered.  An empty list
+    means no assignment closed the sums: genuinely infeasible lengths, or a
+    solver failure if feasibility said a state exists.
     """
     lengths = np.asarray(lengths, dtype=float).ravel()
     if lengths.size != 12:
@@ -228,49 +256,24 @@ def solve(
         return [AngleSet.zeros()]
 
     rng = np.random.default_rng(seed)
-    lattice = [
-        np.array([i * np.pi, j * np.pi, k * np.pi, l * np.pi])
-        for i in (0, 1)
-        for j in (0, 1)
-        for k in (0, 1)
-        for l in (0, 1)
-    ]
-    found: list[np.ndarray] = []
+    lattice = np.pi * np.array(list(itertools.product((0.0, 1.0), repeat=4)))
+    starts = np.vstack([lattice, rng.uniform(-np.pi, np.pi, size=(restarts, 4))])
+    x = _newton(lengths, starts, tol, max_iter)
+    if not len(x):
+        x = _newton(lengths, rng.uniform(-np.pi, np.pi, size=(8 * restarts, 4)), tol, max_iter)
 
-    def try_starts(starts) -> None:
-        for start in starts:
-            x = _newton_from(lengths, start, tol, max_iter)
-            if x is None:
-                continue
-            # boundary solutions are exact {0, pi} lattice points with a
-            # singular Jacobian; snap nearby converged iterates so the flat
-            # valley around a line solution does not smear into duplicates
-            snapped = np.round(np.asarray(x) / np.pi) * np.pi
-            if (
-                np.abs(_wrap(x - snapped)).max() < 1e-3
-                and np.abs(residual(lengths, snapped)).max() < tol
-            ):
-                x = snapped
-            x = _wrap(x)
-            if not any(
-                max(_circ_dist(a, b) for a, b in zip(x, prev)) < 1e-6 for prev in found
-            ):
-                found.append(np.asarray(x))
-
-    try_starts(lattice)
-    try_starts(rng.uniform(-np.pi, np.pi, size=(restarts, 4)))
-    if not found:
-        try_starts(rng.uniform(-np.pi, np.pi, size=(8 * restarts, 4)))
-
+    # boundary solutions are exact {0, pi} lattice points with a singular
+    # Jacobian; snap nearby converged iterates so the flat valley around a
+    # line solution does not smear into duplicates
+    snapped = np.round(x / np.pi) * np.pi
+    snap = (np.abs(_wrap(x - snapped)).max(axis=-1) < 1e-3) & (
+        np.abs(residual(lengths, snapped)).max(axis=-1) < tol
+    )
+    found = _distinct(_wrap(np.where(snap[:, None], snapped, x)))
     # conjugate completion: negating every angle preserves the sums
-    for x in list(found):
-        neg = _wrap(-x)
-        if not any(
-            max(_circ_dist(a, b) for a, b in zip(neg, prev)) < 1e-6 for prev in found
-        ):
-            found.append(np.asarray(neg))
+    found = _distinct(np.vstack([found, _wrap(-found)]))
 
-    sols = [AngleSet.from_free(*x) for x in found]
+    sols = [AngleSet.from_free(*p) for p in found]
     sols.sort(key=lambda s: tuple(np.round(s.as_tuple(), 9)))
     return sols
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from msta import oracle
 from msta.algebra import (
     Multivector,
     PauliString,
+    _merge_terms,
+    _sum_by_slot,
     allclose,
     exp_i,
     partial_drop,
@@ -214,6 +217,48 @@ def test_non_finite_coefficients_are_rejected():
         Multivector(1, {"X": 1.0}) * np.nan
     with pytest.raises(ValueError):
         Multivector(1, {"X": 1.0}) + np.nan
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_overflow_raises_instead_of_vanishing():
+    big = Multivector(1, {"X": 1e200})
+    # the pair product is (inf, nan); the prune used to drop it, leaving {}
+    with pytest.raises(ValueError, match="non-finite"):
+        big * big
+    # the sum used to keep an inf term
+    with pytest.raises(ValueError, match="non-finite"):
+        Multivector(1, {"X": 1.7e308}) + Multivector(1, {"X": 1.7e308})
+    with pytest.raises(ValueError, match="non-finite"):
+        big * 1e200
+    # a fully dense product takes the matrix route
+    dense = Multivector(4, {"".join(p): 1e160 for p in itertools.product("IXYZ", repeat=4)})
+    with pytest.raises(ValueError, match="non-finite"):
+        dense * dense
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_merge_over_span_and_distinct_keys_agree(n, rng):
+    span = 1 << (2 * n)
+    cases = []
+    for p, q in ((8, 4), (30, 20), (3, 3)):
+        ka = rng.choice(span, p, replace=False)
+        kb = rng.choice(span, q, replace=False)
+        ca = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+        cb = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+        cases.append(((ka[:, None] ^ kb[None, :]).ravel(), (ca[:, None] * cb[None, :]).ravel()))
+    # many duplicates per key, and pairs that cancel exactly
+    keys = rng.integers(0, 64, 500)
+    coeffs = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+    cases.append((np.concatenate([keys, keys[:50]]), np.concatenate([coeffs, -coeffs[:50]])))
+    # few terms in a wide span: merged over the distinct keys at every n here
+    cases.append((np.array([5, 5, span - 1]), np.array([1.0 + 2.0j, -1.0 - 2.0j, 3.0 - 0.5j])))
+    for keys, coeffs in cases:
+        keys = keys.astype(np.int64)
+        got_keys, got_coeffs = _merge_terms(n, keys, coeffs)
+        span_keys, span_coeffs = _sum_by_slot(keys, coeffs, span)
+        assert np.array_equal(got_keys, span_keys)
+        assert np.array_equal(got_coeffs, span_coeffs)
+        assert np.all(np.diff(got_keys) > 0)
 
 
 _non_finite = st.one_of(

@@ -10,7 +10,15 @@ from msta.invariants import (
     sudbery,
 )
 from msta.states import DensityOperator, local_rotor, apply_rotor
-from msta.vectorsum import AngleSet, reconstruct, residual, solve, vector_lengths
+from msta.vectorsum import (
+    _ANGLE_MATRIX,
+    AngleSet,
+    _wrap,
+    reconstruct,
+    residual,
+    solve,
+    vector_lengths,
+)
 
 
 def random_pure_invariants(rng):
@@ -209,3 +217,117 @@ def test_roundtrip_equivalent_up_to_local_rotors(rng):
         w1, _ = oracle.jacobi_eigh(oracle.partial_trace_matrix(rho.matrix(), keep, 3))
         w2, _ = oracle.jacobi_eigh(oracle.partial_trace_matrix(rec.matrix(), keep, 3))
         assert np.abs(w1 - w2).max() < 1e-8
+
+
+def _serial_solve(lengths, tol=1e-11, restarts=32, seed=0, max_iter=200):
+    """Reference solver: one start at a time, an lstsq step per iteration,
+    step halvings tried one by one, then snap, dedup and conjugates by
+    Python loops."""
+    if lengths.max() < 1e-12:
+        return [AngleSet.zeros()]
+
+    def sums_and_jacobian(x):
+        ang = _ANGLE_MATRIX @ x
+        cos, sin = np.cos(ang), np.sin(ang)
+        r, jac = np.empty(6), np.empty((6, 4))
+        for g in range(3):
+            sl = slice(4 * g, 4 * g + 4)
+            r[2 * g], r[2 * g + 1] = lengths[sl] @ cos[sl], lengths[sl] @ sin[sl]
+            jac[2 * g] = -(lengths[sl] * sin[sl]) @ _ANGLE_MATRIX[sl]
+            jac[2 * g + 1] = (lengths[sl] * cos[sl]) @ _ANGLE_MATRIX[sl]
+        return r, jac
+
+    def newton(x):
+        r, jac = sums_and_jacobian(x)
+        rnorm = np.abs(r).max()
+        for _ in range(max_iter):
+            if rnorm < tol:
+                return x
+            step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+            for k in range(40):
+                cand = x + 0.5**k * step
+                rc, jc = sums_and_jacobian(cand)
+                if np.abs(rc).max() < rnorm:
+                    x, r, jac, rnorm = cand, rc, jc, np.abs(rc).max()
+                    break
+            else:
+                return None
+        return x if rnorm < tol else None
+
+    def dist(a, b):
+        return np.abs(_wrap(a - b)).max()
+
+    found = []
+
+    def try_starts(starts):
+        for start in starts:
+            x = newton(np.asarray(start, dtype=float))
+            if x is None:
+                continue
+            snapped = np.round(x / np.pi) * np.pi
+            if dist(x, snapped) < 1e-3 and np.abs(sums_and_jacobian(snapped)[0]).max() < tol:
+                x = snapped
+            x = _wrap(x)
+            if all(dist(x, prev) >= 1e-6 for prev in found):
+                found.append(x)
+
+    rng = np.random.default_rng(seed)
+    try_starts(np.pi * np.array([[i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(16)]))
+    try_starts(rng.uniform(-np.pi, np.pi, size=(restarts, 4)))
+    if not found:
+        try_starts(rng.uniform(-np.pi, np.pi, size=(8 * restarts, 4)))
+    for x in list(found):
+        if all(dist(_wrap(-x), prev) >= 1e-6 for prev in found):
+            found.append(_wrap(-x))
+    return [AngleSet.from_free(*x) for x in found]
+
+
+def assert_same_solutions(got, want):
+    # solutions within a set are more than 1e-6 apart, so matching each
+    # wanted one within 1e-8 makes equal-sized sets correspond one to one
+    assert len(got) == len(want)
+    for w in want:
+        assert min(
+            np.abs(_wrap(np.subtract(g.as_tuple(), w.as_tuple()))).max() for g in got
+        ) < 1e-8
+
+
+def test_solve_matches_serial_reference_on_random_states():
+    rng = np.random.default_rng(4004)
+    for _ in range(100):
+        _, _, inv = random_pure_invariants(rng)
+        lengths = vector_lengths(expansion_probabilities(inv))
+        assert_same_solutions(solve(lengths), _serial_solve(lengths))
+
+
+def test_solve_matches_serial_reference_on_special_lengths():
+    va, vb, vc = 0.3, 0.4, 0.2
+    g = va * vb * vc
+    seed = vector_lengths(expansion_probabilities(InvariantSet3Q(va, vb, vc, g, g)))
+    va, vb, vc = 0.5, 0.6, 0.7
+    line = vector_lengths(
+        expansion_probabilities(InvariantSet3Q(va, vb, vc, 0.25, (va * vb * vc) ** 2 / 0.25))
+    )
+    # qubit a's first vector outweighs the other three: no start can close it
+    infeasible = np.array([1.0, 0.1, 0.1, 0.1] * 3)
+    for lengths, count in ((seed, 1), (line, 1), (infeasible, 0)):
+        sols = solve(lengths)
+        assert len(sols) == count
+        assert_same_solutions(sols, _serial_solve(lengths))
+
+
+def test_residual_broadcasts_over_leading_axes(rng):
+    lengths = rng.uniform(0.0, 1.0, size=12)
+    points = rng.uniform(-np.pi, np.pi, size=(3, 5, 4))
+    batched = residual(lengths, points)
+    assert batched.shape == (3, 5, 6)
+    for idx in np.ndindex(3, 5):
+        # equal up to the rounding of the BLAS kernel the batch shape picks
+        assert np.allclose(batched[idx], residual(lengths, points[idx]), rtol=0.0, atol=1e-14)
+    ang = _ANGLE_MATRIX @ points[0, 0]
+    want = [
+        f(ang[4 * g : 4 * g + 4]) @ lengths[4 * g : 4 * g + 4]
+        for g in range(3)
+        for f in (np.cos, np.sin)
+    ]
+    assert np.allclose(batched[0, 0], want, rtol=0.0, atol=1e-14)
