@@ -68,8 +68,10 @@ class DensityOperator:
         return oracle.to_matrix(self.mv)
 
     def purity(self) -> float:
-        """Tr(rho^2) = 2^N <rho rho>."""
-        return (1 << self.n_qubits) * (self.mv * self.mv).scalar_part()
+        """Tr(rho^2) = 2^N <rho rho> = 2^N sum_k c_k^2: every blade squares
+        to +1, so only the square of each term reaches the scalar part."""
+        c = self.mv._coeffs
+        return (1 << self.n_qubits) * float(np.dot(c, c).real)
 
     def is_pure(self, tol: float = 1e-9) -> bool:
         return (self.mv * self.mv - self.mv).max_abs() <= tol

@@ -147,7 +147,7 @@ def test_exp_projector_sphere_rotor():
 
 
 def test_exp_matches_oracle(rng):
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         for _ in range(10):
             h = random_hermitian_mv(n, rng)
             t = float(rng.uniform(-1.5, 1.5))
@@ -162,10 +162,10 @@ def test_exp_rejects_non_hermitian():
 
 
 def test_exp_rejects_non_finite_and_huge_times():
-    h = Multivector(2, {"XX": 0.5, "ZI": 0.25})
-    for t in (np.nan, np.inf, -np.inf, 1e300):
-        with pytest.raises(ValueError):
-            exp_i(h, t)
+    for h in (Multivector(2, {"XX": 0.5, "ZI": 0.25}), Multivector(5, {"XXIIZ": 0.5, "ZIYII": 0.25})):
+        for t in (np.nan, np.inf, -np.inf, 1e300):
+            with pytest.raises(ValueError):
+                exp_i(h, t)
     with pytest.raises(ValueError):
         exp_i(Multivector(1, {"X": np.inf}), 1.0)
 

@@ -85,8 +85,19 @@ def test_small_products_stay_pairwise(rng, monkeypatch):
         full = 1 << (2 * n)
         a, b = random_terms(n, full, rng), random_terms(n, full, rng)
         assert len(a * b) > 0
-        h = a + a.reverse()
-        algebra.exp_i(h, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_exp_route_follows_qubit_count(n, rng, monkeypatch):
+    dense_calls = []
+    real_to_dense = algebra._to_dense
+    monkeypatch.setattr(algebra, "_to_dense", lambda a: dense_calls.append(a) or real_to_dense(a))
+    a = random_terms(n, 3, rng)
+    h = a + a.reverse()
+    got = algebra.exp_i(h, 1.0)
+    assert len(dense_calls) == (1 if n <= 4 else 0)
+    want = oracle.from_matrix(oracle.expm_minus_i(oracle.to_matrix(h), 1.0))
+    assert coeff_diff(got, want) < 1e-12
 
 
 def test_matrix_route_results_are_canonical(rng):

@@ -237,6 +237,27 @@ def test_singlet_rotation_invariance(rng):
         assert (apply_rotor(r, singlet).mv - singlet.mv).max_abs() < 1e-10
 
 
+def test_wide_local_rotor_matches_closed_form(rng):
+    n = 12
+    for q in (0, 5, n - 1):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+        closed = np.cos(theta / 2) - np.sin(theta / 2) * (Multivector.iota(n) * Multivector.vector(n, q, axis))
+        got, want = local_rotor(n, q, axis, theta).mv.terms(), closed.terms()
+        assert got.keys() == want.keys()
+        assert max(abs(got[k] - want[k]) for k in want) < 1e-14
+
+
+def test_purity_equals_scalar_part_of_square(rng):
+    for n in (1, 2, 3, 4):
+        pure = [pure_state_from_amplitudes(oracle.random_statevector(n, rng)) for _ in range(5)]
+        weights = rng.dirichlet(np.ones(len(pure)))
+        mixed = DensityOperator(sum((w * rho.mv for w, rho in zip(weights, pure)), Multivector.zero(n)))
+        for rho in pure + [mixed, DensityOperator(Multivector.scalar(n, 1.0 / (1 << n)))]:
+            assert abs(rho.purity() - (1 << n) * (rho.mv * rho.mv).scalar_part()) < 1e-15
+
+
 def test_rotor_rejects_non_unitary():
     with pytest.raises(ValueError):
         Rotor(Multivector.scalar(2, 2.0))
