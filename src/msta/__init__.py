@@ -6,7 +6,6 @@ from .algebra import (
     PauliString,
     allclose,
     exp_i,
-    partial_drop,
     single_letter_product,
 )
 from .states import (

@@ -119,8 +119,8 @@ def cmd_invariants(args) -> int:
         emit(args, rows, {"command": "invariants", "params": {"state": args.state}})
         return EXIT_OK
 
-    mv8 = rho.mv * 8.0
-    lens = [float(np.linalg.norm(mv8.vector_part(q))) for q in range(3)]
+    t = rho.correlation_tensor()
+    lens = [float(np.linalg.norm(states.bloch_slice(t, q))) for q in range(3)]
     for name, v in zip("abc", lens):
         put(f"v_{name}", v)
     tau2 = invariants.three_tangle_oracle(amps)
@@ -256,8 +256,8 @@ def cmd_evolve(args) -> int:
     rows = []
     for t in np.linspace(args.t0, args.t1, args.steps):
         rho_t = dynamics.evolve(rho0, hmv, float(t))
-        ba = entanglement.partial_trace(rho_t, [0]).bloch_vector()
-        bb = entanglement.partial_trace(rho_t, [1]).bloch_vector()
+        tensor = rho_t.correlation_tensor()
+        ba, bb = states.bloch_slice(tensor, 0), states.bloch_slice(tensor, 1)
         rows.append(
             {
                 "t": _fmt(float(t)),

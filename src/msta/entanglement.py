@@ -1,4 +1,10 @@
-"""Reduced operators, entanglement measures, measurement updates, CHSH."""
+"""Reduced operators, entanglement measures, measurement updates, CHSH.
+
+Entropy, concurrence and the CHSH maximum read slices of the correlation
+tensor (`DensityOperator.correlation_tensor`); `correlator` and
+`chsh_value` keep the paper's scalar-part forms.  `partial_trace` drops
+keyed terms, O(terms) for any n, where the tensor costs O(4^n).
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Multivector
-from .states import DensityOperator, _unit3
+from .states import DensityOperator, _unit3, bloch_slice
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -43,14 +49,14 @@ def entanglement_entropy(rho: DensityOperator, cut: int = 0) -> float:
     (1 + v)/2, maximal (= 1) when the reduced vector vanishes.
     """
     _require_pure_2q(rho)
-    v = float(np.linalg.norm(partial_trace(rho, [cut]).bloch_vector()))
+    v = float(np.linalg.norm(bloch_slice(rho.correlation_tensor(), cut)))
     return binary_entropy((1.0 + min(v, 1.0)) / 2.0)
 
 
 def concurrence_2q(rho: DensityOperator) -> float:
     """sqrt(2 (1 - Tr rho_a^2)) = sqrt(1 - v^2) for a pure two-qubit state."""
     _require_pure_2q(rho)
-    v = float(np.linalg.norm(partial_trace(rho, [0]).bloch_vector()))
+    v = float(np.linalg.norm(bloch_slice(rho.correlation_tensor(), 0)))
     return float(np.sqrt(max(0.0, 1.0 - v * v)))
 
 
@@ -106,53 +112,22 @@ def chsh_value(rho: DensityOperator, setting: ChshSetting) -> float:
     return rho.expectation(obs)
 
 
-def correlation_matrix(rho: DensityOperator) -> np.ndarray:
-    """T[i, j] = E(e_i, e_j) over the Cartesian axes."""
-    axes = (np.eye(3)[0], np.eye(3)[1], np.eye(3)[2])
-    return np.array([[correlator(rho, ea, eb) for eb in axes] for ea in axes])
+def chsh_maximize(rho: DensityOperator) -> tuple[float, ChshSetting]:
+    """The largest CHSH value over all four measurement axes, and its axes.
 
-
-def _normalized(v: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-15:
-        return np.array([0.0, 0.0, 1.0])
-    return v / nrm
-
-
-def chsh_maximize(
-    rho: DensityOperator,
-    restarts: int = 64,
-    tol: float = 1e-12,
-    max_iter: int = 2000,
-    seed: int = 0,
-) -> tuple[float, ChshSetting]:
-    """Maximise the CHSH value over all four measurement axes.
-
-    Starting from random (q, r), alternate the two analytic half-steps:
-    best (s, t) for fixed (q, r) lie along T^T(q + r) and T^T(r - q), and
-    best (q, r) for fixed (s, t) lie along T(s - t) and T(s + t).  Each
-    restart ascends monotonically; convergence at ``tol`` improvement.
+    The maximum is 2 sqrt(s_1^2 + s_2^2) over the two largest singular
+    values of the correlation matrix T[1:, 1:] = U S W^T (Horodecki,
+    Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)), reached at
+    q = u_2, r = u_1, s = cos(phi) w_1 + sin(phi) w_2 and t = cos(phi) w_1
+    - sin(phi) w_2 with phi = atan2(s_2, s_1).  Where singular values tie
+    (every Bell state) these axes are one optimum of many.  The value is
+    reported through `chsh_value`'s scalar-part route.
     """
-    tmat = correlation_matrix(rho)
-    rng = np.random.default_rng(seed)
-    best_val = -np.inf
-    best = None
-    for _ in range(restarts):
-        q = _normalized(rng.standard_normal(3))
-        r = _normalized(rng.standard_normal(3))
-        val = -np.inf
-        for _ in range(max_iter):
-            s = _normalized(tmat.T @ (q + r))
-            t = _normalized(tmat.T @ (r - q))
-            q = _normalized(tmat @ (s - t))
-            r = _normalized(tmat @ (s + t))
-            new_val = (q + r) @ tmat @ s + (r - q) @ tmat @ t
-            if new_val - val < tol:
-                val = new_val
-                break
-            val = new_val
-        if val > best_val:
-            best_val = val
-            best = ChshSetting(tuple(q), tuple(r), tuple(s), tuple(t))
-    # report the value through the same scalar-part route as chsh_value
+    if rho.n_qubits != 2:
+        raise ValueError("expected a two-qubit state")
+    u, sv, wt = np.linalg.svd(rho.correlation_tensor()[1:, 1:])
+    phi = np.arctan2(sv[1], sv[0])
+    s = np.cos(phi) * wt[0] + np.sin(phi) * wt[1]
+    t = np.cos(phi) * wt[0] - np.sin(phi) * wt[1]
+    best = ChshSetting(tuple(u[:, 1]), tuple(u[:, 0]), tuple(s), tuple(t))
     return chsh_value(rho, best), best

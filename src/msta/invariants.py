@@ -7,6 +7,10 @@ the three reduced Bloch lengths and the two correlation scalars
     vbar2 = < v_a v_b V_ab >      (equal across the three qubit pairs)
     vbar3 = < v_a v_b v_c V_abc >
 
+read from the correlation tensor T of `DensityOperator.correlation_tensor`:
+v_a = T[1:, 0, 0], V_ab = T[1:, 1:, 0] and V_abc = T[1:, 1:, 1:], so
+vbar2 = v_a . V_ab . v_b and vbar3 = V_abc(v_a, v_b, v_c).
+
 The eight expansion probabilities, the Sudbery-style polynomial invariants
 (including the squared 3-tangle), and the feasibility polynomials F and B
 are all closed-form functions of these five numbers.  The squared 3-tangle
@@ -21,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Multivector
 from .states import DensityOperator
 
 DEGENERATE_V = 1e-8
@@ -89,16 +92,14 @@ def invariants_2q(rho: DensityOperator) -> float:
     if rho.n_qubits != 2:
         raise ValueError("expected a two-qubit state")
     _pure_or_raise(rho)
-    mv4 = rho.mv * 4.0
-    va = mv4.vector_part(0)
-    vb = mv4.vector_part(1)
+    t = rho.correlation_tensor()
+    va, vb = t[1:, 0], t[0, 1:]
     la, lb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
     if abs(la - lb) > 1e-9:
         raise ValueError(f"reduced Bloch lengths differ: {la} vs {lb}")
     v = 0.5 * (la + lb)
     if v > DEGENERATE_V:
-        vab = mv4.support_equals([0, 1])
-        corr = (Multivector.vector(2, 0, va) * Multivector.vector(2, 1, vb) * vab).scalar_part()
+        corr = float(va @ t[1:, 1:] @ vb)
         if abs(corr - v * v) > 1e-9:
             raise ValueError(f"pair correlation {corr} inconsistent with v^2 = {v * v}")
     return v
@@ -114,24 +115,23 @@ def invariants_3q(rho: DensityOperator) -> InvariantSet3Q:
     if rho.n_qubits != 3:
         raise ValueError("expected a three-qubit state")
     _pure_or_raise(rho)
-    mv8 = rho.mv * 8.0
-    vecs = [mv8.vector_part(q) for q in range(3)]
-    lens = [float(np.linalg.norm(v)) for v in vecs]
+    t = rho.correlation_tensor()
+    va, vb, vc = t[1:, 0, 0], t[0, 1:, 0], t[0, 0, 1:]
+    lens = [float(np.linalg.norm(v)) for v in (va, vb, vc)]
     if min(lens) <= DEGENERATE_V:
         raise ValueError(
             "vanishing reduced Bloch vector: use degenerate_limit for this state"
         )
-    vmvs = [Multivector.vector(3, q, vecs[q]) for q in range(3)]
-    pair_scalars = []
-    for qa, qb in ((0, 1), (0, 2), (1, 2)):
-        vab = mv8.support_equals([qa, qb])
-        pair_scalars.append((vmvs[qa] * vmvs[qb] * vab).scalar_part())
+    pair_scalars = [
+        float(va @ t[1:, 1:, 0] @ vb),
+        float(va @ t[1:, 0, 1:] @ vc),
+        float(vb @ t[0, 1:, 1:] @ vc),
+    ]
     spread = max(pair_scalars) - min(pair_scalars)
     if spread > 1e-9:
         raise ValueError(f"pairwise invariants disagree by {spread}")
-    vbar2 = float(np.mean(pair_scalars))
-    vabc = mv8.support_equals([0, 1, 2])
-    vbar3 = float((vmvs[0] * vmvs[1] * vmvs[2] * vabc).scalar_part())
+    vbar2 = sum(pair_scalars) / 3.0
+    vbar3 = float(np.einsum("ijk,i,j,k", t[1:, 1:, 1:], va, vb, vc))
     return InvariantSet3Q(lens[0], lens[1], lens[2], vbar2, vbar3)
 
 

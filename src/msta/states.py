@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import oracle
-from .algebra import HERMITIAN_TOL, Multivector, _from_dense, exp_i
+from .algebra import HERMITIAN_TOL, Multivector, _from_dense, _x_mask, exp_i
 
 TRACE_TOL = 1e-10
 UNIT_TOL = 1e-12
@@ -51,6 +51,16 @@ def frame_for(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return e1, e2, n
 
 
+def bloch_slice(t: np.ndarray, qubit: int) -> np.ndarray:
+    """Qubit ``qubit``'s reduced Bloch vector in a correlation tensor: its
+    (x, y, z) entries with every other qubit's index at 1."""
+    if not 0 <= qubit < t.ndim:
+        raise ValueError(f"qubit {qubit} out of range for n={t.ndim}")
+    idx = [0] * t.ndim
+    idx[qubit] = slice(1, None)
+    return t[tuple(idx)]
+
+
 class DensityOperator:
     """Hermitian, unit-trace multivector describing a quantum state."""
 
@@ -76,10 +86,27 @@ class DensityOperator:
     def is_pure(self, tol: float = 1e-9) -> bool:
         return (self.mv * self.mv - self.mv).max_abs() <= tol
 
+    def correlation_tensor(self) -> np.ndarray:
+        """T[mu_0, ..., mu_{n-1}] = Tr(rho sigma_mu_0 (x) ... (x) sigma_mu_{n-1}).
+
+        Shape (4,) * n: axis q belongs to qubit q and runs over (1, x, y, z),
+        so T[0, ..., 0] = 1 and qubit q's reduced Bloch vector is the slice
+        `bloch_slice` reads.  Each entry is 2^n times the real coefficient of
+        its blade: one scatter of the terms over the 4^n span, each key's
+        codes I, X, Z, Y taken to the indices 1, x, y, z by c ^ (c >> 1),
+        then the axes reversed (qubit n - 1 owns a key's leading base-4
+        digit).  O(4^n) memory, 128 MB at n = 12.
+        """
+        n = self.n_qubits
+        keys = self.mv._keys
+        t = np.zeros(1 << (2 * n))
+        t[keys ^ ((keys >> 1) & _x_mask(n))] = self.mv._coeffs.real * float(1 << n)
+        return t.reshape((4,) * n).T
+
     def bloch_vector(self) -> np.ndarray:
         if self.n_qubits != 1:
             raise ValueError("bloch_vector is defined for single-qubit operators")
-        return 2.0 * self.mv.vector_part(0)
+        return self.correlation_tensor()[1:]
 
     def expectation(self, observable: Multivector) -> float:
         """Tr(O rho) via the scalar part."""

@@ -36,6 +36,7 @@ from msta.states import (
     DensityOperator,
     ProductState,
     bell,
+    bloch_slice,
     product_state,
     projector_sphere,
     pure_state_from_amplitudes,
@@ -215,8 +216,8 @@ def test_criterion_5_i6_formula_validation():
     while checked < 10_000:
         psi = oracle.random_statevector(3, rng)
         rho = DensityOperator(oracle.from_matrix(oracle.statevector_density(psi)))
-        mv8 = rho.mv * 8.0
-        if min(np.linalg.norm(mv8.vector_part(q)) for q in range(3)) <= 0.05:
+        t = rho.correlation_tensor()
+        if min(np.linalg.norm(bloch_slice(t, q)) for q in range(3)) <= 0.05:
             continue
         inv = invariants_3q(rho)
         worst = max(worst, abs(sudbery(inv).i6 - three_tangle_oracle(psi)))

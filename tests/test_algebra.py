@@ -13,7 +13,6 @@ from msta.algebra import (
     _sum_by_slot,
     allclose,
     exp_i,
-    partial_drop,
     single_letter_product,
 )
 from conftest import random_hermitian_mv, random_multivector
@@ -104,12 +103,12 @@ def test_scalar_part():
 
 def test_partial_drop_examples():
     rho = Multivector(2, {"II": 0.25, "ZI": 0.25, "IZ": 0.25, "ZZ": 0.25})  # {00}
-    reduced = partial_drop(rho, [1]) * 2.0
+    reduced = rho.drop_qubits([1]) * 2.0
     assert reduced == Multivector(1, {"I": 0.5, "Z": 0.5})
     with pytest.raises(ValueError):
-        partial_drop(rho, [2])
+        rho.drop_qubits([2])
     with pytest.raises(ValueError):
-        partial_drop(rho, [])
+        rho.drop_qubits([])
 
 
 def test_partial_drop_matches_oracle(rng):
@@ -120,6 +119,39 @@ def test_partial_drop_matches_oracle(rng):
         got = oracle.to_matrix(a.drop_qubits(dropped) * 2.0)
         want = oracle.partial_trace_matrix(oracle.to_matrix(a), keep, 3)
         assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_drop_qubits_is_canonical_and_matches_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(3):
+        keep = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
+        dropped = [q for q in range(n) if q not in keep]
+        terms = {}
+        for _ in range(24):
+            letters = rng.choice(list("IXZY"), size=n)
+            if rng.random() < 0.5:  # a term the reduction keeps
+                letters[dropped] = "I"
+            terms["".join(letters)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        a = Multivector(n, terms)
+        reduced = a.drop_qubits(dropped)
+        assert len(reduced) >= 2
+        assert np.all(np.diff(reduced._keys) > 0)
+        got = oracle.to_matrix(reduced * float(2 ** len(dropped)))
+        want = oracle.partial_trace_matrix(oracle.to_matrix(a), keep, n)
+        assert np.abs(got - want).max() < 1e-12
+
+
+def test_allclose_resolves_differences_below_the_prune():
+    x = Multivector(2, {"XI": 1.0, "ZY": -0.5j})
+    y = x * (1.0 + 9e-15)
+    assert not allclose(x, y, 1e-15)
+    assert allclose(x, y, 1e-14)
+    assert allclose(x, x, 0.0)
+    # a term present in one operand only counts at its full size
+    assert not allclose(x, x + Multivector.blade("YY", 2e-14), 1e-14)
+    with pytest.raises(ValueError):
+        allclose(x, Multivector.blade("X"))
 
 
 def test_exp_single_qubit_rotor():

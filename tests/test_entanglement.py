@@ -133,7 +133,7 @@ def test_chsh_product_state_bound(rng):
 
 def test_chsh_maximize_bell_states():
     for which in ("phi+", "phi-", "psi+", "psi-"):
-        val, setting = chsh_maximize(bell(which), restarts=16)
+        val, setting = chsh_maximize(bell(which))
         assert abs(val - 2 * np.sqrt(2)) < 1e-6
         # the reported setting reproduces the reported value
         assert abs(chsh_value(bell(which), setting) - val) < 1e-12
@@ -143,7 +143,7 @@ def test_chsh_maximize_decreases_with_entanglement_angle():
     sph = sphere00_11()
     values = []
     for theta in (np.pi / 2, 1.2, 0.8, 0.4, 0.1):
-        val, _ = chsh_maximize(sphere_state(sph, theta, 0.0), restarts=16)
+        val, _ = chsh_maximize(sphere_state(sph, theta, 0.0))
         values.append(val)
     assert all(a > b - 1e-9 for a, b in zip(values, values[1:]))
     assert values[-1] > 2.0  # even weak entanglement violates the inequality
@@ -176,5 +176,67 @@ def test_tsirelson_bound_sampled(rng):
     for _ in range(10):
         psi = oracle.random_statevector(2, rng)
         rho = states.pure_state_from_amplitudes(psi)
-        val, _ = chsh_maximize(rho, restarts=8)
+        val, _ = chsh_maximize(rho)
         assert val <= 2 * np.sqrt(2) + 1e-6
+
+
+def _ascent_chsh(rho, restarts=8, tol=1e-12, max_iter=2000, seed=0):
+    """Reference CHSH maximiser: from random (q, r), alternate the two
+    analytic half-steps (best (s, t) lie along T^T(q + r) and T^T(r - q),
+    best (q, r) along T(s - t) and T(s + t)) until the value improves by
+    less than ``tol``; the best of ``restarts`` ascents.  T is built from
+    the scalar-part `correlator` over the Cartesian axes."""
+    axes = np.eye(3)
+    tmat = np.array([[correlator(rho, ea, eb) for eb in axes] for ea in axes])
+
+    def normalized(v):
+        nrm = np.linalg.norm(v)
+        return np.array([0.0, 0.0, 1.0]) if nrm < 1e-15 else v / nrm
+
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    for _ in range(restarts):
+        q = normalized(rng.standard_normal(3))
+        r = normalized(rng.standard_normal(3))
+        val = -np.inf
+        for _ in range(max_iter):
+            s = normalized(tmat.T @ (q + r))
+            t = normalized(tmat.T @ (r - q))
+            q = normalized(tmat @ (s - t))
+            r = normalized(tmat @ (s + t))
+            new_val = (q + r) @ tmat @ s + (r - q) @ tmat @ t
+            if new_val - val < tol:
+                val = new_val
+                break
+            val = new_val
+        best = max(best, val)
+    return best
+
+
+def test_chsh_closed_form_matches_ascent_reference(rng):
+    rhos = [states.pure_state_from_amplitudes(oracle.random_statevector(2, rng)) for _ in range(100)]
+    for _ in range(50):
+        a = states.pure_state_from_amplitudes(oracle.random_statevector(2, rng))
+        b = states.pure_state_from_amplitudes(oracle.random_statevector(2, rng))
+        w = float(rng.uniform(0.0, 1.0))
+        rhos.append(states.DensityOperator(w * a.mv + (1.0 - w) * b.mv))
+    for rho in rhos:
+        val, setting = chsh_maximize(rho)
+        ref = _ascent_chsh(rho)
+        assert val >= ref - 1e-12
+        assert abs(val - ref) < 1e-9
+        assert abs(chsh_value(rho, setting) - val) < 1e-12
+
+
+def test_chsh_maximize_product_states_respect_the_classical_bound(rng):
+    for _ in range(50):
+        axes = rng.standard_normal((2, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        signs = tuple(int(x) for x in rng.choice([-1, 1], size=2))
+        val, _ = chsh_maximize(product_state(ProductState(tuple(map(tuple, axes)), signs)))
+        assert val <= 2.0 + 1e-12
+
+
+def test_chsh_maximize_rejects_other_qubit_counts():
+    with pytest.raises(ValueError):
+        chsh_maximize(states.ghz())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from msta import oracle, states
+from msta.algebra import Multivector
 from msta.invariants import (
     InfeasibleInvariantsError,
     InvariantSet3Q,
@@ -23,6 +24,7 @@ from msta.states import (
     ProductState,
     apply_rotor,
     bell,
+    bloch_slice,
     ghz,
     local_rotor,
     product_state,
@@ -48,6 +50,53 @@ def test_invariants_2q_examples():
     theta = 1.2
     rho = sphere_state(sph, theta, 0.7)
     assert abs(invariants_2q(rho) - abs(np.cos(theta))) < 1e-12
+
+
+def _blade_vector(mv, qubit):
+    """Qubit ``qubit``'s (x, y, z) blade coefficients of ``mv``, as a
+    vector multivector."""
+    n = mv.n_qubits
+    comps = []
+    for ch in "XYZ":
+        label = ["I"] * n
+        label[qubit] = ch
+        comps.append(mv.coeff("".join(label)).real)
+    return Multivector.vector(n, qubit, comps)
+
+
+def _support_part(mv, qubits):
+    """The terms of ``mv`` acting non-trivially on exactly ``qubits``."""
+    terms = {
+        label: c
+        for label, c in mv.terms().items()
+        if {q for q, ch in enumerate(label) if ch != "I"} == set(qubits)
+    }
+    return Multivector(mv.n_qubits, terms)
+
+
+def test_invariants_equal_the_scalar_part_products(rng):
+    # the paper's forms: v_q from the grade-one blades of 2^n rho,
+    # vbar2 = < v_a v_b V_ab > and vbar3 = < v_a v_b v_c V_abc >
+    for _ in range(200):
+        rho2 = pure_state_from_amplitudes(oracle.random_statevector(2, rng))
+        mv4 = rho2.mv * 4.0
+        va, vb = _blade_vector(mv4, 0), _blade_vector(mv4, 1)
+        la, lb = (float(np.sqrt((v * v).scalar_part())) for v in (va, vb))
+        assert abs(invariants_2q(rho2) - 0.5 * (la + lb)) < 1e-12
+
+        rho = pure_state_from_amplitudes(oracle.random_statevector(3, rng))
+        mv8 = rho.mv * 8.0
+        vs = [_blade_vector(mv8, q) for q in range(3)]
+        lens = [float(np.sqrt((v * v).scalar_part())) for v in vs]
+        pairs = [
+            (vs[a] * vs[b] * _support_part(mv8, (a, b))).scalar_part()
+            for a, b in ((0, 1), (0, 2), (1, 2))
+        ]
+        vbar3 = (vs[0] * vs[1] * vs[2] * _support_part(mv8, (0, 1, 2))).scalar_part()
+        inv = invariants_3q(rho)
+        got = np.array([inv.v_a, inv.v_b, inv.v_c, inv.vbar2, inv.vbar3])
+        want = np.array(lens + [np.mean(pairs), vbar3])
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_invariants_2q_rejects_mixed():
@@ -383,18 +432,18 @@ def test_degenerate_limit_one_vector():
     vc = 0.6
     rho = degenerate_limit("one_vector", v_c=vc)
     assert rho.is_pure(1e-12)
-    mv8 = rho.mv * 8.0
-    assert np.linalg.norm(mv8.vector_part(0)) < 1e-12
-    assert np.linalg.norm(mv8.vector_part(1)) < 1e-12
-    assert abs(np.linalg.norm(mv8.vector_part(2)) - vc) < 1e-12
+    t = rho.correlation_tensor()
+    assert np.linalg.norm(bloch_slice(t, 0)) < 1e-12
+    assert np.linalg.norm(bloch_slice(t, 1)) < 1e-12
+    assert abs(np.linalg.norm(bloch_slice(t, 2)) - vc) < 1e-12
 
 
 def test_degenerate_limit_two_vectors():
     vb = vc = 0.3
     rho = degenerate_limit("two_vectors", v_b=vb, v_c=vc)
     assert rho.is_pure(1e-12)
-    mv8 = rho.mv * 8.0
-    lens = [float(np.linalg.norm(mv8.vector_part(q))) for q in range(3)]
+    t = rho.correlation_tensor()
+    lens = [float(np.linalg.norm(bloch_slice(t, q))) for q in range(3)]
     assert lens[0] < 1e-12
     assert abs(lens[1] - vb) < 1e-12
     assert abs(lens[2] - vc) < 1e-12

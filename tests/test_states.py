@@ -9,6 +9,7 @@ from msta.states import (
     Rotor,
     apply_rotor,
     bell,
+    bloch_slice,
     bloch_state,
     frame_for,
     ghz,
@@ -291,3 +292,42 @@ def test_constructors_are_positive_semidefinite(rng):
         w, _ = oracle.jacobi_eigh(rho.matrix())
         assert w.min() > -1e-10
         assert w.max() < 1.0 + 1e-10
+
+
+# the Pauli matrices in correlation-tensor index order 1, x, y, z
+_PAULI_BY_INDEX = (
+    np.eye(2),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def test_correlation_tensor_matches_oracle_traces(rng):
+    for n in (1, 2, 3, 4):
+        for mixed in (False, True):
+            mv = pure_state_from_amplitudes(oracle.random_statevector(n, rng)).mv
+            if mixed:
+                other = pure_state_from_amplitudes(oracle.random_statevector(n, rng)).mv
+                mv = 0.3 * mv + 0.7 * other
+            rho = DensityOperator(mv)
+            m = oracle.to_matrix(rho.mv)
+            t = rho.correlation_tensor()
+            assert t.shape == (4,) * n
+            for mu in np.ndindex(*t.shape):
+                sigma = np.eye(1)
+                for k in mu:  # qubit 0 first: the most significant index bit
+                    sigma = np.kron(sigma, _PAULI_BY_INDEX[k])
+                assert abs(t[mu] - np.trace(m @ sigma).real) < 1e-13
+
+
+def test_bloch_slices_of_the_correlation_tensor():
+    rho = product_state(ProductState(((1.0, 0.0, 0.0), (0.0, 0.6, 0.8)), (1, -1)))
+    t = rho.correlation_tensor()
+    assert t[0, 0] == 1.0
+    assert np.allclose(bloch_slice(t, 0), [1, 0, 0], atol=1e-15)
+    assert np.allclose(bloch_slice(t, 1), [0, -0.6, -0.8], atol=1e-15)
+    assert np.array_equal(bloch_state([0.1, -0.2, 0.3]).bloch_vector(), [0.1, -0.2, 0.3])
+    for bad in (-1, 2):
+        with pytest.raises(ValueError):
+            bloch_slice(t, bad)

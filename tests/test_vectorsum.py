@@ -9,7 +9,7 @@ from msta.invariants import (
     invariants_3q,
     sudbery,
 )
-from msta.states import DensityOperator, local_rotor, apply_rotor
+from msta.states import DensityOperator, apply_rotor, bloch_slice, local_rotor
 from msta.vectorsum import (
     _ANGLE_MATRIX,
     AngleSet,
@@ -89,7 +89,7 @@ def test_solve_angles_match_state_phases(rng):
     psi, rho, inv = random_pure_invariants(rng)
     aligned = rho
     for q in range(3):
-        v = (aligned.mv * 8.0).vector_part(q)
+        v = bloch_slice(aligned.correlation_tensor(), q)
         v /= np.linalg.norm(v)
         axis = np.cross(v, [0.0, 0.0, 1.0])
         if np.linalg.norm(axis) < 1e-12:
