@@ -28,9 +28,9 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .tolerances import HERMITIAN_TOL, MATCH_TOL, PRUNE_EPS, SERIES_TOL
+
 MAX_QUBITS = 12
-PRUNE_EPS = 1e-14
-HERMITIAN_TOL = 1e-10
 
 _CODE_OF = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 _CHAR_OF = "IXZY"
@@ -510,10 +510,10 @@ def exp_i(a: Multivector, t: float) -> Multivector:
     # order one.  A term-by-term sum would lose each term to the 1e-14
     # coefficient prune once it fell below it, an error of up to 1e-14
     # that each squaring doubles.  The degree is the least with remainder
-    # norm1(g)^(degree+1) / (degree+1)! below 1e-16.
+    # norm1(g)^(degree+1) / (degree+1)! below SERIES_TOL.
     x = g.norm1()
     degree, remainder = 0, x
-    while remainder >= 1e-16:
+    while remainder >= SERIES_TOL:
         degree += 1
         remainder *= x / (degree + 1)
     one = result = Multivector.scalar(a.n_qubits, 1.0)
@@ -524,7 +524,7 @@ def exp_i(a: Multivector, t: float) -> Multivector:
     return result
 
 
-def allclose(a: Multivector, b: Multivector, tol: float = 1e-12) -> bool:
+def allclose(a: Multivector, b: Multivector, tol: float = MATCH_TOL) -> bool:
     """Every coefficient of a and b within ``tol``, over the keys of both.
 
     The coefficient maps are compared unpruned: ``a - b`` would drop a

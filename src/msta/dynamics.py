@@ -15,7 +15,10 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import Multivector, exp_i
-from .states import DensityOperator, ProductState, ProjectorSphere, bloch_state, frame_for, projector_sphere
+from .states import (
+    DensityOperator, ProductState, ProjectorSphere, _unit3, bloch_state, frame_for, projector_sphere,
+)
+from .tolerances import DEGENERATE_AXIS, IDENTITY_TOL, RANGE_SLACK
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def projector_decompose(hmv: Multivector) -> tuple[Multivector, Multivector]:
         raise ValueError("expected a two-qubit Hamiltonian")
     sph00, sph01 = _standard_spheres()
     for p in (sph00.p, sph01.p):
-        if (hmv * p - p * hmv).max_abs() > 1e-10:
+        if (hmv * p - p * hmv).max_abs() > IDENTITY_TOL:
             raise ValueError("Hamiltonian does not commute with the projectors")
     return hmv * sph00.p, hmv * sph01.p
 
@@ -155,20 +158,16 @@ class ProductEvolution:
 
     @classmethod
     def from_axes(cls, m_axis, n_axis) -> "ProductEvolution":
-        m = np.asarray(m_axis, dtype=float).reshape(3)
-        n = np.asarray(n_axis, dtype=float).reshape(3)
-        for v in (m, n):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise ValueError("spin directions must be unit vectors")
+        m, n = _unit3(m_axis), _unit3(n_axis)
         pv = 0.5 * (m + n)
         qv = 0.5 * (m - n)
         p = float(np.linalg.norm(pv))
         q = float(np.linalg.norm(qv))
-        if p > 1e-12:
+        if p > DEGENERATE_AXIS:
             ph = pv / p
         else:
             ph = frame_for(qv / q)[0]
-        if q > 1e-12:
+        if q > DEGENERATE_AXIS:
             qh = qv / q
         else:
             qh = frame_for(pv / p)[0]
@@ -222,7 +221,7 @@ def min_bloch_length(psi: float) -> float:
     minimum is sqrt(1 - sin^4(psi/2)): 1 for aligned spins, 0 for
     anti-aligned, strictly decreasing in between.
     """
-    if not 0.0 <= psi <= np.pi + 1e-12:
+    if not 0.0 <= psi <= np.pi + RANGE_SLACK:
         raise ValueError("psi must lie in [0, pi]")
     q2 = float(np.sin(0.5 * psi) ** 2)
     return float(np.sqrt(max(0.0, 1.0 - q2 * q2)))

@@ -14,6 +14,7 @@ import numpy as np
 
 from .algebra import Multivector
 from .states import DensityOperator, _unit3, bloch_slice
+from .tolerances import OUTCOME_FLOOR
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -26,10 +27,10 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(mv)
 
 
-def _require_pure_2q(rho: DensityOperator, tol: float = 1e-9) -> None:
+def _require_pure_2q(rho: DensityOperator) -> None:
     if rho.n_qubits != 2:
         raise ValueError("expected a two-qubit state")
-    if not rho.is_pure(tol):
+    if not rho.is_pure():
         raise ValueError("expected a pure state")
 
 
@@ -66,14 +67,14 @@ def measure_update(
     """Projective measurement (1 +/- s)/2 on one qubit.
 
     Returns (probability, post-measurement state).  Raises if the outcome
-    has probability below 1e-12.
+    has probability below OUTCOME_FLOOR.
     """
     if outcome not in (-1, 1):
         raise ValueError("outcome must be +1 or -1")
     n = rho.n_qubits
     e = 0.5 * (Multivector.scalar(n, 1.0) + float(outcome) * Multivector.vector(n, qubit, _unit3(axis)))
     prob = (1 << n) * (e * rho.mv).scalar_part()
-    if prob < 1e-12:
+    if prob < OUTCOME_FLOOR:
         raise ValueError(f"measurement outcome has vanishing probability ({prob})")
     post = (e * rho.mv * e) * (1.0 / prob)
     return float(prob), DensityOperator(post)

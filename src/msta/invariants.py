@@ -25,9 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import DensityOperator
-
-DEGENERATE_V = 1e-8
+from .states import DensityOperator, _checked_amplitudes
+from .tolerances import (
+    DEGENERATE_V, EXISTENCE_SLACK, FEASIBILITY_SLACK, INVARIANT_PURE_TOL, PAIR_TOL, PROB_FLOOR,
+    RANGE_SLACK, REPORT_SLACK, VANISHING_V,
+)
 
 # the sign of qubit a, b and c (rows) in each of the eight p[ijk] (columns)
 _SIGNS = 1.0 - 2.0 * ((np.arange(8) >> np.array([[2], [1], [0]])) & 1)
@@ -78,8 +80,8 @@ class SudberyInvariants(NamedTuple):
     i6: float
 
 
-def _pure_or_raise(rho: DensityOperator, tol: float = 1e-8) -> None:
-    if not rho.is_pure(tol):
+def _pure_or_raise(rho: DensityOperator) -> None:
+    if not rho.is_pure(INVARIANT_PURE_TOL):
         raise ValueError("invariant extraction requires a pure state")
 
 
@@ -95,12 +97,12 @@ def invariants_2q(rho: DensityOperator) -> float:
     t = rho.correlation_tensor()
     va, vb = t[1:, 0], t[0, 1:]
     la, lb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
-    if abs(la - lb) > 1e-9:
+    if abs(la - lb) > PAIR_TOL:
         raise ValueError(f"reduced Bloch lengths differ: {la} vs {lb}")
     v = 0.5 * (la + lb)
     if v > DEGENERATE_V:
         corr = float(va @ t[1:, 1:] @ vb)
-        if abs(corr - v * v) > 1e-9:
+        if abs(corr - v * v) > PAIR_TOL:
             raise ValueError(f"pair correlation {corr} inconsistent with v^2 = {v * v}")
     return v
 
@@ -128,7 +130,7 @@ def invariants_3q(rho: DensityOperator) -> InvariantSet3Q:
         float(vb @ t[0, 1:, 1:] @ vc),
     ]
     spread = max(pair_scalars) - min(pair_scalars)
-    if spread > 1e-9:
+    if spread > PAIR_TOL:
         raise ValueError(f"pairwise invariants disagree by {spread}")
     vbar2 = sum(pair_scalars) / 3.0
     vbar3 = float(np.einsum("ijk,i,j,k", t[1:, 1:, 1:], va, vb, vc))
@@ -142,7 +144,7 @@ def expansion_probabilities(inv: InvariantSet3Q) -> np.ndarray:
     Shape (8,) for float vbar2 and vbar3, (8,) + their shape for arrays.
     """
     va, vb, vc = inv.vs
-    if min(va, vb, vc) < 1e-10:
+    if min(va, vb, vc) < VANISHING_V:
         raise ValueError("expansion probabilities require nonvanishing Bloch lengths")
     vbar_ab = inv.vbar2 / (va * vb)
     vbar_ac = inv.vbar2 / (va * vc)
@@ -186,13 +188,9 @@ def three_tangle_oracle(amps) -> float:
     tau = 4 |d1 - 2 d2 + 4 d3| over the 2x2x2 amplitude tensor; returns
     tau^2.  Ground truth for the polynomial route: 1 on GHZ, 0 on W.
     """
-    a = np.asarray(amps, dtype=complex).ravel()
-    if a.size != 8:
+    a, n, _ = _checked_amplitudes(amps, None)
+    if n != 3:
         raise ValueError("expected eight amplitudes")
-    nrm = np.linalg.norm(a)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"amplitudes are not normalised (norm {nrm})")
-    a = a / nrm
     d1 = (
         a[0] ** 2 * a[7] ** 2
         + a[1] ** 2 * a[6] ** 2
@@ -235,7 +233,7 @@ def F_function(inv: InvariantSet3Q) -> float:
     """Product of the eight signed length combinations of one qubit's
     consistency vectors, expressed through the invariants."""
     va, vb, vc = inv.vs
-    if min(va, vb, vc) < 1e-10:
+    if min(va, vb, vc) < VANISHING_V:
         raise ValueError("F is undefined for vanishing Bloch lengths")
     g = inv.gamma
     return (g - inv.vbar2 * inv.vbar3) ** 2 / (4096.0 * g**3) * B_function(inv)
@@ -247,7 +245,7 @@ class FeasibilityReport:
     violations: tuple[str, ...]
 
 
-def feasibility(inv: InvariantSet3Q, slack: float = 1e-10) -> FeasibilityReport:
+def feasibility(inv: InvariantSet3Q, slack: float = FEASIBILITY_SLACK) -> FeasibilityReport:
     """Existence test: probabilities nonnegative, lengths in [0, 1], B <= 0."""
     violations: list[str] = []
     for name, v in zip("abc", inv.vs):
@@ -255,18 +253,19 @@ def feasibility(inv: InvariantSet3Q, slack: float = 1e-10) -> FeasibilityReport:
             violations.append(f"v_{name} = {v} outside [0, 1]")
     va, vb, vc = inv.vs
     pair_floor = min(va * vb, va * vc, vb * vc)
-    if pair_floor < 1e-10:
+    if pair_floor < VANISHING_V:
         # vanishing vector: both correlation invariants must vanish with it
         if abs(inv.vbar2) > slack or abs(inv.vbar3) > slack:
             violations.append("nonzero vbar with a vanishing Bloch vector")
         probs = np.full(8, 0.125)
     else:
         probs = expansion_probabilities(inv)
-    bad = np.flatnonzero(probs < -slack)
+    # the gates below are negated so that a NaN fails them
+    bad = np.flatnonzero(~(probs >= -slack))
     for idx in bad:
         violations.append(f"p[{idx:03b}] = {probs[idx]} < 0")
     b_val = B_function(inv)
-    if b_val > slack:
+    if not b_val <= slack:
         violations.append(f"B = {b_val} > 0")
     return FeasibilityReport(not violations, tuple(violations))
 
@@ -275,7 +274,7 @@ def _amplitudes_on_basis(probs_by_index: dict[int, float]) -> np.ndarray:
     amps = np.zeros(8)
     for idx, p in probs_by_index.items():
         # rounding can leave 1e-17 residue where a probability is an exact 0
-        amps[idx] = np.sqrt(p) if p > 1e-13 else 0.0
+        amps[idx] = np.sqrt(p) if p > PROB_FLOOR else 0.0
     return amps / np.linalg.norm(amps)
 
 
@@ -306,7 +305,7 @@ def zero_tangle_point(va: float, vb: float, vc: float) -> tuple[float, float]:
     f2 = (1.0 - a2 + b2 - c2) / 2.0
     f3 = (1.0 - a2 - b2 + c2) / 2.0
     product = f1 * f2 * f3
-    if product < -1e-12:
+    if product < -EXISTENCE_SLACK:
         raise InfeasibleInvariantsError("zero-3-tangle point is not real here")
     xi = float(np.sqrt(max(0.0, product)))
     vbar2 = -(1.0 - a2 - b2 - c2) / 2.0 + xi
@@ -318,7 +317,7 @@ def zero_tangle_point(va: float, vb: float, vc: float) -> tuple[float, float]:
 
 def _check_range(va: float, vb: float, vc: float) -> None:
     for v in (va, vb, vc):
-        if not 0.0 <= v <= 1.0 + 1e-12:
+        if not 0.0 <= v <= 1.0 + RANGE_SLACK:
             raise ValueError(f"Bloch length {v} outside [0, 1]")
 
 
@@ -340,7 +339,7 @@ def special_state(
     vmin = min(va, vb, vc)
     vsum = va + vb + vc
     g = va * vb * vc
-    tol = 1e-12
+    tol = EXISTENCE_SLACK
 
     if kind == "seed":
         if 1.0 + 2.0 * vmin < vsum - tol:
@@ -372,7 +371,7 @@ def special_state(
     else:
         raise ValueError(f"unknown special state kind {kind!r}")
 
-    report = feasibility(inv, slack=1e-9)
+    report = feasibility(inv, slack=REPORT_SLACK)
     if not report.feasible:
         raise InfeasibleInvariantsError("; ".join(report.violations))
     lengths = vector_lengths(expansion_probabilities(inv))
@@ -402,7 +401,7 @@ def degenerate_limit(case: str, *, v_b: float | None = None, v_c: float | None =
         if v_b is None or v_c is None:
             raise ValueError("two_vectors needs v_b and v_c")
         _check_range(0.0, v_b, v_c)
-        if v_b + v_c > 1.0 + 1e-12:
+        if v_b + v_c > 1.0 + EXISTENCE_SLACK:
             raise InfeasibleInvariantsError("two_vectors needs v_b + v_c <= 1")
         probs = seed_probabilities(0.0, v_b, v_c)
     elif case == "one_vector":

@@ -22,15 +22,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import oracle
-from .algebra import HERMITIAN_TOL, Multivector, _from_dense, _x_mask, exp_i
+from .algebra import Multivector, _from_dense, _x_mask, exp_i
+from .tolerances import (
+    AXIS_TOL, HERMITIAN_TOL, IDENTITY_TOL, NEGLIGIBLE_WEIGHT, NORM_TOL, PURE_TOL, TRACE_TOL, UNIT_TOL,
+)
 
-TRACE_TOL = 1e-10
-UNIT_TOL = 1e-12
 
-
-def _unit3(v, tol: float = UNIT_TOL) -> np.ndarray:
+def _unit3(v) -> np.ndarray:
     u = np.asarray(v, dtype=float).reshape(3)
-    if abs(np.linalg.norm(u) - 1.0) > tol:
+    # written so that a NaN norm fails too
+    if not abs(np.linalg.norm(u) - 1.0) <= UNIT_TOL:
         raise ValueError(f"expected a unit 3-vector, got norm {np.linalg.norm(u)}")
     return u
 
@@ -83,7 +84,7 @@ class DensityOperator:
         c = self.mv._coeffs
         return (1 << self.n_qubits) * float(np.dot(c, c).real)
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
+    def is_pure(self, tol: float = PURE_TOL) -> bool:
         return (self.mv * self.mv - self.mv).max_abs() <= tol
 
     def correlation_tensor(self) -> np.ndarray:
@@ -191,18 +192,18 @@ class ProjectorSphere:
         """In-plane unit vector cos(phi) X + sin(phi) Y."""
         return float(np.cos(phi)) * self.x + float(np.sin(phi)) * self.y
 
-    def check(self, tol: float = 1e-10) -> None:
+    def check(self) -> None:
         """Assert the Pauli-algebra relations of the sphere basis."""
         p, x, y, z = self.p, self.x, self.y, self.z
-        assert (p * p - p).max_abs() <= tol
+        assert (p * p - p).max_abs() <= IDENTITY_TOL
         for v in (x, y, z):
-            assert (v * v - p).max_abs() <= tol
-            assert (v * p - v).max_abs() <= tol
-            assert (p * v - v).max_abs() <= tol
-        assert (x * y + y * x).max_abs() <= tol
-        assert (x * z + z * x).max_abs() <= tol
-        assert (y * z + z * y).max_abs() <= tol
-        assert (x * y * z - Multivector.iota(p.n_qubits) * p).max_abs() <= tol
+            assert (v * v - p).max_abs() <= IDENTITY_TOL
+            assert (v * p - v).max_abs() <= IDENTITY_TOL
+            assert (p * v - v).max_abs() <= IDENTITY_TOL
+        assert (x * y + y * x).max_abs() <= IDENTITY_TOL
+        assert (x * z + z * x).max_abs() <= IDENTITY_TOL
+        assert (y * z + z * y).max_abs() <= IDENTITY_TOL
+        assert (x * y * z - Multivector.iota(p.n_qubits) * p).max_abs() <= IDENTITY_TOL
 
 
 def _sphere_from_parts(
@@ -232,7 +233,7 @@ def projector_sphere(s1: ProductState, s2: ProductState, north_first: bool = Tru
     if s1.n_qubits != s2.n_qubits:
         raise ValueError("product states must have the same qubit count")
     for a1, a2 in zip(s1.axes, s2.axes):
-        if np.linalg.norm(np.subtract(a1, a2)) > 1e-9:
+        if np.linalg.norm(np.subtract(a1, a2)) > AXIS_TOL:
             raise ValueError("product states must share per-qubit axes")
     differing = {q for q in range(s1.n_qubits) if s1.signs[q] != s2.signs[q]}
     if not differing:
@@ -259,10 +260,10 @@ def _checked_amplitudes(amps, axes) -> tuple[np.ndarray, int, list]:
     if not np.isfinite(psi).all():
         raise ValueError("amplitudes must be finite")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-9:
+    if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"amplitudes are not normalised (norm {nrm})")
     if axes is None:
-        axes = [(0.0, 0.0, 1.0)] * n
+        return psi / nrm, n, [(0.0, 0.0, 1.0)] * n
     if len(axes) != n:
         raise ValueError(f"{len(axes)} axes given for {n} qubits")
     axes = [tuple(float(c) for c in _unit3(ax)) for ax in axes]
@@ -334,7 +335,7 @@ def pure_state_from_spheres(amps, axes=None) -> DensityOperator:
             if j <= i:
                 continue
             weight = float(np.sqrt(probs[i] * probs[j]))
-            if weight < 1e-16:
+            if weight < NEGLIGIBLE_WEIGHT:
                 continue
             differing = {q for q in range(n) if bits[i][q] != bits[j][q]}
             sph = _sphere_from_parts(basis_mvs[i], basis_mvs[j], differing, axes)
@@ -389,7 +390,7 @@ class Rotor:
 
     def __post_init__(self) -> None:
         defect = (self.mv * self.mv.reverse() - 1.0).max_abs()
-        if defect > 1e-10:
+        if defect > IDENTITY_TOL:
             raise ValueError(f"rotor is not unitary (defect {defect})")
 
     @classmethod

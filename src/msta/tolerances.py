@@ -1,0 +1,124 @@
+"""Numerical thresholds, one name per meaning.
+
+Every comparison in msta that holds only up to rounding takes its
+threshold from this table.  Two thresholds with the same value but
+different meanings have different names, so changing one cannot move the
+other.  `msta.oracle` keeps its own thresholds: the reference stays
+independent of the code it checks.
+"""
+
+# -- algebra ----------------------------------------------------------------
+
+# Coefficients at or below this are dropped from a multivector: rounding
+# residue of order-one products and sums.
+PRUNE_EPS = 1e-14
+# `exp_i`'s Taylor series stops once its remainder bound is below this,
+# under one ulp of the order-one result.
+SERIES_TOL = 1e-16
+# Largest coefficient of reverse(a) - a accepted as Hermitian, for density
+# operators and `exp_i` generators.
+HERMITIAN_TOL = 1e-10
+# `allclose`'s default: two results of order-one arithmetic whose
+# coefficients agree to this are the same multivector.
+MATCH_TOL = 1e-12
+# An algebraic identity checked on computed multivectors (the projector
+# sphere relations, a rotor's unitarity, a Hamiltonian commuting with the
+# projectors) holds to this.
+IDENTITY_TOL = 1e-10
+
+# -- states -----------------------------------------------------------------
+
+# 2^n <rho> of a density operator differs from 1 by at most this.
+TRACE_TOL = 1e-10
+# A unit vector's norm (spin, frame and measurement axes) differs from 1 by
+# at most this; a Bloch vector's norm exceeds 1 by at most this.
+UNIT_TOL = 1e-12
+# State amplitudes' norm differs from 1 by at most this.  They come from
+# outside (state files, user arrays) and are divided by their norm after
+# the check, so only a gross error is refused.
+NORM_TOL = 1e-9
+# Two product states share a qubit's axis when the axis vectors differ by
+# at most this.
+AXIS_TOL = 1e-9
+# Largest coefficient of rho^2 - rho for a pure state: `is_pure`'s default
+# and the entanglement measures' gate.
+PURE_TOL = 1e-9
+# The purity gate of invariant extraction, looser than PURE_TOL: it also
+# takes states that `reconstruct` built from solved angles.
+INVARIANT_PURE_TOL = 1e-8
+# The term-by-term sphere construction skips an off-diagonal term whose
+# weight sqrt(p_i p_j) is below this: it would move no coefficient past
+# PRUNE_EPS.
+NEGLIGIBLE_WEIGHT = 1e-16
+
+# -- invariants -------------------------------------------------------------
+
+# A reduced Bloch length at or below this makes a state degenerate:
+# invariant extraction refuses it (see `degenerate_limit`), and the 2-qubit
+# pair check is skipped.
+DEGENERATE_V = 1e-8
+# A Bloch length, or product of two, below this is zero to the invariant
+# formulas, which divide by the lengths.
+VANISHING_V = 1e-10
+# Pure-state consistency: a 2-qubit state's two reduced lengths, its pair
+# correlation against v^2, and a 3-qubit state's three pairwise vbar2
+# estimates agree to this.
+PAIR_TOL = 1e-9
+# Feasibility of exactly given invariants: p >= 0, B <= 0 and the lengths
+# in [0, 1] may fail by this much, rounding of the closed forms.
+FEASIBILITY_SLACK = 1e-10
+# Feasibility of invariants measured from a state or placed at a special
+# point, which carry more rounding than the closed forms alone.
+REPORT_SLACK = 1e-9
+# The existence conditions of the named invariant points (seed, negative
+# seed, maximum and zero 3-tangle, the two-vector limit) may fail by this.
+EXISTENCE_SLACK = 1e-12
+# A value checked against a closed interval (a Bloch length in [0, 1], an
+# angle in [0, pi]) may pass its upper end by this.
+RANGE_SLACK = 1e-12
+# An expansion probability below this is an exact zero: boundary states
+# leave rounding residue near 1e-17, whose square root (3e-9) would make
+# vectors that cannot close.
+PROB_FLOOR = 1e-13
+
+# -- entanglement and dynamics ----------------------------------------------
+
+# A measurement outcome less likely than this is refused: the update
+# divides by its probability.
+OUTCOME_FLOOR = 1e-12
+# In `ProductEvolution`, a half-sum or half-difference of two unit spins
+# shorter than this has no direction; a fixed orthogonal one stands in.
+DEGENERATE_AXIS = 1e-12
+
+# -- vector-sum solver ------------------------------------------------------
+
+# Gauss-Newton stops once every component of the three vector sums is
+# below this.
+SOLVER_TOL = 1e-11
+# A vector length within this of zero is zero: below -ZERO_LENGTH it is an
+# error, and twelve lengths under it close at any angles.
+ZERO_LENGTH = 1e-12
+# A converged iterate within this (per angle) of a {0, pi} lattice point
+# snaps to it when the lattice point also closes the sums.
+SNAP_RADIUS = 1e-3
+# Two solutions closer than this per angle, modulo 2 pi, are one.
+DEDUP_RADIUS = 1e-6
+# The closure rules of an angle set given to `reconstruct` hold to this.
+CLOSURE_TOL = 1e-8
+# Angles given to `reconstruct` close the vector sums to this, looser than
+# SOLVER_TOL so that angles printed or rounded by a caller still pass.
+SUM_TOL = 1e-8
+# An angle within this of 0 or pi lies on the reference line.
+REAL_LINE_TOL = 1e-8
+
+# -- CLI --------------------------------------------------------------------
+
+# region-scan pads the feasible box by a tenth of its extent, and by at
+# least a tenth of this, so that a box of zero width still spans a grid.
+SCAN_PAD_FLOOR = 1e-3
+# `verify`'s pass bound for the algebra-oracle campaign, the bound of
+# acceptance criterion 1.
+VERIFY_ALGEBRA_TOL = 1e-10
+# `verify`'s pass bound for I6 against the hyperdeterminant, the bound of
+# acceptance criterion 5.
+VERIFY_TANGLE_TOL = 1e-8

@@ -30,8 +30,19 @@ from .invariants import (
     feasibility,
 )
 from .states import DensityOperator, pure_state_from_amplitudes
+from .tolerances import (
+    CLOSURE_TOL, DEDUP_RADIUS, FEASIBILITY_SLACK, PROB_FLOOR, REAL_LINE_TOL, SNAP_RADIUS,
+    SOLVER_TOL, SUM_TOL, ZERO_LENGTH,
+)
 
 TWO_PI = 2.0 * np.pi
+
+# the solver's fixed budget: random starts beyond the lattice, the seed of
+# their stream, Gauss-Newton iterations, step halvings
+_RESTARTS = 32
+_SEED = 0
+_MAX_ITER = 200
+_MAX_HALVINGS = 40
 
 # angles of the twelve vectors as integer combinations of the four free
 # parameters; row order is qubit a then b then c, each (++, +-, -+, --)
@@ -114,12 +125,13 @@ class AngleSet:
         """Max deviation of the two closure rules, modulo 2 pi."""
         r1 = _circ_dist(self.phi_ac_prime, self.phi_ac + self.phi_ab_prime - self.phi_ab)
         r2 = _circ_dist(self.phi_bc_prime, self.phi_bc + self.phi_ab_prime - self.phi_ab)
-        return max(r1, r2)
+        # np.maximum keeps a NaN that the builtin max would drop
+        return float(np.maximum(r1, r2))
 
     def twelve_angles(self) -> np.ndarray:
         return _ANGLE_MATRIX @ self.free()
 
-    def is_real_line(self, tol: float = 1e-8) -> bool:
+    def is_real_line(self, tol: float = REAL_LINE_TOL) -> bool:
         """True when every vector lies on the reference line (angles 0/pi)."""
         return all(
             min(_circ_dist(t, 0.0), _circ_dist(t, np.pi)) <= tol
@@ -127,22 +139,24 @@ class AngleSet:
         )
 
 
-def vector_lengths(probs, floor: float = 1e-13) -> np.ndarray:
+def vector_lengths(probs) -> np.ndarray:
     """Lengths of the twelve vectors from the eight expansion probabilities.
 
     Order: qubit a [perp,jk], qubit b [i,perp,k], qubit c [ij,perp], each
     over sign pairs (++, +-, -+, --); every length is sqrt of the product
     of the two probabilities joined by flipping that qubit's sign.
-    Probabilities below ``floor`` are treated as exact zeros: boundary
+    Probabilities below PROB_FLOOR are treated as exact zeros: boundary
     states produce analytic zeros contaminated by rounding, and the square
     root would otherwise inflate that noise into unclosable vectors.
     """
     p = np.asarray(probs, dtype=float).ravel()
     if p.size != 8:
         raise ValueError("expected eight probabilities")
-    if p.min() < -1e-10:
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if p.min() < -FEASIBILITY_SLACK:
         raise ValueError(f"negative probability {p.min()}")
-    p = np.where(p < floor, 0.0, p)
+    p = np.where(p < PROB_FLOOR, 0.0, p)
     out = np.empty(12)
     for jk in range(4):
         out[jk] = np.sqrt(p[jk] * p[4 | jk])
@@ -170,29 +184,24 @@ def _jacobian(lengths: np.ndarray, free_angles: np.ndarray) -> np.ndarray:
     return np.stack([per_qubit.real, per_qubit.imag], axis=-2).reshape(ang.shape[:-1] + (6, 4))
 
 
-def _newton(
-    lengths: np.ndarray,
-    starts: np.ndarray,
-    tol: float,
-    max_iter: int,
-    max_halvings: int = 40,
-) -> np.ndarray:
+def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The converged iterates of damped Gauss-Newton from each start, in
     start order.
 
-    All starts advance together.  Each takes the minimum-norm least-squares
-    step at the first length in 1, 1/2, ..., 2^(1 - max_halvings) that
-    lowers its max-abs residual, and retires once that residual is below
-    ``tol`` or no length lowers it.  The shorter lengths are only tried,
-    in one array pass, by the starts whose full step failed.
+    All starts advance together, for at most ``_MAX_ITER`` iterations.
+    Each takes the minimum-norm least-squares step at the first length in
+    1, 1/2, ..., 2^(1 - _MAX_HALVINGS) that lowers its max-abs residual,
+    and retires once that residual is below SOLVER_TOL or no length lowers
+    it.  The shorter lengths are only tried, in one array pass, by the
+    starts whose full step failed.
     """
     x = np.array(starts, dtype=float)
     r = residual(lengths, x)
     rnorm = np.abs(r).max(axis=-1)
     active = np.ones(len(x), dtype=bool)
-    ladder = 0.5 ** np.arange(1, max_halvings)[:, None, None]
-    for _ in range(max_iter):
-        active &= rnorm >= tol
+    ladder = 0.5 ** np.arange(1, _MAX_HALVINGS)[:, None, None]
+    for _ in range(_MAX_ITER):
+        active &= rnorm >= SOLVER_TOL
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -215,13 +224,13 @@ def _newton(
         moved = idx[ok]
         x[moved], r[moved], rnorm[moved] = cand[ok], rc[ok], rcn[ok]
         active[idx[~ok]] = False
-    return x[rnorm < tol]
+    return x[rnorm < SOLVER_TOL]
 
 
 def _distinct(points: np.ndarray) -> np.ndarray:
-    """Each point farther than 1e-6 (per angle, modulo 2 pi) from every
-    earlier kept point, in order."""
-    near = np.abs(_wrap(points[:, None] - points[None, :])).max(axis=-1) < 1e-6
+    """Each point farther than DEDUP_RADIUS (per angle, modulo 2 pi) from
+    every earlier kept point, in order."""
+    near = np.abs(_wrap(points[:, None] - points[None, :])).max(axis=-1) < DEDUP_RADIUS
     keep: list[int] = []
     for i in range(len(points)):
         if not near[i, keep].any():
@@ -229,45 +238,42 @@ def _distinct(points: np.ndarray) -> np.ndarray:
     return points[keep]
 
 
-def solve(
-    lengths,
-    tol: float = 1e-11,
-    restarts: int = 32,
-    seed: int = 0,
-    max_iter: int = 200,
-) -> list[AngleSet]:
+def solve(lengths) -> list[AngleSet]:
     """All distinct angle assignments closing the three vector sums.
 
     Batched multi-start damped Gauss-Newton over the four free angles (see
     `_newton`).  Starts are the sixteen {0, pi}^4 lattice points (boundary
-    solutions live there) plus ``restarts`` uniform random draws; if none
-    converges, ``8 * restarts`` more are drawn from the same stream.
-    Returned solutions are deduplicated modulo 2 pi, completed with their
-    sign-flipped conjugates, and deterministically ordered.  An empty list
-    means no assignment closed the sums: genuinely infeasible lengths, or a
-    solver failure if feasibility said a state exists.
+    solutions live there) plus ``_RESTARTS`` uniform draws seeded with
+    ``_SEED``; if none converges, ``8 * _RESTARTS`` more are drawn from the
+    same stream.  Returned solutions are deduplicated modulo 2 pi,
+    completed with their sign-flipped conjugates, and deterministically
+    ordered.  An empty list means no assignment closed the sums: genuinely
+    infeasible lengths, or a solver failure if feasibility said a state
+    exists.  Non-finite lengths raise ValueError.
     """
     lengths = np.asarray(lengths, dtype=float).ravel()
     if lengths.size != 12:
         raise ValueError("expected twelve lengths")
-    if lengths.min() < -1e-12:
+    if not np.isfinite(lengths).all():
+        raise ValueError("lengths must be finite")
+    if lengths.min() < -ZERO_LENGTH:
         raise ValueError("lengths must be nonnegative")
-    if lengths.max() < 1e-12:
+    if lengths.max() < ZERO_LENGTH:
         return [AngleSet.zeros()]
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     lattice = np.pi * np.array(list(itertools.product((0.0, 1.0), repeat=4)))
-    starts = np.vstack([lattice, rng.uniform(-np.pi, np.pi, size=(restarts, 4))])
-    x = _newton(lengths, starts, tol, max_iter)
+    starts = np.vstack([lattice, rng.uniform(-np.pi, np.pi, size=(_RESTARTS, 4))])
+    x = _newton(lengths, starts)
     if not len(x):
-        x = _newton(lengths, rng.uniform(-np.pi, np.pi, size=(8 * restarts, 4)), tol, max_iter)
+        x = _newton(lengths, rng.uniform(-np.pi, np.pi, size=(8 * _RESTARTS, 4)))
 
     # boundary solutions are exact {0, pi} lattice points with a singular
     # Jacobian; snap nearby converged iterates so the flat valley around a
     # line solution does not smear into duplicates
     snapped = np.round(x / np.pi) * np.pi
-    snap = (np.abs(_wrap(x - snapped)).max(axis=-1) < 1e-3) & (
-        np.abs(residual(lengths, snapped)).max(axis=-1) < tol
+    snap = (np.abs(_wrap(x - snapped)).max(axis=-1) < SNAP_RADIUS) & (
+        np.abs(residual(lengths, snapped)).max(axis=-1) < SOLVER_TOL
     )
     found = _distinct(_wrap(np.where(snap[:, None], snapped, x)))
     # conjugate completion: negating every angle preserves the sums
@@ -278,12 +284,7 @@ def solve(
     return sols
 
 
-def reconstruct(
-    inv: InvariantSet3Q,
-    angles: AngleSet,
-    axes=None,
-    tol: float = 1e-8,
-) -> DensityOperator:
+def reconstruct(inv: InvariantSet3Q, angles: AngleSet, axes=None) -> DensityOperator:
     """Assemble the pure state fixed by invariants plus solved angles.
 
     The expansion probabilities give the amplitude moduli; per-state phases
@@ -294,15 +295,17 @@ def reconstruct(
     report = feasibility(inv)
     if not report.feasible:
         raise InfeasibleInvariantsError("; ".join(report.violations))
+    if not np.isfinite(angles.as_tuple()).all():
+        raise ValueError(f"angles must be finite, got {angles.as_tuple()}")
     closure = angles.closure_residual()
-    if closure > 1e-8:
+    if closure > CLOSURE_TOL:
         raise ValueError(
             f"angle set violates the pure-state closure rules (residual {closure})"
         )
     probs = expansion_probabilities(inv)
     lengths = vector_lengths(probs)
     res = np.abs(residual(lengths, angles.free())).max()
-    if res > tol:
+    if res > SUM_TOL:
         raise ValueError(f"angles do not close the vector sums (residual {res})")
     phases = np.zeros(8)
     phases[0b110] = angles.phi_ab

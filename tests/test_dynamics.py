@@ -245,3 +245,8 @@ def test_min_bloch_length_matches_numeric_minimum():
             + (pe.p_len * pe.q_len * np.sin(ts)) ** 2
         )
         assert abs(min_bloch_length(psi) - lengths.min()) < 1e-6
+
+
+def test_product_evolution_refuses_nan_axis():
+    with pytest.raises(ValueError, match="unit 3-vector"):
+        ProductEvolution.from_axes((np.nan, 0.0, 0.0), (0.0, 0.0, 1.0))

@@ -240,3 +240,9 @@ def test_chsh_maximize_product_states_respect_the_classical_bound(rng):
 def test_chsh_maximize_rejects_other_qubit_counts():
     with pytest.raises(ValueError):
         chsh_maximize(states.ghz())
+
+
+def test_chsh_setting_refuses_nan_axis():
+    z = (0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="unit 3-vector"):
+        ChshSetting(z, z, z, (np.nan, 0.0, 0.0))

@@ -453,3 +453,17 @@ def test_degenerate_limit_two_vectors():
     assert abs(three_tangle_oracle(amps) - want) < 1e-10
     with pytest.raises(InfeasibleInvariantsError):
         degenerate_limit("two_vectors", v_b=0.7, v_c=0.6)
+
+
+def test_three_tangle_oracle_refuses_nan_amplitude():
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = amps[7] = 1 / np.sqrt(2)
+    amps[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        three_tangle_oracle(amps)
+
+
+def test_feasibility_refuses_nan_invariants():
+    # NaN probabilities and a NaN B used to pass their gates as feasible
+    for vbar2, vbar3 in ((np.nan, 0.1), (0.1, np.nan)):
+        assert not feasibility(InvariantSet3Q(0.5, 0.5, 0.5, vbar2, vbar3)).feasible

@@ -331,3 +331,12 @@ def test_bloch_slices_of_the_correlation_tensor():
     for bad in (-1, 2):
         with pytest.raises(ValueError):
             bloch_slice(t, bad)
+
+
+def test_nan_axes_are_refused():
+    # a NaN norm used to pass the unit check, giving NaN frames and axes
+    bad = (np.nan, 0.0, 0.0)
+    with pytest.raises(ValueError, match="unit 3-vector"):
+        frame_for(bad)
+    with pytest.raises(ValueError, match="unit 3-vector"):
+        ProductState((bad,), (1,))

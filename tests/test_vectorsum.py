@@ -331,3 +331,40 @@ def test_residual_broadcasts_over_leading_axes(rng):
         for f in (np.cos, np.sin)
     ]
     assert np.allclose(batched[0, 0], want, rtol=0.0, atol=1e-14)
+
+
+def test_solve_refuses_non_finite_lengths():
+    # NaN lengths used to return [], read as "no solution"; an inf length
+    # raised LinAlgError from inside the Gauss-Newton step
+    with pytest.raises(ValueError, match="finite"):
+        solve(np.full(12, np.nan))
+    lengths = np.full(12, 0.1)
+    lengths[5] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        solve(lengths)
+
+
+def test_vector_lengths_refuses_nan_probability():
+    probs = np.full(8, 0.125)
+    probs[2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        vector_lengths(probs)
+
+
+def test_reconstruct_refuses_nan_angles():
+    # NaN angles used to pass the closure and residual gates and fail later
+    # on "amplitudes must be finite"
+    va, vb, vc = 0.4, 0.5, 0.6
+    g = va * vb * vc
+    inv = InvariantSet3Q(va, vb, vc, g, g)
+    for angles in (
+        AngleSet.from_free(np.nan, 0.0, 0.0, 0.0),
+        AngleSet(0.0, 0.0, 0.0, 0.0, 0.0, np.nan),
+    ):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            reconstruct(inv, angles)
+
+
+def test_closure_residual_keeps_nan():
+    # the builtin max(0.0, nan) returned 0.0, a closed residual
+    assert np.isnan(AngleSet(0.0, 0.0, 0.0, 0.0, 0.0, np.nan).closure_residual())
