@@ -9,7 +9,7 @@ half-difference of the two spin directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +30,12 @@ class ExchangeHamiltonian:
     omega_z: float = 0.0
     beta_a: float = 0.0
     beta_b: float = 0.0
+
+    def __post_init__(self) -> None:
+        # a NaN coupling fails every comparison, so it would pick a branch
+        # of eigensystem_2q silently and return NaN energies
+        if not np.isfinite(astuple(self)).all():
+            raise ValueError(f"couplings must be finite, got {self}")
 
     @classmethod
     def isotropic(cls, omega: float) -> "ExchangeHamiltonian":

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import oracle
-from .algebra import Multivector, _from_dense, _x_mask, exp_i
+from .algebra import Multivector, _from_dense, _to_dense, _x_mask, exp_i
 from .tolerances import (
     AXIS_TOL, HERMITIAN_TOL, IDENTITY_TOL, NEGLIGIBLE_WEIGHT, NORM_TOL, PURE_TOL, TRACE_TOL, UNIT_TOL,
 )
@@ -85,7 +85,13 @@ class DensityOperator:
         return (1 << self.n_qubits) * float(np.dot(c, c).real)
 
     def is_pure(self, tol: float = PURE_TOL) -> bool:
-        return (self.mv * self.mv - self.mv).max_abs() <= tol
+        """rho^2 = rho to ``tol`` per coefficient.  A rho with more than 2^n
+        terms takes one dense pass, O(4^n); a sparser one (a product state,
+        say) forms its at most 4^n term pairs and needs no 4^n span."""
+        if len(self.mv) <= 1 << self.n_qubits:
+            return (self.mv * self.mv - self.mv).max_abs() <= tol
+        m = _to_dense(self.mv)
+        return _from_dense(m @ m - m).max_abs() <= tol
 
     def correlation_tensor(self) -> np.ndarray:
         """T[mu_0, ..., mu_{n-1}] = Tr(rho sigma_mu_0 (x) ... (x) sigma_mu_{n-1}).
@@ -193,17 +199,22 @@ class ProjectorSphere:
         return float(np.cos(phi)) * self.x + float(np.sin(phi)) * self.y
 
     def check(self) -> None:
-        """Assert the Pauli-algebra relations of the sphere basis."""
+        """Raise ValueError unless the sphere basis obeys the Pauli-algebra
+        relations P^2 = P, V^2 = VP = PV = V (for V = X, Y, Z), pairwise
+        anticommutation and XYZ = iota P."""
         p, x, y, z = self.p, self.x, self.y, self.z
-        assert (p * p - p).max_abs() <= IDENTITY_TOL
-        for v in (x, y, z):
-            assert (v * v - p).max_abs() <= IDENTITY_TOL
-            assert (v * p - v).max_abs() <= IDENTITY_TOL
-            assert (p * v - v).max_abs() <= IDENTITY_TOL
-        assert (x * y + y * x).max_abs() <= IDENTITY_TOL
-        assert (x * z + z * x).max_abs() <= IDENTITY_TOL
-        assert (y * z + z * y).max_abs() <= IDENTITY_TOL
-        assert (x * y * z - Multivector.iota(p.n_qubits) * p).max_abs() <= IDENTITY_TOL
+        relations = {"P^2 = P": p * p - p}
+        for name, v in zip("XYZ", (x, y, z)):
+            relations[f"{name}^2 = P"] = v * v - p
+            relations[f"{name}P = {name}"] = v * p - v
+            relations[f"P{name} = {name}"] = p * v - v
+        relations["XY = -YX"] = x * y + y * x
+        relations["XZ = -ZX"] = x * z + z * x
+        relations["YZ = -ZY"] = y * z + z * y
+        relations["XYZ = iota P"] = x * y * z - Multivector.iota(p.n_qubits) * p
+        for name, defect in relations.items():
+            if not defect.max_abs() <= IDENTITY_TOL:
+                raise ValueError(f"projector sphere violates {name} (defect {defect.max_abs():.3e})")
 
 
 def _sphere_from_parts(

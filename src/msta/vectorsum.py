@@ -5,13 +5,26 @@ of expansion-probability pairs and whose directions are tied across qubits
 by the pure-state angle relations.  Writing every direction relative to the
 three reference vectors leaves four free angles
 
-    (phi_ab, phi_ab', phi_ac, phi_bc)
+    (theta, psi, phi_ac, phi_bc) = (phi_ab, phi_ab', phi_ac, phi_bc)
 
 from which the remaining two named angles follow by the closure rules
 phi_ac' = phi_ac + phi_ab' - phi_ab and phi_bc' = phi_bc + phi_ab' - phi_ab.
 A pure state requires the four vectors of every qubit to sum to zero: six
-scalar equations solved here by batched multi-start damped Gauss-Newton,
-every start advancing together as one row of a (starts, 4) array.
+scalar equations.
+
+With lengths L0..L11 in `vector_lengths` order, qubit a's sum is
+A + e^{i phi_ac} (L1 + L3 e^{i psi}) with A = L0 + L2 e^{i theta}: a
+triangle with sides |A|, L1 and L3.  For each theta it fixes cos psi, so
+psi on two branches +-psi, and then phi_ac; phi_bc follows in the same way
+from B = L4 + L6 e^{i theta}.  For lengths taken from expansion
+probabilities qubit b's sum then closes for every theta (its magnitude
+condition vanishes identically), which leaves qubit c's two equations in
+theta.  `solve` evaluates that reduction on a fixed periodic grid of theta,
+seeds damped Gauss-Newton on all four angles at the residual's local minima
+of each branch, and polishes every converged root with plain Newton steps.
+Where L1 L3 or L5 L7 is below ZERO_LENGTH a triangle is degenerate and
+psi ill-defined (boundary states, states near a product or W state);
+those inputs also start from the sixteen {0, pi}^4 lattice points.
 Solutions come in conjugate pairs (negate every angle); boundary solutions
 with all angles in {0, pi} are self-conjugate.
 """
@@ -37,12 +50,19 @@ from .tolerances import (
 
 TWO_PI = 2.0 * np.pi
 
-# the solver's fixed budget: random starts beyond the lattice, the seed of
-# their stream, Gauss-Newton iterations, step halvings
-_RESTARTS = 32
-_SEED = 0
+# the solver's fixed budget: Gauss-Newton iterations, step halvings, and
+# the plain Newton steps that polish a converged root
 _MAX_ITER = 200
 _MAX_HALVINGS = 40
+_POLISH_STEPS = 8
+
+# the theta grid of the one-angle reduction, offset by half a step: at
+# theta in {0, pi} a seed whose other angles are in {0, pi} too is a fixed
+# point of Gauss-Newton (every vector is real, and so is every step)
+_GRID = 256
+_THETA = TWO_PI * (np.arange(_GRID) + 0.5) / _GRID
+_TURN = np.exp(1j * _THETA)
+_LATTICE = np.pi * np.array(list(itertools.product((0.0, 1.0), repeat=4)))
 
 # angles of the twelve vectors as integer combinations of the four free
 # parameters; row order is qubit a then b then c, each (++, +-, -+, --)
@@ -227,6 +247,61 @@ def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return x[rnorm < SOLVER_TOL]
 
 
+def _polish(lengths: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Converged iterates moved on by plain minimum-norm Newton steps, at
+    most ``_POLISH_STEPS``, each row for as long as its max-abs residual
+    strictly falls.  Stopping at SOLVER_TOL leaves an ill-conditioned root
+    up to residual / sigma_min(J) away: 1e-7 at sigma_min = 1e-4."""
+    x = x.copy()
+    r = residual(lengths, x)
+    rnorm = np.abs(r).max(axis=-1)
+    idx = np.arange(len(x))
+    for _ in range(_POLISH_STEPS):
+        if idx.size == 0:
+            break
+        pinv = np.linalg.pinv(_jacobian(lengths, x[idx]), rtol=None)
+        cand = x[idx] + (pinv @ -r[idx, :, None])[..., 0]
+        rc = residual(lengths, cand)
+        rcn = np.abs(rc).max(axis=-1)
+        ok = rcn < rnorm[idx]
+        idx = idx[ok]
+        x[idx], r[idx], rnorm[idx] = cand[ok], rc[ok], rcn[ok]
+    return x
+
+
+def _seeds(lengths: np.ndarray) -> np.ndarray:
+    """Starts from the one-angle reduction: for each grid theta and both
+    branches +-psi of qubit a's triangle, the free angles that close qubit
+    a's sum (and, for lengths from probabilities, qubit b's); kept where the
+    squared norm of the six sums is a periodic local minimum along its
+    branch.  Where |A| violates the triangle inequality cos psi is clipped
+    to [-1, 1], so that norm stays continuous and counts qubit a's
+    mismatch.  Empty when L1 L3 = 0."""
+    l1l3 = lengths[1] * lengths[3]
+    if l1l3 == 0.0:
+        return np.empty((0, 4))
+    a = lengths[0] + lengths[2] * _TURN
+    b = lengths[4] + lengths[6] * _TURN
+    cos_psi = (np.abs(a) ** 2 - lengths[1] ** 2 - lengths[3] ** 2) / (2.0 * l1l3)
+    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0)) * np.array([[1.0], [-1.0]])
+    turn_psi = np.exp(1j * psi)
+    u = lengths[1] + lengths[3] * turn_psi
+    w = lengths[5] + lengths[7] * turn_psi
+    phi_ac = np.angle(-a) - np.angle(u)
+    phi_bc = np.angle(-b) - np.angle(w)
+    # the three sums of `residual`, from the turns already at hand
+    turn_ac, turn_bc = np.exp(1j * phi_ac), np.exp(1j * phi_bc)
+    c = (
+        lengths[8]
+        + lengths[9] * turn_bc
+        + lengths[10] * turn_ac
+        + lengths[11] * turn_ac * turn_bc * turn_psi * _TURN.conj()
+    )
+    f = np.abs(a + turn_ac * u) ** 2 + np.abs(b + turn_bc * w) ** 2 + np.abs(c) ** 2
+    keep = (f <= np.roll(f, 1, axis=-1)) & (f <= np.roll(f, -1, axis=-1))
+    return np.stack(np.broadcast_arrays(_THETA, psi, phi_ac, phi_bc), axis=-1)[keep]
+
+
 def _distinct(points: np.ndarray) -> np.ndarray:
     """Each point farther than DEDUP_RADIUS (per angle, modulo 2 pi) from
     every earlier kept point, in order."""
@@ -241,15 +316,17 @@ def _distinct(points: np.ndarray) -> np.ndarray:
 def solve(lengths) -> list[AngleSet]:
     """All distinct angle assignments closing the three vector sums.
 
-    Batched multi-start damped Gauss-Newton over the four free angles (see
-    `_newton`).  Starts are the sixteen {0, pi}^4 lattice points (boundary
-    solutions live there) plus ``_RESTARTS`` uniform draws seeded with
-    ``_SEED``; if none converges, ``8 * _RESTARTS`` more are drawn from the
-    same stream.  Returned solutions are deduplicated modulo 2 pi,
-    completed with their sign-flipped conjugates, and deterministically
-    ordered.  An empty list means no assignment closed the sums: genuinely
-    infeasible lengths, or a solver failure if feasibility said a state
-    exists.  Non-finite lengths raise ValueError.
+    Deterministic: damped Gauss-Newton over the four free angles (see
+    `_newton`) from the local minima of the one-angle reduction (see
+    `_seeds` and the module docstring), joined by the sixteen {0, pi}^4
+    lattice points when L1 L3 or L5 L7 is below ZERO_LENGTH.  Every
+    converged root is polished by plain Newton steps (see `_polish`);
+    roots near the lattice snap onto it.  Returned solutions are
+    deduplicated modulo 2 pi, completed with their sign-flipped
+    conjugates, and deterministically ordered.  An empty list means no
+    root on either branch: genuinely infeasible lengths, or a solver
+    failure if feasibility said a state exists.  Non-finite lengths raise
+    ValueError.
     """
     lengths = np.asarray(lengths, dtype=float).ravel()
     if lengths.size != 12:
@@ -261,12 +338,10 @@ def solve(lengths) -> list[AngleSet]:
     if lengths.max() < ZERO_LENGTH:
         return [AngleSet.zeros()]
 
-    rng = np.random.default_rng(_SEED)
-    lattice = np.pi * np.array(list(itertools.product((0.0, 1.0), repeat=4)))
-    starts = np.vstack([lattice, rng.uniform(-np.pi, np.pi, size=(_RESTARTS, 4))])
-    x = _newton(lengths, starts)
-    if not len(x):
-        x = _newton(lengths, rng.uniform(-np.pi, np.pi, size=(8 * _RESTARTS, 4)))
+    starts = _seeds(lengths)
+    if min(lengths[1] * lengths[3], lengths[5] * lengths[7]) < ZERO_LENGTH:
+        starts = np.vstack([starts, _LATTICE])
+    x = _polish(lengths, _newton(lengths, starts))
 
     # boundary solutions are exact {0, pi} lattice points with a singular
     # Jacobian; snap nearby converged iterates so the flat valley around a

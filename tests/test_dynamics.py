@@ -250,3 +250,12 @@ def test_min_bloch_length_matches_numeric_minimum():
 def test_product_evolution_refuses_nan_axis():
     with pytest.raises(ValueError, match="unit 3-vector"):
         ProductEvolution.from_axes((np.nan, 0.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def test_exchange_hamiltonian_refuses_non_finite_coupling():
+    # a NaN coupling used to reach eigensystem_2q's degenerate-axis branch
+    # and come back as four eigenstates with NaN energies
+    for field in ("omega_x", "omega_y", "omega_z", "beta_a", "beta_b"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ExchangeHamiltonian(**{field: bad})

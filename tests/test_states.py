@@ -91,6 +91,25 @@ def test_projector_sphere_validation():
         projector_sphere(c("00"), tilted)
 
 
+def test_projector_sphere_check_raises_on_a_bad_basis():
+    # the relations used to be asserts, which python -O strips
+    m = Multivector.blade("XX")
+    with pytest.raises(ValueError, match="P\\^2 = P"):
+        states.ProjectorSphere(m, m, m, m, frozenset({0})).check()
+
+
+def test_is_pure_matches_the_pairwise_defect(rng):
+    # dense pass (more than 2^n terms) and pairwise path (product states)
+    # against the largest coefficient of rho rho - rho formed term by term
+    for n in range(1, 6):
+        pure = DensityOperator(oracle.from_matrix(oracle.statevector_density(oracle.random_statevector(n, rng))))
+        mixed = DensityOperator(0.5 * pure.mv + 0.5 * product_state(c("0" * n)).mv)
+        for rho in (pure, mixed, product_state(c("1" * n))):
+            defect = (rho.mv * rho.mv - rho.mv).max_abs()
+            for tol in (1e-9, 0.5 * defect, 2.0 * defect):
+                assert rho.is_pure(tol) == (defect <= tol)
+
+
 def test_z_order_flips_y():
     fwd = projector_sphere(c("00"), c("11"), north_first=True)
     rev = projector_sphere(c("00"), c("11"), north_first=False)

@@ -1,5 +1,6 @@
 """Every numerical threshold in msta is named once, in `msta.tolerances`."""
 
+import ast
 import io
 import re
 import tokenize
@@ -25,3 +26,12 @@ def test_no_bare_threshold_literals():
             if tok.type == tokenize.NUMBER and _EXPONENT_FORM.match(tok.string)
         ]
     assert not found, "use a name from msta.tolerances for: " + ", ".join(found)
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so a check written as one passes any input
+    found = []
+    for path in sorted(Path(msta.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, "raise an exception instead of asserting at: " + ", ".join(found)
