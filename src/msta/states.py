@@ -85,11 +85,7 @@ class DensityOperator:
         return (1 << self.n_qubits) * float(np.dot(c, c).real)
 
     def is_pure(self, tol: float = PURE_TOL) -> bool:
-        """rho^2 = rho to ``tol`` per coefficient.  A rho with more than 2^n
-        terms takes one dense pass, O(4^n); a sparser one (a product state,
-        say) forms its at most 4^n term pairs and needs no 4^n span."""
-        if len(self.mv) <= 1 << self.n_qubits:
-            return (self.mv * self.mv - self.mv).max_abs() <= tol
+        """rho^2 = rho to ``tol`` per coefficient, from one dense pass."""
         m = _to_dense(self.mv)
         return _from_dense(m @ m - m).max_abs() <= tol
 

@@ -22,9 +22,14 @@ condition vanishes identically), which leaves qubit c's two equations in
 theta.  `solve` evaluates that reduction on a fixed periodic grid of theta,
 seeds damped Gauss-Newton on all four angles at the residual's local minima
 of each branch, and polishes every converged root with plain Newton steps.
-Where L1 L3 or L5 L7 is below ZERO_LENGTH a triangle is degenerate and
-psi ill-defined (boundary states, states near a product or W state);
-those inputs also start from the sixteen {0, pi}^4 lattice points.
+Every input also tries the sixteen {0, pi}^4 lattice points.  They hold the
+roots of real-amplitude states, where the Jacobian is singular and a seed
+from the grid would converge only linearly, and they stand in for the seeds
+where L1 L3 or L5 L7 is below ZERO_LENGTH: there a triangle is degenerate
+and psi ill-defined (boundary states, states near a product or W state).
+Every vector is real at a lattice point, so the Gauss-Newton step there is
+zero up to rounding: a lattice point is kept, without iterating, when it
+closes the sums below SOLVER_TOL.
 Solutions come in conjugate pairs (negate every angle); boundary solutions
 with all angles in {0, pi} are self-conjugate.
 """
@@ -50,11 +55,9 @@ from .tolerances import (
 
 TWO_PI = 2.0 * np.pi
 
-# the solver's fixed budget: Gauss-Newton iterations, step halvings, and
-# the plain Newton steps that polish a converged root
+# the solver's fixed budget: Gauss-Newton iterations and step halvings
 _MAX_ITER = 200
 _MAX_HALVINGS = 40
-_POLISH_STEPS = 8
 
 # the theta grid of the one-angle reduction, offset by half a step: at
 # theta in {0, pi} a seed whose other angles are in {0, pi} too is a fixed
@@ -206,14 +209,17 @@ def _jacobian(lengths: np.ndarray, free_angles: np.ndarray) -> np.ndarray:
 
 def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The converged iterates of damped Gauss-Newton from each start, in
-    start order.
+    start order, each polished to full precision.
 
     All starts advance together, for at most ``_MAX_ITER`` iterations.
     Each takes the minimum-norm least-squares step at the first length in
-    1, 1/2, ..., 2^(1 - _MAX_HALVINGS) that lowers its max-abs residual,
-    and retires once that residual is below SOLVER_TOL or no length lowers
-    it.  The shorter lengths are only tried, in one array pass, by the
-    starts whose full step failed.
+    1, 1/2, ..., 2^(1 - _MAX_HALVINGS) that lowers its max-abs residual;
+    the shorter lengths are only tried, in one array pass, by the starts
+    whose full step failed.  Once that residual is below SOLVER_TOL a start
+    takes full steps only, and it retires at the first step that does not
+    strictly lower the residual: stopping at SOLVER_TOL would leave an
+    ill-conditioned root up to residual / sigma_min(J) away, 1e-7 at
+    sigma_min = 1e-4.  Starts that no step length improves retire too.
     """
     x = np.array(starts, dtype=float)
     r = residual(lengths, x)
@@ -221,7 +227,6 @@ def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
     active = np.ones(len(x), dtype=bool)
     ladder = 0.5 ** np.arange(1, _MAX_HALVINGS)[:, None, None]
     for _ in range(_MAX_ITER):
-        active &= rnorm >= SOLVER_TOL
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -232,7 +237,7 @@ def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
         rc = residual(lengths, cand)
         rcn = np.abs(rc).max(axis=-1)
         ok = rcn < rnorm[idx]
-        short = np.flatnonzero(~ok)
+        short = np.flatnonzero(~ok & (rnorm[idx] >= SOLVER_TOL))
         if short.size:
             cands = x[idx[short]] + ladder * step[short]
             rcs = residual(lengths, cands)
@@ -245,28 +250,6 @@ def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
         x[moved], r[moved], rnorm[moved] = cand[ok], rc[ok], rcn[ok]
         active[idx[~ok]] = False
     return x[rnorm < SOLVER_TOL]
-
-
-def _polish(lengths: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Converged iterates moved on by plain minimum-norm Newton steps, at
-    most ``_POLISH_STEPS``, each row for as long as its max-abs residual
-    strictly falls.  Stopping at SOLVER_TOL leaves an ill-conditioned root
-    up to residual / sigma_min(J) away: 1e-7 at sigma_min = 1e-4."""
-    x = x.copy()
-    r = residual(lengths, x)
-    rnorm = np.abs(r).max(axis=-1)
-    idx = np.arange(len(x))
-    for _ in range(_POLISH_STEPS):
-        if idx.size == 0:
-            break
-        pinv = np.linalg.pinv(_jacobian(lengths, x[idx]), rtol=None)
-        cand = x[idx] + (pinv @ -r[idx, :, None])[..., 0]
-        rc = residual(lengths, cand)
-        rcn = np.abs(rc).max(axis=-1)
-        ok = rcn < rnorm[idx]
-        idx = idx[ok]
-        x[idx], r[idx], rnorm[idx] = cand[ok], rc[ok], rcn[ok]
-    return x
 
 
 def _seeds(lengths: np.ndarray) -> np.ndarray:
@@ -318,15 +301,14 @@ def solve(lengths) -> list[AngleSet]:
 
     Deterministic: damped Gauss-Newton over the four free angles (see
     `_newton`) from the local minima of the one-angle reduction (see
-    `_seeds` and the module docstring), joined by the sixteen {0, pi}^4
-    lattice points when L1 L3 or L5 L7 is below ZERO_LENGTH.  Every
-    converged root is polished by plain Newton steps (see `_polish`);
-    roots near the lattice snap onto it.  Returned solutions are
-    deduplicated modulo 2 pi, completed with their sign-flipped
-    conjugates, and deterministically ordered.  An empty list means no
-    root on either branch: genuinely infeasible lengths, or a solver
-    failure if feasibility said a state exists.  Non-finite lengths raise
-    ValueError.
+    `_seeds` and the module docstring), joined by the {0, pi}^4 lattice
+    points that close the sums.  Every converged root is polished by plain
+    Newton steps (see `_newton`); roots near the lattice snap onto it.
+    Returned solutions are deduplicated modulo 2 pi, completed with their
+    sign-flipped conjugates, and deterministically ordered.  An empty list
+    means no root on either branch: genuinely infeasible lengths, or a
+    solver failure if feasibility said a state exists.  Non-finite lengths
+    raise ValueError.
     """
     lengths = np.asarray(lengths, dtype=float).ravel()
     if lengths.size != 12:
@@ -338,10 +320,9 @@ def solve(lengths) -> list[AngleSet]:
     if lengths.max() < ZERO_LENGTH:
         return [AngleSet.zeros()]
 
-    starts = _seeds(lengths)
-    if min(lengths[1] * lengths[3], lengths[5] * lengths[7]) < ZERO_LENGTH:
-        starts = np.vstack([starts, _LATTICE])
-    x = _polish(lengths, _newton(lengths, starts))
+    # the Gauss-Newton step is zero at a lattice point (module docstring)
+    lattice = _LATTICE[np.abs(residual(lengths, _LATTICE)).max(axis=-1) < SOLVER_TOL]
+    x = np.vstack([_newton(lengths, _seeds(lengths)), lattice])
 
     # boundary solutions are exact {0, pi} lattice points with a singular
     # Jacobian; snap nearby converged iterates so the flat valley around a

@@ -99,8 +99,8 @@ def test_projector_sphere_check_raises_on_a_bad_basis():
 
 
 def test_is_pure_matches_the_pairwise_defect(rng):
-    # dense pass (more than 2^n terms) and pairwise path (product states)
-    # against the largest coefficient of rho rho - rho formed term by term
+    # the dense pass against the largest coefficient of rho rho - rho formed
+    # term by term, on pure, mixed and product states
     for n in range(1, 6):
         pure = DensityOperator(oracle.from_matrix(oracle.statevector_density(oracle.random_statevector(n, rng))))
         mixed = DensityOperator(0.5 * pure.mv + 0.5 * product_state(c("0" * n)).mv)

@@ -318,6 +318,21 @@ def test_solve_matches_serial_reference_on_random_states():
         assert_same_solutions(solve(lengths), _serial_solve(lengths))
 
 
+def test_solve_matches_serial_reference_on_real_amplitude_states():
+    # eight nonzero real amplitudes: every length is nonzero and the roots
+    # lie on the {0, pi} lattice, where the Jacobian is singular
+    rng = np.random.default_rng(4005)
+    for _ in range(20):
+        psi = rng.standard_normal(8)
+        psi /= np.linalg.norm(psi)
+        rho = DensityOperator(oracle.from_matrix(oracle.statevector_density(psi.astype(complex))))
+        lengths = vector_lengths(expansion_probabilities(invariants_3q(rho)))
+        assert lengths.min() > 1e-6
+        sols = solve(lengths)
+        assert any(s.is_real_line() for s in sols)
+        assert_same_solutions(sols, _serial_solve(lengths))
+
+
 def test_solve_roots_are_fully_polished():
     # stopping at the solver tolerance left ill-conditioned roots up to
     # 1.3e-7 from the root (sigma_min(J) = 2.9e-5 at the eighth state)
