@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: invariants, region-scan, evolve, chsh, bell, verify.  Output
-is CSV (RFC 4180, stable column order) or a single JSON document; all
-randomised commands are deterministic for a fixed --seed.
+Subcommands: invariants, region-scan, evolve, chsh, bell, verify.  Each
+`cmd_*` returns its rows and exit code, and `main` writes the rows with
+`emit` as CSV (RFC 4180, stable column order) or a single JSON document;
+all randomised commands are deterministic for a fixed --seed.
 
 Exit codes: 0 success, 2 infeasible input or validation failure, 3 solver
 failure, 4 I/O error.
@@ -68,10 +69,15 @@ def save_state(path: str, amps) -> None:
         json.dump(doc, f)
 
 
-def emit(args, rows: list[dict], meta: dict) -> None:
-    """Write rows as CSV or one JSON document to --out or stdout."""
+def emit(args, rows: list[dict]) -> None:
+    """Write rows as CSV or one JSON document to --out or stdout.
+
+    The JSON document is {"command", "params", "rows"}; params are the
+    subcommand's own arguments in declaration order.
+    """
     if args.format == "json":
-        text = json.dumps({"command": meta["command"], "params": meta.get("params", {}), "rows": rows})
+        params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out", "format")}
+        text = json.dumps({"command": args.command, "params": params, "rows": rows})
     else:
         buf = io.StringIO()
         if rows:
@@ -95,27 +101,32 @@ def _fmt(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _pure_state(path: str, sizes: tuple[int, ...], command: str) -> tuple[np.ndarray, states.DensityOperator]:
+    """Load a state file that `command` accepts at `sizes` qubits; returns
+    its amplitudes and its density operator."""
+    amps = load_state(path)
+    n = amps.size.bit_length() - 1
+    if n not in sizes:
+        counts = "- or ".join(map(str, sizes))
+        raise CliError(f"{command} needs a {counts}-qubit state, got n={n}", EXIT_VALIDATION)
+    return amps, states.pure_state_from_amplitudes(amps)
+
+
 # -- invariants -------------------------------------------------------------
 
 
-def cmd_invariants(args) -> int:
-    amps = load_state(args.state)
-    n = amps.size.bit_length() - 1
-    if n not in (2, 3):
-        raise CliError(f"invariants needs a 2- or 3-qubit state, got n={n}", EXIT_VALIDATION)
-    rho = states.pure_state_from_amplitudes(amps)
+def cmd_invariants(args) -> tuple[list[dict], int]:
+    amps, rho = _pure_state(args.state, (2, 3), "invariants")
     rows: list[dict] = []
 
     def put(name: str, value) -> None:
         rows.append({"quantity": name, "value": _fmt(value)})
 
-    if n == 2:
-        v = invariants.invariants_2q(rho)
-        put("v", v)
+    if rho.n_qubits == 2:
+        put("v", invariants.invariants_2q(rho))
         put("concurrence", entanglement.concurrence_2q(rho))
         put("entropy", entanglement.entanglement_entropy(rho))
-        emit(args, rows, {"command": "invariants", "params": {"state": args.state}})
-        return EXIT_OK
+        return rows, EXIT_OK
 
     t = rho.correlation_tensor()
     lens = [float(np.linalg.norm(states.bloch_slice(t, q))) for q in range(3)]
@@ -126,8 +137,7 @@ def cmd_invariants(args) -> int:
     degenerate = min(lens) <= tolerances.DEGENERATE_V
     put("degenerate", float(degenerate))
     if degenerate:
-        emit(args, rows, {"command": "invariants", "params": {"state": args.state}})
-        return EXIT_OK
+        return rows, EXIT_OK
 
     inv = invariants.invariants_3q(rho)
     put("vbar2", inv.vbar2)
@@ -146,26 +156,30 @@ def cmd_invariants(args) -> int:
             sol.as_tuple(),
         ):
             put(f"angles[{i}].{field}", value)
-    emit(args, rows, {"command": "invariants", "params": {"state": args.state}})
-    if report.feasible and not solutions:
-        return EXIT_SOLVER
-    return EXIT_OK
+    return rows, EXIT_SOLVER if report.feasible and not solutions else EXIT_OK
 
 
 # -- region scan ------------------------------------------------------------
 
 
 def _markers(va: float, vb: float, vc: float) -> list[tuple[str, float, float]]:
-    vmin = min(va, vb, vc)
-    vsum = va + vb + vc
-    g = va * vb * vc
-    out = [("A_seed", g, g)]
-    if vsum <= 1.0 + tolerances.EXISTENCE_SLACK:
-        out.append(("B_min_tangle", -g, -g))
-    else:
-        out.append(("B_min_tangle", *invariants.zero_tangle_point(va, vb, vc)))
-    if vmin * vmin >= g - tolerances.EXISTENCE_SLACK:
-        out.append(("C_max_tangle", vmin * vmin, invariants.inv_gamma_ratio(va, vb, vc)))
+    """The seed, the minimum-3-tangle point (the negative seed where it
+    exists, else the zero-3-tangle point) and, where it exists, the
+    maximum-3-tangle point.  Raises InfeasibleInvariantsError where no pure
+    state has these Bloch lengths."""
+
+    def point(kind: str) -> tuple[float, float] | None:
+        try:
+            return invariants.named_point(kind, va, vb, vc)
+        except invariants.InfeasibleInvariantsError:
+            return None
+
+    out = [
+        ("A_seed", *invariants.named_point("seed", va, vb, vc)),
+        ("B_min_tangle", *(point("negative_seed") or point("zero_tangle"))),
+    ]
+    if (c := point("max_tangle")) is not None:
+        out.append(("C_max_tangle", *c))
     return out
 
 
@@ -215,32 +229,20 @@ def region_scan_rows(va: float, vb: float, vc: float, grid: int) -> list[dict]:
     return rows
 
 
-def cmd_region_scan(args) -> int:
+def cmd_region_scan(args) -> tuple[list[dict], int]:
     for v in (args.va, args.vb, args.vc):
         if not 0.0 < v < 1.0:
             raise CliError(f"Bloch lengths must be in (0, 1), got {v}", EXIT_VALIDATION)
     if args.grid < 2:
         raise CliError(f"--grid must be at least 2, got {args.grid}", EXIT_VALIDATION)
-    rows = region_scan_rows(args.va, args.vb, args.vc, args.grid)
-    emit(
-        args,
-        rows,
-        {
-            "command": "region-scan",
-            "params": {"va": args.va, "vb": args.vb, "vc": args.vc, "grid": args.grid},
-        },
-    )
-    return EXIT_OK
+    return region_scan_rows(args.va, args.vb, args.vc, args.grid), EXIT_OK
 
 
 # -- evolve -----------------------------------------------------------------
 
 
-def cmd_evolve(args) -> int:
-    amps = load_state(args.state)
-    n = amps.size.bit_length() - 1
-    if n != 2:
-        raise CliError(f"evolve needs a 2-qubit state, got n={n}", EXIT_VALIDATION)
+def cmd_evolve(args) -> tuple[list[dict], int]:
+    _, rho0 = _pure_state(args.state, (2,), "evolve")
     for name in ("omega_x", "omega_y", "omega_z", "beta_a", "beta_b", "t0", "t1"):
         if not np.isfinite(getattr(args, name)):
             raise CliError(f"--{name.replace('_', '-')} must be finite", EXIT_VALIDATION)
@@ -250,7 +252,6 @@ def cmd_evolve(args) -> int:
         args.omega_x, args.omega_y, args.omega_z, args.beta_a, args.beta_b
     )
     hmv = dynamics.hamiltonian(h)
-    rho0 = states.pure_state_from_amplitudes(amps)
     rows = []
     for t in np.linspace(args.t0, args.t1, args.steps):
         rho_t = dynamics.evolve(rho0, hmv, float(t))
@@ -269,46 +270,29 @@ def cmd_evolve(args) -> int:
                 "purity": _fmt(rho_t.purity()),
             }
         )
-    params = {
-        "state": args.state,
-        "omega_x": args.omega_x,
-        "omega_y": args.omega_y,
-        "omega_z": args.omega_z,
-        "beta_a": args.beta_a,
-        "beta_b": args.beta_b,
-        "t0": args.t0,
-        "t1": args.t1,
-        "steps": args.steps,
-    }
-    emit(args, rows, {"command": "evolve", "params": params})
-    return EXIT_OK
+    return rows, EXIT_OK
 
 
 # -- chsh and bell ----------------------------------------------------------
 
 
-def cmd_chsh(args) -> int:
-    amps = load_state(args.state)
-    if amps.size != 4:
-        raise CliError("chsh needs a 2-qubit state", EXIT_VALIDATION)
-    rho = states.pure_state_from_amplitudes(amps)
+def cmd_chsh(args) -> tuple[list[dict], int]:
+    _, rho = _pure_state(args.state, (2,), "chsh")
     value, setting = entanglement.chsh_maximize(rho)
     rows = [{"quantity": "chsh_max", "value": _fmt(value)}]
     for name, vec in (("q", setting.q), ("r", setting.r), ("s", setting.s), ("t", setting.t)):
         for comp, x in zip("xyz", vec):
             rows.append({"quantity": f"{name}{comp}", "value": _fmt(x)})
-    emit(args, rows, {"command": "chsh", "params": {"state": args.state}})
-    return EXIT_OK
+    return rows, EXIT_OK
 
 
-def cmd_bell(args) -> int:
+def cmd_bell(args) -> tuple[list[dict], int]:
     rho = states.bell(args.which)
     rows = [
         {"term": label, "re": _fmt(c.real), "im": _fmt(c.imag)}
         for label, c in sorted(rho.mv.terms().items())
     ]
-    emit(args, rows, {"command": "bell", "params": {"which": args.which}})
-    return EXIT_OK
+    return rows, EXIT_OK
 
 
 # -- verify -----------------------------------------------------------------
@@ -353,55 +337,34 @@ def verify_tangle_once(rng: np.random.Generator) -> float | None:
     return abs(invariants.sudbery(inv).i6 - invariants.three_tangle_oracle(psi))
 
 
-def cmd_verify(args) -> int:
+def _campaign_row(name: str, errors: list[float], tol: float) -> dict:
+    """One verify row; also reports the campaign's pass count on stderr."""
+    passes = sum(err < tol for err in errors)
+    print(f"{name}: {passes}/{len(errors)} pass", file=sys.stderr)
+    return {
+        "campaign": name,
+        "samples": len(errors),
+        "passes": passes,
+        "failures": len(errors) - passes,
+        "max_error": _fmt(max(errors)),
+    }
+
+
+def cmd_verify(args) -> tuple[list[dict], int]:
     if args.samples < 1:
         raise CliError(f"--samples must be positive, got {args.samples}", EXIT_VALIDATION)
     rng = np.random.default_rng(args.seed)
-    rows = []
-    failures_total = 0
-
-    passes = 0
-    worst = 0.0
-    for k in range(args.samples):
-        err = verify_algebra_once(1 + k % 3, rng)
-        worst = max(worst, err)
-        passes += err < tolerances.VERIFY_ALGEBRA_TOL
-    rows.append(
-        {
-            "campaign": "algebra_oracle",
-            "samples": args.samples,
-            "passes": passes,
-            "failures": args.samples - passes,
-            "max_error": _fmt(worst),
-        }
-    )
-    failures_total += args.samples - passes
-
-    passes = 0
-    tried = 0
-    worst = 0.0
-    while tried < args.samples:
+    algebra = [verify_algebra_once(1 + k % 3, rng) for k in range(args.samples)]
+    tangle: list[float] = []
+    while len(tangle) < args.samples:
         err = verify_tangle_once(rng)
-        if err is None:
-            continue
-        tried += 1
-        worst = max(worst, err)
-        passes += err < tolerances.VERIFY_TANGLE_TOL
-    rows.append(
-        {
-            "campaign": "i6_vs_hyperdeterminant",
-            "samples": args.samples,
-            "passes": passes,
-            "failures": args.samples - passes,
-            "max_error": _fmt(worst),
-        }
-    )
-    failures_total += args.samples - passes
-
-    emit(args, rows, {"command": "verify", "params": {"seed": args.seed, "samples": args.samples}})
-    for row in rows:
-        print(f"{row['campaign']}: {row['passes']}/{row['samples']} pass", file=sys.stderr)
-    return EXIT_OK if failures_total == 0 else EXIT_VALIDATION
+        if err is not None:
+            tangle.append(err)
+    rows = [
+        _campaign_row("algebra_oracle", algebra, tolerances.VERIFY_ALGEBRA_TOL),
+        _campaign_row("i6_vs_hyperdeterminant", tangle, tolerances.VERIFY_TANGLE_TOL),
+    ]
+    return rows, EXIT_OK if all(row["failures"] == 0 for row in rows) else EXIT_VALIDATION
 
 
 # -- parser -----------------------------------------------------------------
@@ -497,13 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as e:
+        rows, code = args.func(args)
+        emit(args, rows)
+        return code
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (invariants.InfeasibleInvariantsError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return e.code if isinstance(e, CliError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import DensityOperator, _checked_amplitudes
+from .states import DensityOperator, _checked_amplitudes, pure_state_from_amplitudes
 from .tolerances import (
     DEGENERATE_V, EXISTENCE_SLACK, FEASIBILITY_SLACK, INVARIANT_PURE_TOL, PAIR_TOL, PROB_FLOOR,
     RANGE_SLACK, REPORT_SLACK, VANISHING_V,
@@ -321,56 +321,69 @@ def _check_range(va: float, vb: float, vc: float) -> None:
             raise ValueError(f"Bloch length {v} outside [0, 1]")
 
 
+def lengths_exist(va: float, vb: float, vc: float) -> bool:
+    """Whether some pure three-qubit state has reduced Bloch lengths
+    (v_a, v_b, v_c): the polygon inequality v_a + v_b + v_c <= 1 + 2 v_min
+    of Higuchi, Sudbery & Szulc, PRL 90, 107902 (2003)."""
+    return va + vb + vc <= 1.0 + 2.0 * min(va, vb, vc) + EXISTENCE_SLACK
+
+
+def _check_lengths(va: float, vb: float, vc: float) -> None:
+    _check_range(va, vb, vc)
+    if not lengths_exist(va, vb, vc):
+        raise InfeasibleInvariantsError(
+            f"no pure state has Bloch lengths ({va}, {vb}, {vc}): "
+            "they break the polygon inequality v_a + v_b + v_c <= 1 + 2 v_min"
+        )
+
+
+def named_point(kind: str, va: float, vb: float, vc: float) -> tuple[float, float]:
+    """The (vbar2, vbar3) coordinates of a named invariant point.
+
+    kind: 'seed', 'negative_seed', 'max_tangle' or 'zero_tangle'.  Raises
+    InfeasibleInvariantsError where the point does not exist: every kind
+    needs `lengths_exist`; the negative seed also needs sum(v) <= 1, the
+    maximum-3-tangle point v_min^2 >= v_a v_b v_c and the zero-3-tangle
+    point sum(v) >= 1.
+    """
+    if kind not in ("seed", "negative_seed", "max_tangle", "zero_tangle"):
+        raise ValueError(f"unknown special state kind {kind!r}")
+    _check_lengths(va, vb, vc)
+    vmin = min(va, vb, vc)
+    vsum = va + vb + vc
+    g = va * vb * vc
+    tol = EXISTENCE_SLACK
+    if kind == "seed":
+        return g, g
+    if kind == "negative_seed":
+        if vsum > 1.0 + tol:
+            raise InfeasibleInvariantsError(f"negative seed needs sum(v) = {vsum} <= 1")
+        return -g, -g
+    if kind == "max_tangle":
+        if vmin * vmin < g - tol:
+            raise InfeasibleInvariantsError(f"maximum-3-tangle state needs v_min^2 >= {g}")
+        return vmin * vmin, g**2 / (vmin * vmin)
+    if vsum < 1.0 - tol:
+        raise InfeasibleInvariantsError(f"zero-3-tangle state needs sum(v) = {vsum} >= 1")
+    return zero_tangle_point(va, vb, vc)
+
+
 def special_state(
     kind: str, va: float, vb: float, vc: float
 ) -> tuple[InvariantSet3Q, DensityOperator]:
     """Construct one of the named invariant points and a state realising it.
 
-    kind: 'seed', 'negative_seed', 'max_tangle' or 'zero_tangle'.  Raises
-    InfeasibleInvariantsError when the existence condition fails:
-    seed needs 1 + 2 v_min >= sum(v); negative seed needs sum(v) <= 1;
-    max tangle needs v_min^2 >= v_a v_b v_c; zero tangle needs
-    1 + 2 v_min >= sum(v) >= 1.
+    kind and the existence conditions are those of `named_point`.  The seed
+    and negative seed are built from their four basis probabilities, the
+    other two through the vector-sum solver.
     """
-    from .states import pure_state_from_amplitudes
+    # vectorsum imports this module, so it is imported at call time
     from .vectorsum import reconstruct, solve, vector_lengths
 
-    _check_range(va, vb, vc)
-    vmin = min(va, vb, vc)
-    vsum = va + vb + vc
-    g = va * vb * vc
-    tol = EXISTENCE_SLACK
-
-    if kind == "seed":
-        if 1.0 + 2.0 * vmin < vsum - tol:
-            raise InfeasibleInvariantsError(
-                f"seed state needs 1 + 2 v_min >= {vsum}"
-            )
-        inv = InvariantSet3Q(va, vb, vc, g, g)
-        amps = _amplitudes_on_basis(seed_probabilities(va, vb, vc))
-        return inv, pure_state_from_amplitudes(amps)
-    if kind == "negative_seed":
-        if vsum > 1.0 + tol:
-            raise InfeasibleInvariantsError(f"negative seed needs sum(v) = {vsum} <= 1")
-        inv = InvariantSet3Q(va, vb, vc, -g, -g)
-        amps = _amplitudes_on_basis(negative_seed_probabilities(va, vb, vc))
-        return inv, pure_state_from_amplitudes(amps)
-    if kind == "max_tangle":
-        if vmin * vmin < g - tol:
-            raise InfeasibleInvariantsError(
-                f"maximum-3-tangle state needs v_min^2 >= {g}"
-            )
-        inv = InvariantSet3Q(va, vb, vc, vmin * vmin, inv_gamma_ratio(va, vb, vc))
-    elif kind == "zero_tangle":
-        if not (1.0 - tol <= vsum and 1.0 + 2.0 * vmin >= vsum - tol):
-            raise InfeasibleInvariantsError(
-                f"zero-3-tangle state needs 1 + 2 v_min >= sum(v) = {vsum} >= 1"
-            )
-        vbar2, vbar3 = zero_tangle_point(va, vb, vc)
-        inv = InvariantSet3Q(va, vb, vc, vbar2, vbar3)
-    else:
-        raise ValueError(f"unknown special state kind {kind!r}")
-
+    inv = InvariantSet3Q(va, vb, vc, *named_point(kind, va, vb, vc))
+    if kind in ("seed", "negative_seed"):
+        probs = (seed_probabilities if kind == "seed" else negative_seed_probabilities)(va, vb, vc)
+        return inv, pure_state_from_amplitudes(_amplitudes_on_basis(probs))
     report = feasibility(inv, slack=REPORT_SLACK)
     if not report.feasible:
         raise InfeasibleInvariantsError("; ".join(report.violations))
@@ -381,28 +394,19 @@ def special_state(
     return inv, reconstruct(inv, solutions[0])
 
 
-def inv_gamma_ratio(va: float, vb: float, vc: float) -> float:
-    """gamma / v_min^2, the vbar3 coordinate of the maximum-3-tangle point."""
-    vmin = min(va, vb, vc)
-    return (va * vb * vc) ** 2 / (vmin * vmin)
-
-
 def degenerate_limit(case: str, *, v_b: float | None = None, v_c: float | None = None) -> DensityOperator:
     """Limiting states with one or more reduced vectors vanishing.
 
-    'two_vectors': v_a = 0, lengths (v_b, v_c) remain, needs v_b + v_c <= 1.
+    'two_vectors': v_a = 0, lengths (v_b, v_c) remain, needs v_b + v_c <= 1
+    (`lengths_exist` at v_a = 0).
     'one_vector': v_a = v_b = 0, only v_c remains.
     'no_vectors': all vanish; the state is GHZ up to local rotations.
     Each is the seed-state limit with the corresponding lengths sent to 0.
     """
-    from .states import pure_state_from_amplitudes
-
     if case == "two_vectors":
         if v_b is None or v_c is None:
             raise ValueError("two_vectors needs v_b and v_c")
-        _check_range(0.0, v_b, v_c)
-        if v_b + v_c > 1.0 + EXISTENCE_SLACK:
-            raise InfeasibleInvariantsError("two_vectors needs v_b + v_c <= 1")
+        _check_lengths(0.0, v_b, v_c)
         probs = seed_probabilities(0.0, v_b, v_c)
     elif case == "one_vector":
         if v_c is None:

@@ -329,3 +329,61 @@ def test_csv_is_rfc4180(capsys, w_file):
     writer.writeheader()
     writer.writerows(rows)
     assert buf.getvalue() == out
+
+
+@pytest.mark.parametrize("vs", [("0.5", "0.76", "0.76"), ("0.1", "0.9", "0.9")])
+def test_region_scan_refuses_impossible_lengths(capsys, vs):
+    # no pure state has these Bloch lengths: v_a + v_b + v_c > 1 + 2 v_min
+    va, vb, vc = vs
+    code = main(["region-scan", "--va", va, "--vb", vb, "--vc", vc, "--grid", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "polygon inequality" in captured.err
+
+
+def test_output_contract(capsys, w_file, singlet_file, tmp_path):
+    """CSV header, JSON command and JSON params (in order) of every
+    subcommand."""
+    zero = tmp_path / "00.json"
+    save_state(zero, np.array([1.0, 0, 0, 0]))
+    cases = [
+        (["invariants", "--state", w_file], "quantity,value", [("state", w_file)]),
+        (
+            ["region-scan", "--va", "0.25", "--vb", "0.4", "--vc", "0.55", "--grid", "5"],
+            "kind,label,vbar2,vbar3,p_ok,B,B_ok,feasible,I6",
+            [("va", 0.25), ("vb", 0.4), ("vc", 0.55), ("grid", 5)],
+        ),
+        (
+            ["evolve", "--state", str(zero), "--omega-x", "1.3", "--beta-b", "0.2", "--t1", "2", "--steps", "3"],
+            "t,ax,ay,az,bx,by,bz,entropy,purity",
+            [
+                ("state", str(zero)),
+                ("omega_x", 1.3),
+                ("omega_y", 0.0),
+                ("omega_z", 0.0),
+                ("beta_a", 0.0),
+                ("beta_b", 0.2),
+                ("t0", 0.0),
+                ("t1", 2.0),
+                ("steps", 3),
+            ],
+        ),
+        (["chsh", "--state", singlet_file], "quantity,value", [("state", singlet_file)]),
+        (["bell", "--which", "phi+"], "term,re,im", [("which", "phi+")]),
+        (
+            ["verify", "--seed", "3", "--samples", "4"],
+            "campaign,samples,passes,failures,max_error",
+            [("seed", 3), ("samples", 4)],
+        ),
+    ]
+    for argv, header, params in cases:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == header
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["command", "params", "rows"]
+        assert doc["command"] == argv[0]
+        assert list(doc["params"].items()) == params

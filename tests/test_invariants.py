@@ -14,6 +14,8 @@ from msta.invariants import (
     feasibility,
     invariants_2q,
     invariants_3q,
+    lengths_exist,
+    named_point,
     special_state,
     sudbery,
     three_tangle_oracle,
@@ -408,6 +410,28 @@ def test_special_state_existence_conditions():
         special_state("nonsense", 0.5, 0.5, 0.5)
 
 
+# break v_a + v_b + v_c <= 1 + 2 v_min; the second also has no real
+# zero-3-tangle point, the first has one
+IMPOSSIBLE_LENGTHS = [(0.5, 0.76, 0.76), (0.1, 0.9, 0.9)]
+
+
+@pytest.mark.parametrize("kind", ["seed", "negative_seed", "max_tangle", "zero_tangle"])
+@pytest.mark.parametrize("vs", IMPOSSIBLE_LENGTHS)
+def test_named_point_refuses_impossible_lengths(kind, vs):
+    assert not lengths_exist(*vs)
+    with pytest.raises(InfeasibleInvariantsError, match="polygon inequality"):
+        named_point(kind, *vs)
+    with pytest.raises(InfeasibleInvariantsError, match="polygon inequality"):
+        special_state(kind, *vs)
+
+
+def test_lengths_exist_holds_on_random_states(rng):
+    for _ in range(200):
+        _, rho = random_pure_3q(rng)
+        t = rho.correlation_tensor()
+        assert lengths_exist(*(float(np.linalg.norm(bloch_slice(t, q))) for q in range(3)))
+
+
 def test_degenerate_limit_no_vectors_is_ghz_class():
     rho = degenerate_limit("no_vectors")
     assert rho.is_pure(1e-12)
@@ -451,7 +475,7 @@ def test_degenerate_limit_two_vectors():
     amps = np.sqrt(np.clip(np.diag(rho.matrix()).real, 0, None))
     want = degenerate_i6("two_vectors", v_b=vb, v_c=vc)
     assert abs(three_tangle_oracle(amps) - want) < 1e-10
-    with pytest.raises(InfeasibleInvariantsError):
+    with pytest.raises(InfeasibleInvariantsError, match="polygon inequality"):
         degenerate_limit("two_vectors", v_b=0.7, v_c=0.6)
 
 
