@@ -183,11 +183,20 @@ def _markers(va: float, vb: float, vc: float) -> list[tuple[str, float, float]]:
     return out
 
 
+def _scan_feasibility(inv: invariants.InvariantSet3Q):
+    """Per point of an array invariant set: whether its expansion
+    probabilities are >= 0, its B value, whether B <= 0 (both up to
+    FEASIBILITY_SLACK) and whether it is feasible, both holding."""
+    p_ok = invariants.expansion_probabilities(inv).min(axis=0) >= -tolerances.FEASIBILITY_SLACK
+    b_vals = invariants.B_function(inv)
+    b_ok = b_vals <= tolerances.FEASIBILITY_SLACK
+    return p_ok, b_vals, b_ok, p_ok & b_ok
+
+
 def _scan_rows(kind: str, labels, va: float, vb: float, vc: float, v2: np.ndarray, v3: np.ndarray) -> list[dict]:
     """Region-scan rows for arrays of (vbar2, vbar3) points, one per label."""
     inv = invariants.InvariantSet3Q(va, vb, vc, v2, v3)
-    p_ok = (invariants.expansion_probabilities(inv).min(axis=0) >= -tolerances.FEASIBILITY_SLACK).tolist()
-    b_vals = invariants.B_function(inv).tolist()
+    p_ok, b_vals, b_ok, feasible = _scan_feasibility(inv)
     i6 = invariants.sudbery(inv).i6.tolist()
     return [
         {
@@ -197,11 +206,13 @@ def _scan_rows(kind: str, labels, va: float, vb: float, vc: float, v2: np.ndarra
             "vbar3": _fmt(x3),
             "p_ok": int(p),
             "B": _fmt(b),
-            "B_ok": int(b <= tolerances.FEASIBILITY_SLACK),
-            "feasible": int(p and b <= tolerances.FEASIBILITY_SLACK),
+            "B_ok": int(bo),
+            "feasible": int(f),
             "I6": _fmt(i),
         }
-        for label, x2, x3, p, b, i in zip(labels, v2.tolist(), v3.tolist(), p_ok, b_vals, i6)
+        for label, x2, x3, p, b, bo, f, i in zip(
+            labels, v2.tolist(), v3.tolist(), p_ok.tolist(), b_vals.tolist(), b_ok.tolist(), feasible.tolist(), i6
+        )
     ]
 
 
@@ -211,9 +222,7 @@ def region_scan_rows(va: float, vb: float, vc: float, grid: int) -> list[dict]:
     # coarse pass to find the feasible bounding box, seeded by the markers
     coarse = np.linspace(-1.0, 1.0, 41)
     c2, c3 = np.repeat(coarse, coarse.size), np.tile(coarse, coarse.size)
-    feasible = np.array(
-        [r["feasible"] for r in _scan_rows("probe", [""] * c2.size, va, vb, vc, c2, c3)], dtype=bool
-    )
+    feasible = _scan_feasibility(invariants.InvariantSet3Q(va, vb, vc, c2, c3))[-1]
     pts2 = np.concatenate([m2, c2[feasible]])
     pts3 = np.concatenate([m3, c3[feasible]])
     lo2, hi2, lo3, hi3 = pts2.min(), pts2.max(), pts3.min(), pts3.max()

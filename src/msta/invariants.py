@@ -299,15 +299,18 @@ def negative_seed_probabilities(va: float, vb: float, vc: float) -> dict[int, fl
 
 
 def zero_tangle_point(va: float, vb: float, vc: float) -> tuple[float, float]:
-    """The (vbar2, vbar3) point solving I6 = 0 on the B = 0 boundary."""
+    """The (vbar2, vbar3) point solving I6 = 0 on the B = 0 boundary.
+
+    Raises InfeasibleInvariantsError where no pure state has the lengths
+    (`lengths_exist`); where one does, f1, f2 and f3 below are >= 0 up to
+    rounding.
+    """
+    _check_lengths(va, vb, vc)
     a2, b2, c2 = va * va, vb * vb, vc * vc
     f1 = (1.0 + a2 - b2 - c2) / 2.0
     f2 = (1.0 - a2 + b2 - c2) / 2.0
     f3 = (1.0 - a2 - b2 + c2) / 2.0
-    product = f1 * f2 * f3
-    if product < -EXISTENCE_SLACK:
-        raise InfeasibleInvariantsError("zero-3-tangle point is not real here")
-    xi = float(np.sqrt(max(0.0, product)))
+    xi = float(np.sqrt(max(0.0, f1 * f2 * f3)))
     vbar2 = -(1.0 - a2 - b2 - c2) / 2.0 + xi
     vbar3 = 0.25 * (
         1.0 - a2 * a2 - b2 * b2 - c2 * c2 + 2.0 * (a2 * b2 + a2 * c2 + b2 * c2)

@@ -103,8 +103,6 @@ ZERO_LENGTH = 1e-12
 SNAP_RADIUS = 1e-3
 # Two solutions closer than this per angle, modulo 2 pi, are one.
 DEDUP_RADIUS = 1e-6
-# The closure rules of an angle set given to `reconstruct` hold to this.
-CLOSURE_TOL = 1e-8
 # Angles given to `reconstruct` close the vector sums to this, looser than
 # SOLVER_TOL so that angles printed or rounded by a caller still pass.
 SUM_TOL = 1e-8

@@ -1,16 +1,20 @@
 """Planar vector-sum equations for three-qubit pure-state consistency.
 
-Each qubit carries four in-plane vectors whose lengths are geometric means
-of expansion-probability pairs and whose directions are tied across qubits
-by the pure-state angle relations.  Writing every direction relative to the
-three reference vectors leaves four free angles
+The eight expansion basis states i = (a b c) in binary carry probabilities
+p_i and phases.  Each of the twelve consistency vectors joins two basis
+states that differ in one qubit's sign, i and j = i | bit (`_PAIRS`: qubit
+a's four pairs, then b's, then c's): its length is sqrt(p_i p_j) and its
+direction the phase of j less the phase of i.  The phases of 000, 100, 010
+and 001 are the references, zero; those of 110, 101 and 011 are phi_ab,
+phi_ac and phi_bc, and that of 111 is phi_ab' + phi_ac + phi_bc
+(`_PHASE_MATRIX`).  So four free angles
 
     (theta, psi, phi_ac, phi_bc) = (phi_ab, phi_ab', phi_ac, phi_bc)
 
-from which the remaining two named angles follow by the closure rules
-phi_ac' = phi_ac + phi_ab' - phi_ab and phi_bc' = phi_bc + phi_ab' - phi_ab.
-A pure state requires the four vectors of every qubit to sum to zero: six
-scalar equations.
+fix every direction, and the other two named angles follow by the closure
+rules phi_ac' = phi_ac + phi_ab' - phi_ab and phi_bc' = phi_bc + phi_ab' -
+phi_ab.  A pure state requires the four vectors of every qubit to sum to
+zero: six scalar equations.
 
 With lengths L0..L11 in `vector_lengths` order, qubit a's sum is
 A + e^{i phi_ac} (L1 + L3 e^{i psi}) with A = L0 + L2 e^{i theta}: a
@@ -37,7 +41,7 @@ with all angles in {0, pi} are self-conjugate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,7 +53,7 @@ from .invariants import (
 )
 from .states import DensityOperator, pure_state_from_amplitudes
 from .tolerances import (
-    CLOSURE_TOL, DEDUP_RADIUS, FEASIBILITY_SLACK, PROB_FLOOR, REAL_LINE_TOL, SNAP_RADIUS,
+    DEDUP_RADIUS, FEASIBILITY_SLACK, PROB_FLOOR, REAL_LINE_TOL, SNAP_RADIUS,
     SOLVER_TOL, SUM_TOL, ZERO_LENGTH,
 )
 
@@ -67,31 +71,27 @@ _THETA = TWO_PI * (np.arange(_GRID) + 0.5) / _GRID
 _TURN = np.exp(1j * _THETA)
 _LATTICE = np.pi * np.array(list(itertools.product((0.0, 1.0), repeat=4)))
 
-# angles of the twelve vectors as integer combinations of the four free
-# parameters; row order is qubit a then b then c, each (++, +-, -+, --)
-_ANGLE_MATRIX = np.array(
-    [
-        [0, 0, 0, 0],
-        [0, 0, 1, 0],
-        [1, 0, 0, 0],
-        [0, 1, 1, 0],
-        [0, 0, 0, 0],
-        [0, 0, 0, 1],
-        [1, 0, 0, 0],
-        [0, 1, 0, 1],
-        [0, 0, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-        [-1, 1, 1, 1],
-    ],
-    dtype=float,
-)
+# the twelve sign-flip pairs (i, j = i | bit) of basis states, qubit a's
+# (bit 4), then b's, then c's, each in increasing i
+_PAIRS = np.array([(i, i | bit) for bit in (4, 2, 1) for i in range(8) if not i & bit])
+# the phase of each basis state as a combination of the four free angles
+# (phi_ab, phi_ab', phi_ac, phi_bc); 000, 100, 010 and 001 are references
+_PHASE_MATRIX = np.zeros((8, 4))
+_PHASE_MATRIX[0b110, 0] = _PHASE_MATRIX[0b101, 2] = _PHASE_MATRIX[0b011, 3] = 1.0
+_PHASE_MATRIX[0b111, 1:] = 1.0
+# a vector's angle is the phase difference of its pair
+_ANGLE_MATRIX = _PHASE_MATRIX[_PAIRS[:, 1]] - _PHASE_MATRIX[_PAIRS[:, 0]]
 
 
 def _wrap(angle) -> np.ndarray | float:
     """Map angles to (-pi, pi]."""
-    wrapped = -((-np.asarray(angle) + np.pi) % TWO_PI - np.pi)
-    return wrapped
+    return -((-np.asarray(angle) + np.pi) % TWO_PI - np.pi)
+
+
+def _in_range(angle: float) -> float:
+    """One angle mapped to (-pi, pi]; an angle already there is kept bit for
+    bit, where `_wrap` would round it."""
+    return float(angle) if -np.pi < angle <= np.pi else float(_wrap(angle))
 
 
 def _circ_dist(a: float, b: float) -> float:
@@ -100,56 +100,48 @@ def _circ_dist(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class AngleSet:
-    """The six relative angles of the twelve consistency vectors.
+    """The four free angles of the twelve consistency vectors, each mapped
+    into (-pi, pi] when the set is built.
 
-    Only four are independent; the primed ac and bc angles satisfy the
-    closure rules by construction for any solver output.
+    They fix every vector's direction.  The primed ac and bc angles follow
+    by the closure rules, which turn phi_ac and phi_bc by the same shift
+    phi_ab' - phi_ab (module docstring).
     """
 
     phi_ab: float
     phi_ab_prime: float
     phi_ac: float
-    phi_ac_prime: float
     phi_bc: float
-    phi_bc_prime: float
 
-    @classmethod
-    def from_free(cls, phi_ab: float, phi_ab_prime: float, phi_ac: float, phi_bc: float) -> "AngleSet":
-        return cls(
-            phi_ab=float(_wrap(phi_ab)),
-            phi_ab_prime=float(_wrap(phi_ab_prime)),
-            phi_ac=float(_wrap(phi_ac)),
-            phi_ac_prime=float(_wrap(phi_ac + phi_ab_prime - phi_ab)),
-            phi_bc=float(_wrap(phi_bc)),
-            phi_bc_prime=float(_wrap(phi_bc + phi_ab_prime - phi_ab)),
-        )
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _in_range(getattr(self, f.name)))
 
-    @classmethod
-    def zeros(cls) -> "AngleSet":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    def _shifted(self, angle: float) -> float:
+        # the shift is wrapped on its own so that a zero sum keeps the sign
+        # of `angle`: +0 for AngleSet(0, 0, 0, 0), which `solve` returns for
+        # vanishing lengths, and -0 at lattice roots, where `_wrap` made it
+        return _in_range(angle + float(_wrap(self.phi_ab_prime - self.phi_ab)))
+
+    @property
+    def phi_ac_prime(self) -> float:
+        return self._shifted(self.phi_ac)
+
+    @property
+    def phi_bc_prime(self) -> float:
+        return self._shifted(self.phi_bc)
 
     def free(self) -> np.ndarray:
         return np.array([self.phi_ab, self.phi_ab_prime, self.phi_ac, self.phi_bc])
 
     def as_tuple(self) -> tuple[float, ...]:
+        """All six named angles, the primed ones after their unprimed."""
         return (
-            self.phi_ab,
-            self.phi_ab_prime,
-            self.phi_ac,
-            self.phi_ac_prime,
-            self.phi_bc,
-            self.phi_bc_prime,
+            self.phi_ab, self.phi_ab_prime, self.phi_ac, self.phi_ac_prime, self.phi_bc, self.phi_bc_prime
         )
 
     def negated(self) -> "AngleSet":
-        return AngleSet.from_free(*(-self.free()))
-
-    def closure_residual(self) -> float:
-        """Max deviation of the two closure rules, modulo 2 pi."""
-        r1 = _circ_dist(self.phi_ac_prime, self.phi_ac + self.phi_ab_prime - self.phi_ab)
-        r2 = _circ_dist(self.phi_bc_prime, self.phi_bc + self.phi_ab_prime - self.phi_ab)
-        # np.maximum keeps a NaN that the builtin max would drop
-        return float(np.maximum(r1, r2))
+        return AngleSet(*(-self.free()))
 
     def twelve_angles(self) -> np.ndarray:
         return _ANGLE_MATRIX @ self.free()
@@ -165,9 +157,8 @@ class AngleSet:
 def vector_lengths(probs) -> np.ndarray:
     """Lengths of the twelve vectors from the eight expansion probabilities.
 
-    Order: qubit a [perp,jk], qubit b [i,perp,k], qubit c [ij,perp], each
-    over sign pairs (++, +-, -+, --); every length is sqrt of the product
-    of the two probabilities joined by flipping that qubit's sign.
+    Length k is sqrt(p_i p_j) for the k-th sign-flip pair (i, j) of
+    `_PAIRS`: qubit a's four pairs, then b's, then c's.
     Probabilities below PROB_FLOOR are treated as exact zeros: boundary
     states produce analytic zeros contaminated by rounding, and the square
     root would otherwise inflate that noise into unclosable vectors.
@@ -180,14 +171,7 @@ def vector_lengths(probs) -> np.ndarray:
     if p.min() < -FEASIBILITY_SLACK:
         raise ValueError(f"negative probability {p.min()}")
     p = np.where(p < PROB_FLOOR, 0.0, p)
-    out = np.empty(12)
-    for jk in range(4):
-        out[jk] = np.sqrt(p[jk] * p[4 | jk])
-    for idx, (i, k) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        out[4 + idx] = np.sqrt(p[(i << 2) | k] * p[(i << 2) | 2 | k])
-    for ij in range(4):
-        out[8 + ij] = np.sqrt(p[ij << 1] * p[(ij << 1) | 1])
-    return out
+    return np.sqrt(p[_PAIRS].prod(axis=1))
 
 
 def residual(lengths, free_angles) -> np.ndarray:
@@ -318,7 +302,7 @@ def solve(lengths) -> list[AngleSet]:
     if lengths.min() < -ZERO_LENGTH:
         raise ValueError("lengths must be nonnegative")
     if lengths.max() < ZERO_LENGTH:
-        return [AngleSet.zeros()]
+        return [AngleSet(0.0, 0.0, 0.0, 0.0)]
 
     # the Gauss-Newton step is zero at a lattice point (module docstring)
     lattice = _LATTICE[np.abs(residual(lengths, _LATTICE)).max(axis=-1) < SOLVER_TOL]
@@ -335,7 +319,7 @@ def solve(lengths) -> list[AngleSet]:
     # conjugate completion: negating every angle preserves the sums
     found = _distinct(np.vstack([found, _wrap(-found)]))
 
-    sols = [AngleSet.from_free(*p) for p in found]
+    sols = [AngleSet(*p) for p in found]
     sols.sort(key=lambda s: tuple(np.round(s.as_tuple(), 9)))
     return sols
 
@@ -343,31 +327,21 @@ def solve(lengths) -> list[AngleSet]:
 def reconstruct(inv: InvariantSet3Q, angles: AngleSet, axes=None) -> DensityOperator:
     """Assemble the pure state fixed by invariants plus solved angles.
 
-    The expansion probabilities give the amplitude moduli; per-state phases
-    integrate the twelve vector directions (references at phase zero), which
-    is consistent exactly because the angle closure holds.  The result is
-    pure by construction and reproduces the input invariants.
+    The expansion probabilities give the amplitude moduli and the free
+    angles the phases (`_PHASE_MATRIX`), so every vector points along its
+    pair's phase difference.  The result is pure by construction and
+    reproduces the input invariants.
     """
     report = feasibility(inv)
     if not report.feasible:
         raise InfeasibleInvariantsError("; ".join(report.violations))
     if not np.isfinite(angles.as_tuple()).all():
         raise ValueError(f"angles must be finite, got {angles.as_tuple()}")
-    closure = angles.closure_residual()
-    if closure > CLOSURE_TOL:
-        raise ValueError(
-            f"angle set violates the pure-state closure rules (residual {closure})"
-        )
     probs = expansion_probabilities(inv)
     lengths = vector_lengths(probs)
     res = np.abs(residual(lengths, angles.free())).max()
     if res > SUM_TOL:
         raise ValueError(f"angles do not close the vector sums (residual {res})")
-    phases = np.zeros(8)
-    phases[0b110] = angles.phi_ab
-    phases[0b101] = angles.phi_ac
-    phases[0b011] = angles.phi_bc
-    phases[0b111] = angles.phi_ac + angles.phi_bc + angles.phi_ab_prime
-    amps = np.sqrt(np.clip(probs, 0.0, None)) * np.exp(1j * phases)
+    amps = np.sqrt(np.clip(probs, 0.0, None)) * np.exp(1j * (_PHASE_MATRIX @ angles.free()))
     amps = amps / np.linalg.norm(amps)
     return pure_state_from_amplitudes(amps, axes=axes)

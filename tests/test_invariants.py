@@ -415,6 +415,13 @@ def test_special_state_existence_conditions():
 IMPOSSIBLE_LENGTHS = [(0.5, 0.76, 0.76), (0.1, 0.9, 0.9)]
 
 
+def test_zero_tangle_point_refuses_impossible_lengths():
+    # it checked only f1 f2 f3 >= 0, which these lengths pass, and returned
+    # (0.284, 0.297) for a triple no state has
+    with pytest.raises(InfeasibleInvariantsError, match="polygon"):
+        zero_tangle_point(0.5, 0.76, 0.76)
+
+
 @pytest.mark.parametrize("kind", ["seed", "negative_seed", "max_tangle", "zero_tangle"])
 @pytest.mark.parametrize("vs", IMPOSSIBLE_LENGTHS)
 def test_named_point_refuses_impossible_lengths(kind, vs):

@@ -10,6 +10,7 @@ from msta.invariants import (
     sudbery,
 )
 from msta.states import DensityOperator, apply_rotor, bloch_slice, local_rotor
+from msta.tolerances import PROB_FLOOR
 from msta.vectorsum import (
     _ANGLE_MATRIX,
     AngleSet,
@@ -50,17 +51,70 @@ def test_vector_lengths_validation():
         vector_lengths(np.array([-0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.1, 0.1]))
 
 
+# the vector angles written out row by row: qubit a then b then c, each over
+# sign pairs (++, +-, -+, --), as integer combinations of the free angles
+ANGLE_MATRIX_BY_HAND = np.array(
+    [
+        [0, 0, 0, 0],
+        [0, 0, 1, 0],
+        [1, 0, 0, 0],
+        [0, 1, 1, 0],
+        [0, 0, 0, 0],
+        [0, 0, 0, 1],
+        [1, 0, 0, 0],
+        [0, 1, 0, 1],
+        [0, 0, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, 1, 0],
+        [-1, 1, 1, 1],
+    ],
+    dtype=float,
+)
+
+
+def vector_lengths_by_loops(p):
+    """The twelve lengths qubit by qubit: a [perp,jk], b [i,perp,k], c [ij,perp]."""
+    p = np.where(p < PROB_FLOOR, 0.0, p)
+    out = np.empty(12)
+    for jk in range(4):
+        out[jk] = np.sqrt(p[jk] * p[4 | jk])
+    for idx, (i, k) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        out[4 + idx] = np.sqrt(p[(i << 2) | k] * p[(i << 2) | 2 | k])
+    for ij in range(4):
+        out[8 + ij] = np.sqrt(p[ij << 1] * p[(ij << 1) | 1])
+    return out
+
+
+def test_angle_matrix_derived_from_pairs_equals_hand_table():
+    assert np.array_equal(_ANGLE_MATRIX, ANGLE_MATRIX_BY_HAND)
+
+
+def test_vector_lengths_match_loops_bit_for_bit(rng):
+    for _ in range(2000):
+        p = rng.dirichlet(np.ones(8))
+        # exact zeros and values below the floor, as boundary states give
+        p[rng.random(8) < 0.2] = 0.0
+        p[rng.random(8) < 0.1] = PROB_FLOOR * rng.random()
+        got = vector_lengths(p)
+        assert np.array_equal(got, vector_lengths_by_loops(p))
+
+
 def test_angle_set_closure_by_construction(rng):
-    free = rng.uniform(-np.pi, np.pi, size=4)
-    s = AngleSet.from_free(*free)
-    assert s.closure_residual() < 1e-12
-    assert s.negated().closure_residual() < 1e-12
+    for _ in range(200):
+        free = rng.uniform(-3 * np.pi, 3 * np.pi, size=4)
+        for s in (AngleSet(*free), AngleSet(*free).negated()):
+            assert all(-np.pi < a <= np.pi for a in s.as_tuple())
+            shift = s.phi_ab_prime - s.phi_ab
+            assert abs(_wrap(s.phi_ac_prime - s.phi_ac - shift)) < 1e-12
+            assert abs(_wrap(s.phi_bc_prime - s.phi_bc - shift)) < 1e-12
+            # a set rebuilt from its own free angles is the same set
+            assert AngleSet(*s.free()) == s
 
 
 def test_solve_trivial_for_zero_lengths():
     sols = solve(np.zeros(12))
     assert len(sols) == 1
-    assert sols[0] == AngleSet.zeros()
+    assert sols[0] == AngleSet(0.0, 0.0, 0.0, 0.0)
 
 
 def test_solve_random_state_conjugate_pair(rng):
@@ -99,7 +153,7 @@ def test_solve_angles_match_state_phases(rng):
         aligned = apply_rotor(local_rotor(3, q, axis, angle), aligned)
     w, vecs = oracle.jacobi_eigh(aligned.matrix())
     ph = np.angle(vecs[:, int(np.argmax(w))])
-    want = AngleSet.from_free(
+    want = AngleSet(
         (ph[0b110] - ph[0b010]) - (ph[0b100] - ph[0b000]),  # phi_ab
         (ph[0b111] - ph[0b011]) - (ph[0b101] - ph[0b001]),  # phi_ab_prime
         (ph[0b101] - ph[0b001]) - (ph[0b100] - ph[0b000]),  # phi_ac
@@ -163,7 +217,7 @@ def test_reconstruct_seed_without_solver():
     va, vb, vc = 0.3, 0.25, 0.2
     g = va * vb * vc
     inv = InvariantSet3Q(va, vb, vc, g, g)
-    rec = reconstruct(inv, AngleSet.zeros())
+    rec = reconstruct(inv, AngleSet(0.0, 0.0, 0.0, 0.0))
     got = invariants_3q(rec)
     assert abs(got.vbar2 - g) < 1e-12
     assert abs(got.vbar3 - g) < 1e-12
@@ -183,29 +237,13 @@ def test_reconstruct_respects_frames(rng):
 def test_reconstruct_rejects_infeasible():
     bad = InvariantSet3Q(1.0, 1.0, 0.5, 0.5, 0.5)
     with pytest.raises(InfeasibleInvariantsError):
-        reconstruct(bad, AngleSet.zeros())
+        reconstruct(bad, AngleSet(0.0, 0.0, 0.0, 0.0))
 
 
 def test_reconstruct_rejects_non_solution(rng):
     psi, rho, inv = random_pure_invariants(rng)
     with pytest.raises(ValueError):
-        reconstruct(inv, AngleSet.from_free(0.1, 1.7, -2.0, 0.5))
-
-
-def test_reconstruct_rejects_closure_violation(rng):
-    psi, rho, inv = random_pure_invariants(rng)
-    sols = solve(vector_lengths(expansion_probabilities(inv)))
-    good = sols[0]
-    broken = AngleSet(
-        good.phi_ab,
-        good.phi_ab_prime,
-        good.phi_ac,
-        good.phi_ac_prime + 0.3,  # breaks the closure rule
-        good.phi_bc,
-        good.phi_bc_prime,
-    )
-    with pytest.raises(ValueError, match="closure"):
-        reconstruct(inv, broken)
+        reconstruct(inv, AngleSet(0.1, 1.7, -2.0, 0.5))
 
 
 def test_roundtrip_equivalent_up_to_local_rotors(rng):
@@ -252,7 +290,7 @@ def _serial_solve(lengths, tol=1e-11, restarts=32, seed=0, max_iter=200):
     one by one, a final Newton polish, then snap, dedup and conjugates by
     Python loops."""
     if lengths.max() < 1e-12:
-        return [AngleSet.zeros()]
+        return [AngleSet(0.0, 0.0, 0.0, 0.0)]
 
     def newton(x):
         r, jac = _sums_and_jacobian(lengths, x)
@@ -297,7 +335,7 @@ def _serial_solve(lengths, tol=1e-11, restarts=32, seed=0, max_iter=200):
     for x in list(found):
         if all(dist(_wrap(-x), prev) >= 1e-6 for prev in found):
             found.append(_wrap(-x))
-    return [AngleSet.from_free(*x) for x in found]
+    return [AngleSet(*x) for x in found]
 
 
 def assert_same_solutions(got, want):
@@ -399,19 +437,14 @@ def test_vector_lengths_refuses_nan_probability():
 
 
 def test_reconstruct_refuses_nan_angles():
-    # NaN angles used to pass the closure and residual gates and fail later
-    # on "amplitudes must be finite"
+    # NaN angles used to pass the residual gate and fail later on
+    # "amplitudes must be finite"
     va, vb, vc = 0.4, 0.5, 0.6
     g = va * vb * vc
     inv = InvariantSet3Q(va, vb, vc, g, g)
     for angles in (
-        AngleSet.from_free(np.nan, 0.0, 0.0, 0.0),
-        AngleSet(0.0, 0.0, 0.0, 0.0, 0.0, np.nan),
+        AngleSet(np.nan, 0.0, 0.0, 0.0),
+        AngleSet(0.0, 0.0, 0.0, np.nan),
     ):
         with pytest.raises(ValueError, match="angles must be finite"):
             reconstruct(inv, angles)
-
-
-def test_closure_residual_keeps_nan():
-    # the builtin max(0.0, nan) returned 0.0, a closed residual
-    assert np.isnan(AngleSet(0.0, 0.0, 0.0, 0.0, 0.0, np.nan).closure_residual())
