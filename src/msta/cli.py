@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: invariants, region-scan, evolve, chsh, bell, verify.  Each
-`cmd_*` returns its rows and exit code, and `main` writes the rows with
-`emit` as CSV (RFC 4180, stable column order) or a single JSON document;
+`cmd_*` returns a `Table` (named columns) and an exit code, and `main`
+writes the table with `emit` as CSV (RFC 4180, stable column order) or a
+single JSON document, floats at 12 significant digits in every command;
 all randomised commands are deterministic for a fixed --seed.
 
 Exit codes: 0 success, 2 infeasible input or validation failure, 3 solver
@@ -12,8 +13,6 @@ failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -69,36 +68,97 @@ def save_state(path: str, amps) -> None:
         json.dump(doc, f)
 
 
-def emit(args, rows: list[dict]) -> None:
-    """Write rows as CSV or one JSON document to --out or stdout.
+class Table:
+    """A command's output: column names with equal-length columns, numpy
+    arrays for float and int columns and lists for string columns.
+
+    Iterating yields one mapping per row that reads and writes through to
+    the columns, so `row["I6"] += 1e-6` changes what `emit` writes.
+    """
+
+    def __init__(self, **columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __iter__(self):
+        return (_Row(self.columns, i) for i in range(len(self)))
+
+
+class _Row:
+    def __init__(self, columns: dict, i: int):
+        self.columns, self.i = columns, i
+
+    def __getitem__(self, name: str):
+        return self.columns[name][self.i]
+
+    def __setitem__(self, name: str, value) -> None:
+        self.columns[name][self.i] = value
+
+
+def _csv_field(s: str) -> str:
+    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
+
+
+def _cells(col) -> list[str]:
+    """A column's values as CSV fields: floats as repr(float(f"{x:.12g}")),
+    12 significant digits in Python's shortest repr; ints as str; strings
+    as they are, quoted where RFC 4180 needs it."""
+    if isinstance(col, list):
+        fields = {s: _csv_field(s) for s in set(col)}
+        return list(map(fields.__getitem__, col))
+    if col.dtype.kind != "f":
+        return list(map(str, col.tolist()))
+    text = "%.12g\n" * len(col) % tuple(col.tolist())
+    cells = text.splitlines()
+    # the .12g text is already that repr where it has a '.', no exponent
+    # 'e+' (ruled out below 1e11) and x is a normal float
+    a = np.abs(col)
+    redo = np.flatnonzero(~((a >= np.finfo(float).tiny) & (a < 1e11))).tolist()
+    if text.count(".") < len(cells):
+        redo += [i for i, s in enumerate(cells) if "." not in s]
+    for i in redo:
+        cells[i] = repr(float(cells[i]))
+    return cells
+
+
+def _csv_chunks(table: Table):
+    yield ",".join(map(_csv_field, table.columns)) + "\n"
+    step = 8192  # rows formatted at a time
+    for start in range(0, len(table), step):
+        cells = [_cells(col[start : start + step]) for col in table.columns.values()]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def emit(args, table: Table) -> None:
+    """Write the table as CSV or one JSON document to --out or stdout.
 
     The JSON document is {"command", "params", "rows"}; params are the
-    subcommand's own arguments in declaration order.
+    subcommand's own arguments in declaration order, and rows hold the CSV
+    row values as objects.
     """
     if args.format == "json":
         params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out", "format")}
-        text = json.dumps({"command": args.command, "params": params, "rows": rows})
+        # the CSV text read back: floats as float(f"{x:.12g}"), ints as int
+        values = [
+            col if isinstance(col, list) else list(map(float if col.dtype.kind == "f" else int, _cells(col)))
+            for col in table.columns.values()
+        ]
+        rows = [dict(zip(table.columns, row)) for row in zip(*values)]
+        chunks = [json.dumps({"command": args.command, "params": params, "rows": rows})]
     else:
-        buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-        text = buf.getvalue()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as e:
-            raise CliError(f"cannot write {args.out}: {e}", EXIT_IO) from e
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        chunks = _csv_chunks(table)
+    if not args.out:
+        sys.stdout.writelines(chunks)
+        if args.format == "json":
             sys.stdout.write("\n")
-
-
-def _fmt(x: float) -> float:
-    return float(f"{x:.12g}")
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+    except OSError as e:
+        raise CliError(f"cannot write {args.out}: {e}", EXIT_IO) from e
 
 
 def _pure_state(path: str, sizes: tuple[int, ...], command: str) -> tuple[np.ndarray, states.DensityOperator]:
@@ -115,48 +175,38 @@ def _pure_state(path: str, sizes: tuple[int, ...], command: str) -> tuple[np.nda
 # -- invariants -------------------------------------------------------------
 
 
-def cmd_invariants(args) -> tuple[list[dict], int]:
+def _quantities(values: dict[str, float]) -> Table:
+    return Table(quantity=list(values), value=np.array(list(values.values()), dtype=float))
+
+
+def cmd_invariants(args) -> tuple[Table, int]:
     amps, rho = _pure_state(args.state, (2, 3), "invariants")
-    rows: list[dict] = []
-
-    def put(name: str, value) -> None:
-        rows.append({"quantity": name, "value": _fmt(value)})
-
     if rho.n_qubits == 2:
-        put("v", invariants.invariants_2q(rho))
-        put("concurrence", entanglement.concurrence_2q(rho))
-        put("entropy", entanglement.entanglement_entropy(rho))
-        return rows, EXIT_OK
+        out = {"v": invariants.invariants_2q(rho), "concurrence": entanglement.concurrence_2q(rho)}
+        out["entropy"] = entanglement.entanglement_entropy(rho)
+        return _quantities(out), EXIT_OK
 
     t = rho.correlation_tensor()
     lens = [float(np.linalg.norm(states.bloch_slice(t, q))) for q in range(3)]
-    for name, v in zip("abc", lens):
-        put(f"v_{name}", v)
-    tau2 = invariants.three_tangle_oracle(amps)
-    put("three_tangle_sq_oracle", tau2)
-    degenerate = min(lens) <= tolerances.DEGENERATE_V
-    put("degenerate", float(degenerate))
+    out = {f"v_{name}": v for name, v in zip("abc", lens)}
+    out["three_tangle_sq_oracle"] = tau2 = invariants.three_tangle_oracle(amps)
+    out["degenerate"] = degenerate = min(lens) <= tolerances.DEGENERATE_V
     if degenerate:
-        return rows, EXIT_OK
+        return _quantities(out), EXIT_OK
 
     inv = invariants.invariants_3q(rho)
-    put("vbar2", inv.vbar2)
-    put("vbar3", inv.vbar3)
+    out["vbar2"], out["vbar3"] = inv.vbar2, inv.vbar3
     sud = invariants.sudbery(inv)
-    for name, value in zip(("I2", "I3", "I4", "I5", "I6"), sud):
-        put(name, value)
-    put("i6_minus_oracle", sud.i6 - tau2)
+    out.update(zip(("I2", "I3", "I4", "I5", "I6"), sud))
+    out["i6_minus_oracle"] = sud.i6 - tau2
     report = invariants.feasibility(inv, slack=tolerances.REPORT_SLACK)
-    put("feasible", float(report.feasible))
-    put("B", invariants.B_function(inv))
+    out["feasible"] = report.feasible
+    out["B"] = invariants.B_function(inv)
     solutions = vectorsum.solve(vectorsum.vector_lengths(invariants.expansion_probabilities(inv)))
+    fields = ("phi_ab", "phi_ab_prime", "phi_ac", "phi_ac_prime", "phi_bc", "phi_bc_prime")
     for i, sol in enumerate(solutions):
-        for field, value in zip(
-            ("phi_ab", "phi_ab_prime", "phi_ac", "phi_ac_prime", "phi_bc", "phi_bc_prime"),
-            sol.as_tuple(),
-        ):
-            put(f"angles[{i}].{field}", value)
-    return rows, EXIT_SOLVER if report.feasible and not solutions else EXIT_OK
+        out.update((f"angles[{i}].{field}", value) for field, value in zip(fields, sol.as_tuple()))
+    return _quantities(out), EXIT_SOLVER if report.feasible and not solutions else EXIT_OK
 
 
 # -- region scan ------------------------------------------------------------
@@ -193,52 +243,36 @@ def _scan_feasibility(inv: invariants.InvariantSet3Q):
     return p_ok, b_vals, b_ok, p_ok & b_ok
 
 
-def _scan_rows(kind: str, labels, va: float, vb: float, vc: float, v2: np.ndarray, v3: np.ndarray) -> list[dict]:
-    """Region-scan rows for arrays of (vbar2, vbar3) points, one per label."""
-    inv = invariants.InvariantSet3Q(va, vb, vc, v2, v3)
-    p_ok, b_vals, b_ok, feasible = _scan_feasibility(inv)
-    i6 = invariants.sudbery(inv).i6.tolist()
-    return [
-        {
-            "kind": kind,
-            "label": label,
-            "vbar2": _fmt(x2),
-            "vbar3": _fmt(x3),
-            "p_ok": int(p),
-            "B": _fmt(b),
-            "B_ok": int(bo),
-            "feasible": int(f),
-            "I6": _fmt(i),
-        }
-        for label, x2, x3, p, b, bo, f, i in zip(
-            labels, v2.tolist(), v3.tolist(), p_ok.tolist(), b_vals.tolist(), b_ok.tolist(), feasible.tolist(), i6
-        )
-    ]
-
-
-def region_scan_rows(va: float, vb: float, vc: float, grid: int) -> list[dict]:
+def region_scan_rows(va: float, vb: float, vc: float, grid: int) -> Table:
+    """The scan as one table: grid x grid (vbar2, vbar3) points over the
+    feasible bounding box, vbar2-major, then the marker points."""
     labels, m2, m3 = zip(*_markers(va, vb, vc))
-    m2, m3 = np.array(m2), np.array(m3)
     # coarse pass to find the feasible bounding box, seeded by the markers
     coarse = np.linspace(-1.0, 1.0, 41)
     c2, c3 = np.repeat(coarse, coarse.size), np.tile(coarse, coarse.size)
     feasible = _scan_feasibility(invariants.InvariantSet3Q(va, vb, vc, c2, c3))[-1]
-    pts2 = np.concatenate([m2, c2[feasible]])
-    pts3 = np.concatenate([m3, c3[feasible]])
-    lo2, hi2, lo3, hi3 = pts2.min(), pts2.max(), pts3.min(), pts3.max()
-    pad2 = 0.1 * max(hi2 - lo2, tolerances.SCAN_PAD_FLOOR)
-    pad3 = 0.1 * max(hi3 - lo3, tolerances.SCAN_PAD_FLOOR)
-    g2 = np.linspace(lo2 - pad2, hi2 + pad2, grid)
-    g3 = np.linspace(lo3 - pad3, hi3 + pad3, grid)
-    rows = []
-    # one grid row at a time keeps the arrays, and peak memory, small
-    for v2 in g2:
-        rows += _scan_rows("grid", [""] * grid, va, vb, vc, np.full(grid, v2), g3)
-    rows += _scan_rows("marker", labels, va, vb, vc, m2, m3)
-    return rows
+    pts = np.concatenate([[m2, m3], [c2[feasible], c3[feasible]]], axis=1)
+    lo, hi = pts.min(axis=1), pts.max(axis=1)
+    pad = 0.1 * np.maximum(hi - lo, tolerances.SCAN_PAD_FLOOR)
+    g2, g3 = (np.linspace(a, b, grid) for a, b in zip(lo - pad, hi + pad))
+    v2 = np.concatenate([np.repeat(g2, grid), m2])
+    v3 = np.concatenate([np.tile(g3, grid), m3])
+    inv = invariants.InvariantSet3Q(va, vb, vc, v2, v3)
+    p_ok, b_vals, b_ok, feasible = _scan_feasibility(inv)
+    return Table(
+        kind=["grid"] * grid**2 + ["marker"] * len(labels),
+        label=[""] * grid**2 + list(labels),
+        vbar2=v2,
+        vbar3=v3,
+        p_ok=p_ok.view(np.int8),
+        B=b_vals,
+        B_ok=b_ok.view(np.int8),
+        feasible=feasible.view(np.int8),
+        I6=invariants.sudbery(inv).i6,
+    )
 
 
-def cmd_region_scan(args) -> tuple[list[dict], int]:
+def cmd_region_scan(args) -> tuple[Table, int]:
     for v in (args.va, args.vb, args.vc):
         if not 0.0 < v < 1.0:
             raise CliError(f"Bloch lengths must be in (0, 1), got {v}", EXIT_VALIDATION)
@@ -250,58 +284,42 @@ def cmd_region_scan(args) -> tuple[list[dict], int]:
 # -- evolve -----------------------------------------------------------------
 
 
-def cmd_evolve(args) -> tuple[list[dict], int]:
+def cmd_evolve(args) -> tuple[Table, int]:
     _, rho0 = _pure_state(args.state, (2,), "evolve")
     for name in ("omega_x", "omega_y", "omega_z", "beta_a", "beta_b", "t0", "t1"):
         if not np.isfinite(getattr(args, name)):
             raise CliError(f"--{name.replace('_', '-')} must be finite", EXIT_VALIDATION)
     if args.steps < 1:
         raise CliError("--steps must be positive", EXIT_VALIDATION)
-    h = dynamics.ExchangeHamiltonian(
-        args.omega_x, args.omega_y, args.omega_z, args.beta_a, args.beta_b
-    )
+    h = dynamics.ExchangeHamiltonian(args.omega_x, args.omega_y, args.omega_z, args.beta_a, args.beta_b)
     hmv = dynamics.hamiltonian(h)
-    rows = []
-    for t in np.linspace(args.t0, args.t1, args.steps):
+    ts = np.linspace(args.t0, args.t1, args.steps)
+    out = np.empty((8, ts.size))
+    for k, t in enumerate(ts):
         rho_t = dynamics.evolve(rho0, hmv, float(t))
         tensor = rho_t.correlation_tensor()
-        ba, bb = states.bloch_slice(tensor, 0), states.bloch_slice(tensor, 1)
-        rows.append(
-            {
-                "t": _fmt(float(t)),
-                "ax": _fmt(ba[0]),
-                "ay": _fmt(ba[1]),
-                "az": _fmt(ba[2]),
-                "bx": _fmt(bb[0]),
-                "by": _fmt(bb[1]),
-                "bz": _fmt(bb[2]),
-                "entropy": _fmt(entanglement.entanglement_entropy(rho_t)),
-                "purity": _fmt(rho_t.purity()),
-            }
-        )
-    return rows, EXIT_OK
+        out[:3, k] = states.bloch_slice(tensor, 0)
+        out[3:6, k] = states.bloch_slice(tensor, 1)
+        out[6:, k] = entanglement.entanglement_entropy(rho_t), rho_t.purity()
+    names = ("ax", "ay", "az", "bx", "by", "bz", "entropy", "purity")
+    return Table(t=ts, **dict(zip(names, out))), EXIT_OK
 
 
 # -- chsh and bell ----------------------------------------------------------
 
 
-def cmd_chsh(args) -> tuple[list[dict], int]:
+def cmd_chsh(args) -> tuple[Table, int]:
     _, rho = _pure_state(args.state, (2,), "chsh")
     value, setting = entanglement.chsh_maximize(rho)
-    rows = [{"quantity": "chsh_max", "value": _fmt(value)}]
-    for name, vec in (("q", setting.q), ("r", setting.r), ("s", setting.s), ("t", setting.t)):
-        for comp, x in zip("xyz", vec):
-            rows.append({"quantity": f"{name}{comp}", "value": _fmt(x)})
-    return rows, EXIT_OK
+    out = {"chsh_max": value}
+    out.update((f"{name}{comp}", x) for name in "qrst" for comp, x in zip("xyz", getattr(setting, name)))
+    return _quantities(out), EXIT_OK
 
 
-def cmd_bell(args) -> tuple[list[dict], int]:
-    rho = states.bell(args.which)
-    rows = [
-        {"term": label, "re": _fmt(c.real), "im": _fmt(c.imag)}
-        for label, c in sorted(rho.mv.terms().items())
-    ]
-    return rows, EXIT_OK
+def cmd_bell(args) -> tuple[Table, int]:
+    labels, coeffs = zip(*sorted(states.bell(args.which).mv.terms().items()))
+    coeffs = np.array(coeffs, dtype=complex)
+    return Table(term=list(labels), re=coeffs.real, im=coeffs.imag), EXIT_OK
 
 
 # -- verify -----------------------------------------------------------------
@@ -346,20 +364,7 @@ def verify_tangle_once(rng: np.random.Generator) -> float | None:
     return abs(invariants.sudbery(inv).i6 - invariants.three_tangle_oracle(psi))
 
 
-def _campaign_row(name: str, errors: list[float], tol: float) -> dict:
-    """One verify row; also reports the campaign's pass count on stderr."""
-    passes = sum(err < tol for err in errors)
-    print(f"{name}: {passes}/{len(errors)} pass", file=sys.stderr)
-    return {
-        "campaign": name,
-        "samples": len(errors),
-        "passes": passes,
-        "failures": len(errors) - passes,
-        "max_error": _fmt(max(errors)),
-    }
-
-
-def cmd_verify(args) -> tuple[list[dict], int]:
+def cmd_verify(args) -> tuple[Table, int]:
     if args.samples < 1:
         raise CliError(f"--samples must be positive, got {args.samples}", EXIT_VALIDATION)
     rng = np.random.default_rng(args.seed)
@@ -369,11 +374,16 @@ def cmd_verify(args) -> tuple[list[dict], int]:
         err = verify_tangle_once(rng)
         if err is not None:
             tangle.append(err)
-    rows = [
-        _campaign_row("algebra_oracle", algebra, tolerances.VERIFY_ALGEBRA_TOL),
-        _campaign_row("i6_vs_hyperdeterminant", tangle, tolerances.VERIFY_TANGLE_TOL),
-    ]
-    return rows, EXIT_OK if all(row["failures"] == 0 for row in rows) else EXIT_VALIDATION
+    names = ["algebra_oracle", "i6_vs_hyperdeterminant"]
+    runs = [(algebra, tolerances.VERIFY_ALGEBRA_TOL), (tangle, tolerances.VERIFY_TANGLE_TOL)]
+    passes = np.array([sum(err < tol for err in errors) for errors, tol in runs])
+    samples = np.array([len(algebra), len(tangle)])
+    for name, p, n in zip(names, passes, samples):
+        print(f"{name}: {p}/{n} pass", file=sys.stderr)
+    failures = samples - passes
+    max_error = np.array([max(algebra), max(tangle)], dtype=float)
+    table = Table(campaign=names, samples=samples, passes=passes, failures=failures, max_error=max_error)
+    return table, EXIT_VALIDATION if failures.any() else EXIT_OK
 
 
 # -- parser -----------------------------------------------------------------
@@ -396,33 +406,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
+    def command(name: str, func, help: str, columns: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=help, epilog=f"CSV columns (stable): {columns}")
+        p.set_defaults(func=func)
+        return p
+
+    p = command(
         "invariants",
-        parents=[common],
-        help="local-unitary invariants of a state file",
-        epilog="CSV columns (stable): quantity,value.  On a pure state B cancels down to "
+        cmd_invariants,
+        "local-unitary invariants of a state file",
+        "quantity,value.  On a pure state B cancels down to "
         "1e-9..1e-6, so its last printed digits are rounding noise.",
     )
     p.add_argument("--state", required=True, help="JSON state file")
-    p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser(
+    p = command(
         "region-scan",
-        parents=[common],
-        help="(vbar2, vbar3) feasibility scan",
-        epilog="CSV columns (stable): kind,label,vbar2,vbar3,p_ok,B,B_ok,feasible,I6",
+        cmd_region_scan,
+        "(vbar2, vbar3) feasibility scan",
+        "kind,label,vbar2,vbar3,p_ok,B,B_ok,feasible,I6",
     )
     p.add_argument("--va", type=float, required=True)
     p.add_argument("--vb", type=float, required=True)
     p.add_argument("--vc", type=float, required=True)
     p.add_argument("--grid", type=int, default=201, help="grid resolution per axis")
-    p.set_defaults(func=cmd_region_scan)
 
-    p = sub.add_parser(
+    p = command(
         "evolve",
-        parents=[common],
-        help="exchange-Hamiltonian trajectory of a 2-qubit state",
-        epilog="CSV columns (stable): t,ax,ay,az,bx,by,bz,entropy,purity",
+        cmd_evolve,
+        "exchange-Hamiltonian trajectory of a 2-qubit state",
+        "t,ax,ay,az,bx,by,bz,entropy,purity",
     )
     p.add_argument("--state", required=True)
     p.add_argument("--omega-x", dest="omega_x", type=float, default=0.0)
@@ -433,35 +446,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=6.283185307179586)
     p.add_argument("--steps", type=int, default=101)
-    p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser(
-        "chsh",
-        parents=[common],
-        help="maximised CHSH value of a 2-qubit state",
-        epilog="CSV columns (stable): quantity,value",
-    )
+    p = command("chsh", cmd_chsh, "maximised CHSH value of a 2-qubit state", "quantity,value")
     p.add_argument("--state", required=True)
-    p.set_defaults(func=cmd_chsh)
 
-    p = sub.add_parser(
-        "bell",
-        parents=[common],
-        help="blade expansion of a Bell state",
-        epilog="CSV columns (stable): term,re,im",
-    )
+    p = command("bell", cmd_bell, "blade expansion of a Bell state", "term,re,im")
     p.add_argument("--which", required=True, choices=("phi+", "phi-", "psi+", "psi-"))
-    p.set_defaults(func=cmd_bell)
 
-    p = sub.add_parser(
+    p = command(
         "verify",
-        parents=[common],
-        help="randomised oracle-equivalence campaigns",
-        epilog="CSV columns (stable): campaign,samples,passes,failures,max_error",
+        cmd_verify,
+        "randomised oracle-equivalence campaigns",
+        "campaign,samples,passes,failures,max_error",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -469,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rows, code = args.func(args)
-        emit(args, rows)
+        table, code = args.func(args)
+        emit(args, table)
         return code
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

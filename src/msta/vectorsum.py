@@ -84,8 +84,9 @@ _ANGLE_MATRIX = _PHASE_MATRIX[_PAIRS[:, 1]] - _PHASE_MATRIX[_PAIRS[:, 0]]
 
 
 def _wrap(angle) -> np.ndarray | float:
-    """Map angles to (-pi, pi]."""
-    return -((-np.asarray(angle) + np.pi) % TWO_PI - np.pi)
+    """Map angles to (-pi, pi]; a zero comes out as +0."""
+    # the negation alone would turn +0 into -0; adding +0 clears that sign
+    return -((-np.asarray(angle) + np.pi) % TWO_PI - np.pi) + 0.0
 
 
 def _in_range(angle: float) -> float:
@@ -118,9 +119,8 @@ class AngleSet:
             object.__setattr__(self, f.name, _in_range(getattr(self, f.name)))
 
     def _shifted(self, angle: float) -> float:
-        # the shift is wrapped on its own so that a zero sum keeps the sign
-        # of `angle`: +0 for AngleSet(0, 0, 0, 0), which `solve` returns for
-        # vanishing lengths, and -0 at lattice roots, where `_wrap` made it
+        # the shift is wrapped on its own, so that a zero shift leaves
+        # `angle` as it is (a zero angle as +0)
         return _in_range(angle + float(_wrap(self.phi_ab_prime - self.phi_ab)))
 
     @property

@@ -1,10 +1,14 @@
+import argparse
 import csv
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from msta import cli, invariants, tolerances
 from msta.cli import main, region_scan_rows, save_state
 
 
@@ -387,3 +391,111 @@ def test_output_contract(capsys, w_file, singlet_file, tmp_path):
         assert list(doc) == ["command", "params", "rows"]
         assert doc["command"] == argv[0]
         assert list(doc["params"].items()) == params
+
+
+def test_real_state_prints_no_negative_zero(capsys, tmp_path):
+    # a real-amplitude state's solver roots sit on the {0, pi} lattice;
+    # their zero angles print as 0.0, as those of W and product states do
+    amps = np.random.default_rng(2026).standard_normal(8)
+    path = tmp_path / "real.json"
+    save_state(path, amps / np.linalg.norm(amps))
+    code, out = run_cli(capsys, "invariants", "--state", str(path))
+    assert code == 0
+    angles = [r["value"] for r in rows_from_csv(out) if r["quantity"].startswith("angles")]
+    assert "0.0" in angles
+    assert "-0.0" not in angles
+
+
+FORMAT_EDGES = [0.0, -0.0, 1.0, 1e-5, 123456789012.0, 1e12, 1.5e13, 1e16, 1e17, 5e-324, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("x", FORMAT_EDGES)
+def test_float_cells_edges(x):
+    assert cli._cells(np.array([x, -x, 0.5])) == [repr(float(f"{v:.12g}")) for v in (x, -x, 0.5)]
+
+
+@given(st.lists(st.floats(), max_size=40))
+def test_float_cells_equal_repr_of_12_digits(xs):
+    # one column chunk, element for element against the per-value reference
+    assert cli._cells(np.array(xs, dtype=float)) == [repr(float(f"{x:.12g}")) for x in xs]
+
+
+def _fmt(x):
+    return float(f"{x:.12g}")
+
+
+def _reference_scan_rows(va, vb, vc, grid):
+    """Region-scan rows as dicts, one grid row at a time: the row path the
+    column table replaced, kept as the output reference."""
+
+    def rows(kind, labels, v2, v3):
+        inv = invariants.InvariantSet3Q(va, vb, vc, v2, v3)
+        p_ok, b_vals, b_ok, feasible = cli._scan_feasibility(inv)
+        i6 = invariants.sudbery(inv).i6.tolist()
+        cols = zip(labels, v2.tolist(), v3.tolist(), *(a.tolist() for a in (p_ok, b_vals, b_ok, feasible)), i6)
+        return [
+            {
+                "kind": kind,
+                "label": label,
+                "vbar2": _fmt(x2),
+                "vbar3": _fmt(x3),
+                "p_ok": int(p),
+                "B": _fmt(b),
+                "B_ok": int(bo),
+                "feasible": int(f),
+                "I6": _fmt(i),
+            }
+            for label, x2, x3, p, b, bo, f, i in cols
+        ]
+
+    labels, m2, m3 = zip(*cli._markers(va, vb, vc))
+    m2, m3 = np.array(m2), np.array(m3)
+    coarse = np.linspace(-1.0, 1.0, 41)
+    c2, c3 = np.repeat(coarse, coarse.size), np.tile(coarse, coarse.size)
+    feasible = cli._scan_feasibility(invariants.InvariantSet3Q(va, vb, vc, c2, c3))[-1]
+    pts2 = np.concatenate([m2, c2[feasible]])
+    pts3 = np.concatenate([m3, c3[feasible]])
+    lo2, hi2, lo3, hi3 = pts2.min(), pts2.max(), pts3.min(), pts3.max()
+    pad2 = 0.1 * max(hi2 - lo2, tolerances.SCAN_PAD_FLOOR)
+    pad3 = 0.1 * max(hi3 - lo3, tolerances.SCAN_PAD_FLOOR)
+    g3 = np.linspace(lo3 - pad3, hi3 + pad3, grid)
+    out = []
+    for v2 in np.linspace(lo2 - pad2, hi2 + pad2, grid):
+        out += rows("grid", [""] * grid, np.full(grid, v2), g3)
+    return out + rows("marker", labels, m2, m3)
+
+
+@pytest.mark.parametrize(
+    "vs, grid",
+    [
+        (("0.333", "0.333", "0.333"), 21),
+        (("0.5", "0.6", "0.7"), 21),
+        (("0.2", "0.3", "0.6"), 21),
+        (("0.1", "0.1", "0.1"), 21),  # the negative-seed marker
+        (("0.5", "0.6", "0.7"), 91),  # 8284 rows: more than one formatting chunk
+    ],
+)
+def test_region_scan_output_equals_row_path(capsys, vs, grid):
+    va, vb, vc = map(float, vs)
+    rows = _reference_scan_rows(va, vb, vc, grid)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    params = {"va": va, "vb": vb, "vc": vc, "grid": grid}
+    doc = json.dumps({"command": "region-scan", "params": params, "rows": rows}) + "\n"
+    argv = ["region-scan", "--va", vs[0], "--vb", vs[1], "--vc", vs[2], "--grid", str(grid)]
+    assert run_cli(capsys, *argv) == (0, buf.getvalue())
+    assert run_cli(capsys, *argv, "--format", "json") == (0, doc)
+
+
+def test_region_scan_rows_write_through(tmp_path):
+    table = region_scan_rows(1 / 3, 1 / 3, 1 / 3, 5)
+    seed = next(r for r in table if r["label"] == "A_seed")
+    before = seed["I6"]
+    seed["I6"] += 1e-6
+    out = tmp_path / "scan.csv"
+    cli.emit(argparse.Namespace(format="csv", out=str(out)), table)
+    written = next(line for line in out.read_text().splitlines() if ",A_seed," in line)
+    assert float(written.split(",")[-1]) == _fmt(before + 1e-6)
+    assert _fmt(before + 1e-6) != _fmt(before)
