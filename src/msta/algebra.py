@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -96,8 +97,8 @@ class PauliString:
         return self.letters
 
 
-def _kept(coeffs: np.ndarray) -> np.ndarray:
-    """Mask of the coefficients above the prune threshold.
+def _magnitudes(coeffs: np.ndarray) -> np.ndarray:
+    """|coeffs|, checked finite.
 
     Raises ValueError if any coefficient is not finite: an overflowing
     product or sum gives inf or nan, which the prune alone would keep (inf)
@@ -105,7 +106,13 @@ def _kept(coeffs: np.ndarray) -> np.ndarray:
     mags = np.abs(coeffs)
     if not mags.max(initial=0.0) < np.inf:
         raise ValueError("multivector coefficient overflowed to a non-finite value")
-    return mags > PRUNE_EPS
+    return mags
+
+
+def _kept(coeffs: np.ndarray) -> np.ndarray:
+    """Mask of the coefficients above the prune threshold; raises
+    ValueError on a non-finite coefficient (`_magnitudes`)."""
+    return _magnitudes(coeffs) > PRUNE_EPS
 
 
 def _merge_terms(n: int, keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,6 +187,9 @@ _MATRIX_ROUTE_PAIRS = 1 << 15
 # series cost with the terms the result fills, so a wide, sparse generator
 # such as a one-qubit rotor at n = 12 can only run on the series.  The cut
 # sits where the spectral route wins at least 6x on every generator tried.
+# The same cut picks `dynamics.evolve`'s conjugation: at most this many
+# qubits, U rho U^H as matrices from `_dense_exp_i`; above it, pairwise
+# products with the series rotor.
 _SPECTRAL_EXP_QUBITS = 4
 
 
@@ -192,35 +202,45 @@ def _per_qubit(t: np.ndarray, maps) -> np.ndarray:
     return t.reshape(-1)
 
 
-def _pair_axes(n: int) -> list[int]:
-    """The axes (r_0..r_{n-1}, c_0..c_{n-1}) of a reshaped matrix, in key
-    order: (r_{n-1}, c_{n-1}, ..., r_0, c_0)."""
-    return [ax for q in reversed(range(n)) for ax in (q, n + q)]
+@lru_cache(maxsize=MAX_QUBITS)
+def _dense_layout(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple, tuple]:
+    """What `_to_dense` and `_from_dense` need at n qubits, built once per n:
+    the transpose taking a reshaped matrix's axes (r_0..r_{n-1}, c_0..c_{n-1})
+    to key order (r_{n-1}, c_{n-1}, ..., r_0, c_0), its inverse, and the
+    per-qubit maps from coefficients to entries and back."""
+    to_keys = tuple(ax for q in reversed(range(n)) for ax in (q, n + q))
+    to_matrix = tuple(int(ax) for ax in np.argsort(to_keys))
+    return to_keys, to_matrix, (_CODES_TO_ENTRIES,) * n, (_ENTRIES_TO_CODES,) * n
 
 
 def _to_dense(a: "Multivector") -> np.ndarray:
     """The 2^n x 2^n matrix of a multivector (as `oracle.to_matrix`)."""
     n = a.n_qubits
+    _, to_matrix, maps, _ = _dense_layout(n)
     coeffs = np.zeros(1 << (2 * n), dtype=np.complex128)
     coeffs[a._keys] = a._coeffs
-    t = _per_qubit(coeffs, [_CODES_TO_ENTRIES] * n)
     d = 1 << n
-    return t.reshape((2,) * (2 * n)).transpose(np.argsort(_pair_axes(n))).reshape(d, d)
+    return _per_qubit(coeffs, maps).reshape((2,) * (2 * n)).transpose(to_matrix).reshape(d, d)
+
+
+def _dense_coeffs(m: np.ndarray, maps=None) -> np.ndarray:
+    """Every Pauli coefficient of a 2^n x 2^n matrix, in key order and
+    unpruned: `_from_dense` before its prune.  When given, ``maps[q]`` (a
+    4x4 matrix on qubit q's coefficients in code order I, X, Z, Y) is
+    applied to the result."""
+    n = m.shape[0].bit_length() - 1
+    to_keys, _, _, from_entries = _dense_layout(n)
+    if maps is not None:
+        from_entries = [r @ _ENTRIES_TO_CODES for r in maps]
+    return _per_qubit(m.reshape((2,) * (2 * n)).transpose(to_keys).reshape(-1), from_entries)
 
 
 def _from_dense(m: np.ndarray, maps=None) -> "Multivector":
     """The canonical multivector of a 2^n x 2^n matrix, inverse to
-    `_to_dense`.  When given, ``maps[q]`` (a 4x4 matrix on qubit q's
-    coefficients in code order I, X, Z, Y) is applied to the result."""
-    n = m.shape[0].bit_length() - 1
-    if maps is None:
-        maps = [_ENTRIES_TO_CODES] * n
-    else:
-        maps = [r @ _ENTRIES_TO_CODES for r in maps]
-    t = m.reshape((2,) * (2 * n)).transpose(_pair_axes(n)).reshape(-1)
-    c = _per_qubit(t, maps)
+    `_to_dense`; ``maps`` as in `_dense_coeffs`."""
+    c = _dense_coeffs(m, maps)
     keys = _kept(c).nonzero()[0]
-    return Multivector._raw(n, keys, c[keys])
+    return Multivector._raw(m.shape[0].bit_length() - 1, keys, c[keys])
 
 
 class Multivector:
@@ -475,20 +495,10 @@ def single_letter_product(p: str, q: str) -> tuple[str, complex]:
     return _CHAR_OF[key & 3], coeff
 
 
-def exp_i(a: Multivector, t: float) -> Multivector:
-    """exp(-iota * a * t) for Hermitian a.
-
-    On at most `_SPECTRAL_EXP_QUBITS` (4) qubits: one eigendecomposition
-    of the dense matrix, V exp(-i t W) V^H (Moler & Van Loan, SIAM Review
-    45, 2003).  Above that, scaling and squaring: the Taylor series on the
-    generator halved to norm1 <= 1/2, evaluated in Horner's form to the
-    degree whose remainder bound falls below 1e-16 (norm1 = sum of
-    coefficient magnitudes).  The route follows the qubit count alone: at
-    n <= 4 the spectral route took 0.05-0.24 ms against 1.3-5.4 ms for the
-    series, while its 8^n cost loses to the series from n = 7 on (n = 10,
-    2 terms: 1.5 s against 1.9 ms).  A non-Hermitian ``a``, a non-finite
-    ``t``, or |t| * norm1(a) above 2^31 raises ValueError on both routes.
-    """
+def _checked_exp_time(a: Multivector, t: float) -> float:
+    """``t`` as a float, after `exp_i`'s checks on both routes: a
+    non-Hermitian ``a``, a non-finite ``t``, or |t| * norm1(a) above 2^31
+    raises ValueError."""
     if a.hermitian_defect() > HERMITIAN_TOL:
         raise ValueError("exp_i requires a Hermitian generator (reverse(a) == a)")
     t = float(t)
@@ -499,9 +509,36 @@ def exp_i(a: Multivector, t: float) -> Multivector:
         raise ValueError(
             f"exp_i: |t| * norm1(a) = {scale} exceeds 2^{_MAX_SQUARINGS - 1}"
         )
+    return t
+
+
+def _dense_exp_i(a: Multivector, t: float) -> np.ndarray:
+    """The 2^n x 2^n matrix of exp(-iota * a * t), `exp_i`'s spectral
+    route: V exp(-i t W) V^H from one eigendecomposition, with `exp_i`'s
+    checks."""
+    t = _checked_exp_time(a, t)
+    w, v = np.linalg.eigh(_to_dense(a))
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+def exp_i(a: Multivector, t: float) -> Multivector:
+    """exp(-iota * a * t) for Hermitian a.
+
+    On at most `_SPECTRAL_EXP_QUBITS` (4) qubits: one eigendecomposition
+    of the dense matrix, V exp(-i t W) V^H (`_dense_exp_i`; Moler & Van
+    Loan, SIAM Review 45, 2003).  Above that, scaling and squaring: the
+    Taylor series on the generator halved to norm1 <= 1/2, evaluated in
+    Horner's form to the degree whose remainder bound falls below 1e-16
+    (norm1 = sum of coefficient magnitudes).  The route follows the qubit
+    count alone: at n <= 4 the spectral route took 0.05-0.24 ms against
+    1.3-5.4 ms for the series, while its 8^n cost loses to the series from
+    n = 7 on (n = 10, 2 terms: 1.5 s against 1.9 ms).  A non-Hermitian
+    ``a``, a non-finite ``t``, or |t| * norm1(a) above 2^31 raises
+    ValueError on both routes.
+    """
     if a.n_qubits <= _SPECTRAL_EXP_QUBITS:
-        w, v = np.linalg.eigh(_to_dense(a))
-        return _from_dense((v * np.exp(-1j * t * w)) @ v.conj().T)
+        return _from_dense(_dense_exp_i(a, t))
+    t = _checked_exp_time(a, t)
     gen = a * (-1j * t)
     nrm = gen.norm1()
     squarings = max(0, math.ceil(math.log2(nrm / 0.5))) if nrm > 0.5 else 0

@@ -130,5 +130,7 @@ def chsh_maximize(rho: DensityOperator) -> tuple[float, ChshSetting]:
     phi = np.arctan2(sv[1], sv[0])
     s = np.cos(phi) * wt[0] + np.sin(phi) * wt[1]
     t = np.cos(phi) * wt[0] - np.sin(phi) * wt[1]
-    best = ChshSetting(tuple(u[:, 1]), tuple(u[:, 0]), tuple(s), tuple(t))
+    # the SVD and the sums above can give -0 components; adding +0 clears
+    # that sign, so a zero axis component always prints as 0.0
+    best = ChshSetting(*(tuple(axis + 0.0) for axis in (u[:, 1], u[:, 0], s, t)))
     return chsh_value(rho, best), best

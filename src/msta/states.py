@@ -22,9 +22,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import oracle
-from .algebra import Multivector, _from_dense, _to_dense, _x_mask, exp_i
+from .algebra import Multivector, _dense_coeffs, _from_dense, _magnitudes, _to_dense, _x_mask, exp_i
 from .tolerances import (
-    AXIS_TOL, HERMITIAN_TOL, IDENTITY_TOL, NEGLIGIBLE_WEIGHT, NORM_TOL, PURE_TOL, TRACE_TOL, UNIT_TOL,
+    AXIS_TOL, HERMITIAN_TOL, IDENTITY_TOL, NEGLIGIBLE_WEIGHT, NORM_TOL, PRUNE_EPS, PURE_TOL, TRACE_TOL,
+    UNIT_TOL,
 )
 
 
@@ -85,9 +86,14 @@ class DensityOperator:
         return (1 << self.n_qubits) * float(np.dot(c, c).real)
 
     def is_pure(self, tol: float = PURE_TOL) -> bool:
-        """rho^2 = rho to ``tol`` per coefficient, from one dense pass."""
+        """rho^2 = rho to ``tol`` per coefficient, from one dense pass.
+
+        The defect is the largest coefficient of rho^2 - rho that the prune
+        keeps, read off the unpruned coefficient vector without building a
+        multivector.  Raises ValueError if a coefficient is not finite."""
         m = _to_dense(self.mv)
-        return _from_dense(m @ m - m).max_abs() <= tol
+        worst = float(_magnitudes(_dense_coeffs(m @ m - m)).max())
+        return (worst if worst > PRUNE_EPS else 0.0) <= tol
 
     def correlation_tensor(self) -> np.ndarray:
         """T[mu_0, ..., mu_{n-1}] = Tr(rho sigma_mu_0 (x) ... (x) sigma_mu_{n-1}).

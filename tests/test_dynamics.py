@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from msta import oracle, states
-from msta.algebra import Multivector, allclose
+from msta.algebra import Multivector, allclose, exp_i
 from msta.dynamics import (
     ExchangeHamiltonian,
     ProductEvolution,
@@ -16,6 +16,8 @@ from msta.dynamics import (
 )
 from msta.entanglement import partial_trace
 from msta.states import ProductState, bell, product_state
+
+from conftest import random_hermitian_mv
 
 
 def random_h(rng):
@@ -88,15 +90,35 @@ def test_evolve_bell_state_constant_under_isotropic():
         assert (rho_t.mv - bell(which).mv).max_abs() < 1e-12
 
 
+def mixed_product_start(n, rng):
+    """A product of one-qubit states with Bloch lengths in [0.2, 0.9]."""
+    mv = Multivector.scalar(n, 1.0)
+    for q in range(n):
+        v = rng.standard_normal(3)
+        v *= rng.uniform(0.2, 0.9) / np.linalg.norm(v)
+        mv = mv * (0.5 * (1.0 + Multivector.vector(n, q, v)))
+    return states.DensityOperator(mv)
+
+
 def test_evolve_matches_oracle(rng):
+    # exchange Hamiltonians on pure 2-qubit starts, then random generators
+    # at n = 2..5 on pure and mixed starts: n <= 4 conjugates as matrices,
+    # n = 5 takes the series rotor and pairwise products
+    cases = []
     for _ in range(20):
         h = random_h(rng)
         psi = oracle.random_statevector(2, rng)
         t = float(rng.uniform(-3, 3))
-        rho0 = states.pure_state_from_amplitudes(psi)
-        got = evolve(rho0, hamiltonian(h), t).matrix()
-        u = oracle.expm_minus_i(oracle.to_matrix(hamiltonian(h)), t)
-        assert np.abs(got - u @ rho0.matrix() @ u.conj().T).max() < 1e-9
+        cases.append((states.pure_state_from_amplitudes(psi), hamiltonian(h), t))
+    for n in (2, 3, 4, 5):
+        for start in (states.pure_state_from_amplitudes(oracle.random_statevector(n, rng)), mixed_product_start(n, rng)):
+            cases.append((start, random_hermitian_mv(n, rng), float(rng.uniform(-3, 3))))
+    for rho0, hmv, t in cases:
+        got = evolve(rho0, hmv, t)
+        u = exp_i(hmv, t)
+        assert allclose(got.mv, u * rho0.mv * u.reverse(), 1e-12)
+        um = oracle.expm_minus_i(oracle.to_matrix(hmv), t)
+        assert np.abs(got.matrix() - um @ rho0.matrix() @ um.conj().T).max() < 1e-9
 
 
 def test_evolve_preserves_spectrum(rng):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,16 @@ def test_chsh_maximize_bell_states():
         assert abs(val - 2 * np.sqrt(2)) < 1e-6
         # the reported setting reproduces the reported value
         assert abs(chsh_value(bell(which), setting) - val) < 1e-12
+
+
+def test_chsh_maximize_axes_have_no_negative_zero():
+    # a zero axis component is +0, so `msta chsh` never prints -0.0
+    s = 2**-0.5
+    singlet = states.pure_state_from_amplitudes([0.0, s, -s, 0.0])
+    for rho in [bell(which) for which in ("phi+", "phi-", "psi+", "psi-")] + [singlet]:
+        _, setting = chsh_maximize(rho)
+        for axis in (setting.q, setting.r, setting.s, setting.t):
+            assert all(math.copysign(1.0, x) == 1.0 for x in axis if x == 0.0), axis
 
 
 def test_chsh_maximize_decreases_with_entanglement_angle():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from msta import oracle, states
-from msta.algebra import Multivector, allclose
+from msta.algebra import Multivector, _from_dense, _to_dense, allclose
 from msta.states import (
     DensityOperator,
     ProductState,
@@ -21,6 +21,7 @@ from msta.states import (
     sphere_state,
     w_state,
 )
+from msta.tolerances import PURE_TOL
 
 
 def c(bits):
@@ -108,6 +109,37 @@ def test_is_pure_matches_the_pairwise_defect(rng):
             defect = (rho.mv * rho.mv - rho.mv).max_abs()
             for tol in (1e-9, 0.5 * defect, 2.0 * defect):
                 assert rho.is_pure(tol) == (defect <= tol)
+
+
+def pruned_dense_defect(rho):
+    """The largest coefficient of rho rho - rho after the prune, from the
+    multivector of the dense square."""
+    m = _to_dense(rho.mv)
+    return _from_dense(m @ m - m).max_abs()
+
+
+def test_is_pure_matches_the_pruned_dense_defect(rng):
+    # the verdict read off the unpruned coefficients equals the one from the
+    # pruned multivector.  Mixtures (1 - eps) rho + eps 1/2^n have a defect
+    # linear in eps; scaled to 1 -/+ 1e-3 of PURE_TOL they sit just below
+    # and just above it
+    for n in range(1, 5):
+        pure = pure_state_from_amplitudes(oracle.random_statevector(n, rng))
+        white = Multivector.scalar(n, 1.0 / (1 << n))
+
+        def mix(eps):
+            return DensityOperator((1.0 - eps) * pure.mv + eps * white)
+
+        eps = 1e-6 * PURE_TOL / pruned_dense_defect(mix(1e-6))
+        edges = [mix(eps * (1.0 - 1e-3)), mix(eps * (1.0 + 1e-3))]
+        assert [pruned_dense_defect(rho) <= PURE_TOL for rho in edges] == [True, False]
+        for rho in [pure, mix(0.3), product_state(c("0" * n)), *edges]:
+            for tol in (PURE_TOL, 1e-12, 1e-15, 0.0):
+                assert rho.is_pure(tol) == (pruned_dense_defect(rho) <= tol)
+    # rho rho overflows to inf
+    huge = DensityOperator(Multivector(2, {"II": 0.25, "XZ": 1e200}))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        huge.is_pure()
 
 
 def test_z_order_flips_y():
