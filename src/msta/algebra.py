@@ -152,30 +152,39 @@ def _sum_by_slot(slot: np.ndarray, coeffs: np.ndarray, size: int) -> tuple[np.nd
 #
 # In the matrix of a blade (qubit 0 the most significant index bit) the x
 # bits shift the row, P|j> = i^popcount(x & z) (-1)^popcount(j & z) |j ^ x>,
-# so the Pauli coefficients of a matrix m are a Walsh-Hadamard transform
-# over z of the gathered w[x, j] = m[j ^ x, j], times (-i)^popcount(x & z)
-# / 2^n.  The gather, the transform and the phase all act on each qubit's
-# (row bit, column bit) pair alone, so per qubit they combine into one 4x4
-# map from the entries 2 r + c to the codes I, X, Z, Y.  Applied along each
-# qubit's axis that costs O(n 4^n), with no Kronecker chains (Hantzko,
-# Binkowski & Gupta, arXiv:2310.13421; Jones, arXiv:2401.16378).
-_ENTRIES_TO_CODES = 0.5 * np.array(
-    [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1j, -1j, 0]]
-)
-_CODES_TO_ENTRIES = np.array(
-    [[1, 0, 1, 0], [0, 1, 0, -1j], [0, 1, 0, 1j], [1, 0, -1, 0]]
-)
+# so the Pauli coefficients of a 2^k x 2^k matrix m are
+#
+#     c[x, z] = i^popcount(x & z) / 2^k  sum_j (-1)^popcount(j & z) m[j, j ^ x]:
+#
+# a gather g[j, x] = m[j, j ^ x], a Walsh-Hadamard transform over j (one
+# real matmul of the Sylvester-Hadamard matrix against g's float view, which
+# interleaves real and imaginary parts) and a phase, applied with the
+# permutation from the (z, x) grid to key order (Hantzko, Binkowski & Gupta,
+# arXiv:2310.13421; Jones, arXiv:2401.16378).  `_to_dense` runs the same
+# steps backwards.  The tables for this are built per block of at most
+# `_BLOCK_QUBITS` qubits, on first use: above that, qubits 0..a-1 and
+# a..n-1 form two blocks, and the transform of one block runs batched over
+# the other block's entries.  A blade's matrix is the Kronecker product of
+# its blocks' matrices, and a key's leading base-4 digits belong to the
+# second block, so the result is the (4^b, 4^a) array of the second
+# transform, read in order.  At n = 6 a matrix to coefficients took 45 us
+# against 155 us for the per-qubit 4 x 4 maps this replaces, and at n = 10
+# 36 ms against 127 ms (medians of six alternating runs, 2-vCPU Xeon guest,
+# numpy 2.4.6, one BLAS thread).
+_BLOCK_QUBITS = 6
 
-# Products with at least this many term pairs take the matrix route (two
-# `_to_dense`, one matmul, one `_from_dense`) instead of the pairwise
-# kernel.  Measured with random operands on a 2-vCPU Xeon guest, numpy
-# 2.4.6, one BLAS thread: the routes tie near 2^12 pairs at n = 4, 2^13 at
-# n = 5, 2^15 at n = 6, 2^16.6 at n = 7 and 2^19 at n = 8, where the matrix
-# route takes 0.14, 0.27, 0.75, 2.9 and 15 ms; at n = 2 it takes 0.07 ms
-# against 0.06 ms for a 16 x 16-term product.  The floor keeps every
-# product with n <= 3 (at most 2^12 pairs) on the pairwise kernel; from
-# n = 7 the matmul moves the tie to about 4^(n+1) pairs.
-_MATRIX_ROUTE_PAIRS = 1 << 15
+# Products with at least this many term pairs, and at least 4^(n+1), take
+# the matrix route (two `_to_dense`, one matmul, one `_from_dense`; one
+# `_to_dense` for a square) instead of the pairwise kernel.  Measured with
+# random operands on a 2-vCPU Xeon guest, numpy 2.4.6, one BLAS thread: the
+# routes tie below 2^10 pairs at n = 4, near 2^10 at n = 5, 2^13.5 at n = 6,
+# 2^15.5 at n = 7 and 2^18 at n = 8, where the matrix route takes 0.05,
+# 0.08, 0.21, 1.1 and 7.6 ms (with the per-qubit transform they tied at
+# 2^12, 2^13, 2^15, 2^16.6 and 2^19).  Full products at n = 2 and 3 take
+# 0.05 ms on the matrix route against 0.06 and 0.14 ms pairwise, but the
+# floor keeps every product with n <= 3 (at most 2^12 pairs) on the
+# pairwise kernel; from n = 6 the 4^(n+1) term follows the tie.
+_MATRIX_ROUTE_PAIRS = 1 << 13
 
 # `exp_i` diagonalises generators on at most this many qubits (one `eigh`
 # of the 2^n x 2^n matrix) and runs scaling and squaring above it.  Median
@@ -202,25 +211,80 @@ def _per_qubit(t: np.ndarray, maps) -> np.ndarray:
     return t.reshape(-1)
 
 
-@lru_cache(maxsize=MAX_QUBITS)
-def _dense_layout(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple, tuple]:
-    """What `_to_dense` and `_from_dense` need at n qubits, built once per n:
-    the transpose taking a reshaped matrix's axes (r_0..r_{n-1}, c_0..c_{n-1})
-    to key order (r_{n-1}, c_{n-1}, ..., r_0, c_0), its inverse, and the
-    per-qubit maps from coefficients to entries and back."""
-    to_keys = tuple(ax for q in reversed(range(n)) for ax in (q, n + q))
-    to_matrix = tuple(int(ax) for ax in np.argsort(to_keys))
-    return to_keys, to_matrix, (_CODES_TO_ENTRIES,) * n, (_ENTRIES_TO_CODES,) * n
+@lru_cache(maxsize=_BLOCK_QUBITS)
+def _dense_layout(k: int) -> tuple[np.ndarray, ...]:
+    """The tables of the transform on a block of k qubits, d = 2^k: the
+    gather g[j, x] = m[j, j ^ x] as flat indices (an involution, so it is
+    its own inverse), the permutation from key order to the (z, x) grid
+    and its inverse, the phases i^popcount(x & z) / d in key order and
+    (-i)^popcount(x & z) on the grid, each a column, and the d x d
+    Sylvester-Hadamard matrix.  Read-only: every call shares them."""
+    d = 1 << k
+    j = np.arange(d)[:, None]
+    gather = (j * d + (j ^ j.T)).ravel()
+    keys = np.arange(d * d)
+    x = z = 0
+    for q in range(k):
+        bit = 1 << (k - 1 - q)
+        x = x | (keys >> (2 * q) & 1) * bit
+        z = z | (keys >> (2 * q + 1) & 1) * bit
+    to_grid = z * d + x
+    to_keys = np.argsort(to_grid)
+    overlap = np.bitwise_count(x & z)
+    phase = (1j**overlap / d)[:, None]
+    grid_phase = ((-1j) ** overlap)[to_keys][:, None]
+    hadamard = (-1.0) ** np.bitwise_count(j & j.T)
+    tables = (gather, to_grid, to_keys, phase, grid_phase, hadamard)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _blocks(n: int) -> tuple[int, int]:
+    """Qubit counts (a, b) of the two blocks, b = 0 when one block holds
+    all n qubits."""
+    a = n if n <= _BLOCK_QUBITS else n - n // 2
+    return a, n - a
+
+
+def _hadamard(u: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """h @ u along u's first axis, as one real matmul on u's float view."""
+    return (h @ u.reshape(h.shape[0], -1).view(np.float64)).view(np.complex128).reshape(u.shape)
+
+
+def _block_coeffs(w: np.ndarray, k: int) -> np.ndarray:
+    """Coefficients in key order along the first axis of ``w``, whose rows
+    are a k-qubit block's matrix entries r 2^k + c."""
+    gather, to_grid, _, phase, _, h = _dense_layout(k)
+    c = _hadamard(w.take(gather, axis=0), h).take(to_grid, axis=0)
+    c *= phase
+    return c
+
+
+def _block_entries(c: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of `_block_coeffs`."""
+    gather, _, to_keys, _, grid_phase, h = _dense_layout(k)
+    u = c.take(to_keys, axis=0)
+    u *= grid_phase
+    return _hadamard(u, h).take(gather, axis=0)
 
 
 def _to_dense(a: "Multivector") -> np.ndarray:
     """The 2^n x 2^n matrix of a multivector (as `oracle.to_matrix`)."""
     n = a.n_qubits
-    _, to_matrix, maps, _ = _dense_layout(n)
-    coeffs = np.zeros(1 << (2 * n), dtype=np.complex128)
-    coeffs[a._keys] = a._coeffs
-    d = 1 << n
-    return _per_qubit(coeffs, maps).reshape((2,) * (2 * n)).transpose(to_matrix).reshape(d, d)
+    ka, kb = _blocks(n)
+    da, db = 1 << ka, 1 << kb
+    if a._keys.size == 1 << (2 * n):
+        # canonical keys strictly increase, so a full set is 0..4^n - 1
+        c = a._coeffs
+    else:
+        c = np.zeros(1 << (2 * n), dtype=np.complex128)
+        c[a._keys] = a._coeffs
+    c = c.reshape(-1, da * da)
+    if kb:
+        c = _block_entries(c, kb)
+    m = _block_entries(c.T, ka)
+    return m.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
 def _dense_coeffs(m: np.ndarray, maps=None) -> np.ndarray:
@@ -228,11 +292,15 @@ def _dense_coeffs(m: np.ndarray, maps=None) -> np.ndarray:
     unpruned: `_from_dense` before its prune.  When given, ``maps[q]`` (a
     4x4 matrix on qubit q's coefficients in code order I, X, Z, Y) is
     applied to the result."""
+    m = np.asarray(m, dtype=np.complex128)
     n = m.shape[0].bit_length() - 1
-    to_keys, _, _, from_entries = _dense_layout(n)
-    if maps is not None:
-        from_entries = [r @ _ENTRIES_TO_CODES for r in maps]
-    return _per_qubit(m.reshape((2,) * (2 * n)).transpose(to_keys).reshape(-1), from_entries)
+    ka, kb = _blocks(n)
+    da, db = 1 << ka, 1 << kb
+    c = _block_coeffs(m.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, -1), ka)
+    if kb:
+        c = _block_coeffs(c.T, kb)
+    c = c.reshape(-1)
+    return c if maps is None else _per_qubit(c, maps)
 
 
 def _from_dense(m: np.ndarray, maps=None) -> "Multivector":
@@ -391,7 +459,8 @@ class Multivector:
             return Multivector.zero(self.n_qubits)
         n = self.n_qubits
         if self._keys.size * other._keys.size >= max(_MATRIX_ROUTE_PAIRS, 1 << (2 * n + 2)):
-            return _from_dense(_to_dense(self) @ _to_dense(other))
+            m = _to_dense(self)
+            return _from_dense(m @ (m if other is self else _to_dense(other)))
         k1 = self._keys[:, None]
         k2 = other._keys[None, :]
         xm = _x_mask(self.n_qubits)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -101,12 +102,12 @@ def _csv_field(s: str) -> str:
     return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
 
 
-def _cells(col) -> list[str]:
+def _cells(col, quote=_csv_field) -> list[str]:
     """A column's values as CSV fields: floats as repr(float(f"{x:.12g}")),
     12 significant digits in Python's shortest repr; ints as str; strings
-    as they are, quoted where RFC 4180 needs it."""
+    through ``quote``, by default quoted where RFC 4180 needs it."""
     if isinstance(col, list):
-        fields = {s: _csv_field(s) for s in set(col)}
+        fields = {s: quote(s) for s in set(col)}
         return list(map(fields.__getitem__, col))
     if col.dtype.kind != "f":
         return list(map(str, col.tolist()))
@@ -123,12 +124,40 @@ def _cells(col) -> list[str]:
     return cells
 
 
+# json.dumps' spelling of the non-finite floats Python's repr writes
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cells(col) -> list[str]:
+    """A column's values as JSON text: the CSV field of each number read
+    back, as json.dumps writes it, and strings through json.dumps."""
+    cells = _cells(col, json.dumps)
+    if not isinstance(col, list) and not np.isfinite(col).all():
+        cells = [_JSON_NONFINITE.get(c, c) for c in cells]
+    return cells
+
+
+# rows formatted at a time
+_CHUNK_ROWS = 8192
+
+
 def _csv_chunks(table: Table):
     yield ",".join(map(_csv_field, table.columns)) + "\n"
-    step = 8192  # rows formatted at a time
-    for start in range(0, len(table), step):
-        cells = [_cells(col[start : start + step]) for col in table.columns.values()]
+    for start in range(0, len(table), _CHUNK_ROWS):
+        cells = [_cells(col[start : start + _CHUNK_ROWS]) for col in table.columns.values()]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _json_chunks(command: str, params: dict, table: Table):
+    """The text of json.dumps({"command", "params", "rows"}), with rows
+    holding the CSV row values as objects, written from the cells."""
+    yield '{"command": %s, "params": %s, "rows": [' % (json.dumps(command), json.dumps(params))
+    row = "{%s}" % ", ".join(json.dumps(name).replace("%", "%%") + ": %s" for name in table.columns)
+    for start in range(0, len(table), _CHUNK_ROWS):
+        cells = [_json_cells(col[start : start + _CHUNK_ROWS]) for col in table.columns.values()]
+        text = ", ".join([row] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
+        yield ", " + text if start else text
+    yield "]}"
 
 
 def emit(args, table: Table) -> None:
@@ -140,13 +169,7 @@ def emit(args, table: Table) -> None:
     """
     if args.format == "json":
         params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out", "format")}
-        # the CSV text read back: floats as float(f"{x:.12g}"), ints as int
-        values = [
-            col if isinstance(col, list) else list(map(float if col.dtype.kind == "f" else int, _cells(col)))
-            for col in table.columns.values()
-        ]
-        rows = [dict(zip(table.columns, row)) for row in zip(*values)]
-        chunks = [json.dumps({"command": args.command, "params": params, "rows": rows})]
+        chunks = _json_chunks(args.command, params, table)
     else:
         chunks = _csv_chunks(table)
     if not args.out:

@@ -420,6 +420,21 @@ def test_float_cells_equal_repr_of_12_digits(xs):
     assert cli._cells(np.array(xs, dtype=float)) == [repr(float(f"{x:.12g}")) for x in xs]
 
 
+def test_json_rows_equal_cells_read_back(capsys):
+    # every float edge, ints, and strings that CSV quotes or JSON escapes,
+    # against json.dumps of the CSV cells read back as Python values
+    xs = np.array(FORMAT_EDGES + [-x for x in FORMAT_EDGES])
+    labels = ["", "a,b", 'say "hi"', "100%", "%s", "line\nbreak", "\u00e9\u2014"]
+    labels = (labels * len(xs))[: len(xs)]
+    table = cli.Table(label=labels, x=xs, k=np.arange(len(xs)) - 3)
+    args = argparse.Namespace(command="t", format="json", out=None, va=0.5)
+    cli.emit(args, table)
+    rows = [{"label": s, "x": float(c), "k": int(k) - 3} for s, c, k in zip(labels, cli._cells(xs), range(len(xs)))]
+    assert capsys.readouterr().out == json.dumps({"command": "t", "params": {"va": 0.5}, "rows": rows}) + "\n"
+    cli.emit(args, cli.Table(x=np.empty(0)))
+    assert capsys.readouterr().out == json.dumps({"command": "t", "params": {"va": 0.5}, "rows": []}) + "\n"
+
+
 def _fmt(x):
     return float(f"{x:.12g}")
 

@@ -1,11 +1,47 @@
 """The dense core of `msta.algebra` against the oracle and the paper's
 projector-sphere construction."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from msta import algebra, oracle, states
-from msta.algebra import PRUNE_EPS, Multivector, PauliString, _from_dense, _to_dense
+from msta.algebra import PRUNE_EPS, Multivector, PauliString, _dense_coeffs, _from_dense, _to_dense
+
+# The per-qubit form of the transform, kept as the reference for the
+# table-driven one: per qubit, the 4x4 map from its (row bit, column bit)
+# entries 2 r + c to the codes I, X, Z, Y, and back, applied along each
+# qubit's axis of the matrix reshaped to (2,) * 2n and transposed to key
+# order (r_{n-1}, c_{n-1}, ..., r_0, c_0).
+ENTRIES_TO_CODES = 0.5 * np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1j, -1j, 0]])
+CODES_TO_ENTRIES = np.array([[1, 0, 1, 0], [0, 1, 0, -1j], [0, 1, 0, 1j], [1, 0, -1, 0]])
+
+
+def per_qubit(t, maps):
+    t = t.reshape(4, -1)
+    for m in reversed(maps):
+        t = (m @ t).T.reshape(4, -1)
+    return t.reshape(-1)
+
+
+def key_axes(n):
+    return tuple(ax for q in reversed(range(n)) for ax in (q, n + q))
+
+
+def reference_to_dense(a):
+    n, d = a.n_qubits, 1 << a.n_qubits
+    coeffs = np.zeros(1 << (2 * n), dtype=np.complex128)
+    coeffs[a._keys] = a._coeffs
+    t = per_qubit(coeffs, (CODES_TO_ENTRIES,) * n)
+    return t.reshape((2,) * (2 * n)).transpose(np.argsort(key_axes(n))).reshape(d, d)
+
+
+def reference_dense_coeffs(m, maps=None):
+    n = m.shape[0].bit_length() - 1
+    maps = (np.eye(4),) * n if maps is None else maps
+    return per_qubit(m.reshape((2,) * (2 * n)).transpose(key_axes(n)).reshape(-1), [r @ ENTRIES_TO_CODES for r in maps])
 
 
 def random_terms(n, k, rng, scale=None):
@@ -46,7 +82,7 @@ def test_transform_equals_sphere_reference(n, rng):
             assert coeff_diff(got, want) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_to_dense_matches_oracle_and_round_trips(n, rng):
     a = random_terms(n, min(1 << (2 * n), 48), rng, scale=1.0)
     m = _to_dense(a)
@@ -62,8 +98,10 @@ def test_products_on_both_sides_of_the_crossover(n, rng, monkeypatch):
     dense_calls = []
     real_to_dense = algebra._to_dense
     monkeypatch.setattr(algebra, "_to_dense", lambda a: dense_calls.append(a) or real_to_dense(a))
-    k = 1 << 7
-    cases = [(k, k * 2), (k * 2 - 1, k)]  # 2^15 pairs, then just below
+    # the least pair count on the matrix route, then just below it
+    cut = max(algebra._MATRIX_ROUTE_PAIRS, 1 << (2 * n + 2))
+    k = 1 << (cut.bit_length() // 2)
+    cases = [(k, cut // k), (k - 1, cut // k)]
     if n <= 5:
         full = 1 << (2 * n)
         cases.append((full, full))
@@ -71,7 +109,7 @@ def test_products_on_both_sides_of_the_crossover(n, rng, monkeypatch):
         a, b = random_terms(n, ka, rng), random_terms(n, kb, rng)
         dense_calls.clear()
         got = a * b
-        assert len(dense_calls) == (2 if ka * kb >= algebra._MATRIX_ROUTE_PAIRS else 0)
+        assert len(dense_calls) == (2 if ka * kb >= cut else 0)
         want = oracle.from_matrix(oracle.to_matrix(a) @ oracle.to_matrix(b))
         assert coeff_diff(got, want) < 1e-12
 
@@ -115,3 +153,34 @@ def test_matrix_route_results_are_canonical(rng):
     zero = Multivector.zero(4)
     assert len(rho * zero) == 0 and len(zero * rho) == 0
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_table_transform_equals_per_qubit_reference(n, rng):
+    d = 1 << n
+    for _ in range(2):
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert np.abs(_dense_coeffs(m) - reference_dense_coeffs(m)).max() < 1e-13
+        maps = [states._frame_map(axis) for axis in random_axes(n, rng)]
+        assert np.abs(_dense_coeffs(m, maps) - reference_dense_coeffs(m, maps)).max() < 1e-13
+        for a in (random_terms(n, min(1 << (2 * n), 48), rng, scale=1.0), _from_dense(m)):
+            assert np.abs(_to_dense(a) - reference_to_dense(a)).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_square_converts_once(n, rng, monkeypatch):
+    dense_calls = []
+    real_to_dense = algebra._to_dense
+    monkeypatch.setattr(algebra, "_to_dense", lambda a: dense_calls.append(a) or real_to_dense(a))
+    a = random_terms(n, 1 << (2 * n), rng)
+    assert len(a) ** 2 >= max(algebra._MATRIX_ROUTE_PAIRS, 1 << (2 * n + 2))
+    got = a * a
+    assert len(dense_calls) == 1
+    want = oracle.from_matrix(oracle.to_matrix(a) @ oracle.to_matrix(a))
+    assert coeff_diff(got, want) < 1e-12
+
+
+def test_import_builds_no_table():
+    code = "import msta, msta.cli; from msta import algebra; print(algebra._dense_layout.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
