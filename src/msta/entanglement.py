@@ -12,19 +12,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector
+from .algebra import Multivector, _digit_mask, _kept_digits, _magnitudes, _qubit_set, _x_mask
 from .states import DensityOperator, _unit3, bloch_slice
 from .tolerances import OUTCOME_FLOOR
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Reduced operator on the kept qubits: drop the rest, rescale by 2^d."""
-    keep = sorted(set(keep))
-    if not keep or len(keep) >= rho.n_qubits:
+    """Reduced operator on the kept qubits: drop the rest, rescale by 2^d.
+
+    One pass over the terms: select those that act on the kept qubits
+    only, scale them by 2^d, then reindex the selected keys; the result
+    equals ``rho.mv.drop_qubits(dropped) * 2.0**d`` bit for bit.  Raises
+    ValueError unless ``keep`` is a nonempty proper subset of the qubit
+    indices 0..n-1, or if a scaled coefficient overflows."""
+    n = rho.n_qubits
+    keep = _qubit_set(keep, n)
+    if not keep or len(keep) >= n:
         raise ValueError("keep must be a nonempty proper subset of qubits")
-    dropped = [q for q in range(rho.n_qubits) if q not in keep]
-    mv = rho.mv.drop_qubits(dropped) * float(2 ** len(dropped))
-    return DensityOperator(mv)
+    mv = rho.mv
+    sel = (mv._keys & (3 * _x_mask(n) ^ _digit_mask(keep))) == 0
+    coeffs = mv._coeffs[sel] * float(2 ** (n - len(keep)))
+    # every stored coefficient is above the prune and 2^d >= 2, so the
+    # scaled ones are too: only the finiteness check can fail
+    _magnitudes(coeffs)
+    return DensityOperator(Multivector._raw(len(keep), _kept_digits(mv._keys[sel], keep), coeffs))
 
 
 def _require_pure_2q(rho: DensityOperator) -> None:

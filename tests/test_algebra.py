@@ -9,13 +9,15 @@ from msta import oracle
 from msta.algebra import (
     Multivector,
     PauliString,
+    _dense_exp_i,
     _merge_terms,
     _sum_by_slot,
+    _to_dense,
     allclose,
     exp_i,
     single_letter_product,
 )
-from conftest import random_hermitian_mv, random_multivector
+from conftest import fresh_copy, random_hermitian_mv, random_multivector, same_bits
 
 
 def test_single_letter_products():
@@ -200,6 +202,66 @@ def test_exp_rejects_non_finite_and_huge_times():
                 exp_i(h, t)
     with pytest.raises(ValueError):
         exp_i(Multivector(1, {"X": np.inf}), 1.0)
+
+
+def test_exp_memo_cold_and_warm_calls_agree(rng):
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            h = random_hermitian_mv(n, rng)
+            t = float(rng.uniform(-3, 3))
+            assert h._spectrum is None
+            cold = exp_i(h, t)
+            assert h._spectrum is not None
+            warm = exp_i(h, t)
+            assert same_bits(cold, warm)
+            assert same_bits(warm, exp_i(fresh_copy(h), t))
+            assert _dense_exp_i(h, t).tobytes() == _dense_exp_i(fresh_copy(h), t).tobytes()
+            assert fresh_copy(h) == h
+
+
+def test_exp_non_hermitian_raises_every_call_and_keeps_no_spectrum():
+    h = Multivector(2, {"XX": 0.5, "ZI": 0.25j})
+    for _ in range(3):
+        with pytest.raises(ValueError, match="Hermitian generator"):
+            exp_i(h, 1.0)
+    assert h._spectrum is None
+
+
+def test_exp_time_checks_hold_after_the_memo():
+    h = Multivector(2, {"XX": 0.5, "ZI": 0.25})
+    exp_i(h, 0.3)
+    assert h._spectrum is not None
+    huge = 2.0**31 / h.norm1() * 1.5
+    for t in (np.nan, np.inf, -np.inf, 1e300, huge):
+        with pytest.raises(ValueError) as cold:
+            exp_i(fresh_copy(h), t)
+        with pytest.raises(ValueError) as warm:
+            exp_i(h, t)
+        assert str(warm.value) == str(cold.value)
+    with pytest.raises(ValueError, match=r"^exp_i needs a finite time, got nan$"):
+        exp_i(h, np.nan)
+    with pytest.raises(ValueError, match=r"^exp_i: \|t\| \* norm1\(a\) = [0-9.e+]+ exceeds 2\^31$"):
+        exp_i(h, huge)
+
+
+def test_memoized_dense_matrix_is_read_only_and_fresh(rng):
+    for n in (1, 2, 3, 4):
+        a = random_multivector(n, rng)
+        m = _to_dense(a)
+        assert not m.flags.writeable
+        assert _to_dense(a) is m
+        assert m.tobytes() == _to_dense(fresh_copy(a)).tobytes()
+        assert np.abs(m - oracle.to_matrix(a)).max() < 1e-12
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
+def test_nothing_is_memoized_above_four_qubits(rng):
+    h = random_hermitian_mv(5, rng)
+    m = _to_dense(h)
+    assert h._dense is None and m.flags.writeable
+    exp_i(h, 0.4)
+    assert h._dense is None and h._spectrum is None
 
 
 def test_rotors_are_unitary(rng):

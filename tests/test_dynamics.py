@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from msta import oracle, states
-from msta.algebra import Multivector, allclose, exp_i
+from msta.algebra import Multivector, _to_dense, allclose, exp_i
 from msta.dynamics import (
     ExchangeHamiltonian,
     ProductEvolution,
@@ -17,7 +17,7 @@ from msta.dynamics import (
 from msta.entanglement import partial_trace
 from msta.states import ProductState, bell, product_state
 
-from conftest import random_hermitian_mv
+from conftest import fresh_copy, random_hermitian_mv, same_bits
 
 
 def random_h(rng):
@@ -119,6 +119,46 @@ def test_evolve_matches_oracle(rng):
         assert allclose(got.mv, u * rho0.mv * u.reverse(), 1e-12)
         um = oracle.expm_minus_i(oracle.to_matrix(hmv), t)
         assert np.abs(got.matrix() - um @ rho0.matrix() @ um.conj().T).max() < 1e-9
+
+
+def test_evolve_memo_cold_and_warm_calls_agree(rng):
+    # the generator keeps its spectrum and the start its matrix, so later
+    # steps reuse both; every step equals a step from fresh equal copies
+    for n in (2, 3, 4):
+        hmv = hamiltonian(random_h(rng)) if n == 2 else random_hermitian_mv(n, rng)
+        rho0 = states.pure_state_from_amplitudes(oracle.random_statevector(n, rng))
+        for t in rng.uniform(-3, 3, size=3):
+            got = evolve(rho0, hmv, float(t))
+            assert hmv._spectrum is not None and rho0.mv._dense is not None
+            again = evolve(rho0, hmv, float(t))
+            fresh = evolve(states.DensityOperator(fresh_copy(rho0.mv)), fresh_copy(hmv), float(t))
+            assert same_bits(got.mv, again.mv) and same_bits(got.mv, fresh.mv)
+
+
+def test_evolve_rejects_a_non_hermitian_generator_every_call():
+    rho0 = product_state(ProductState.computational("00"))
+    hmv = Multivector(2, {"XX": 0.5, "ZI": 0.25j})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="Hermitian generator"):
+            evolve(rho0, hmv, 1.0)
+    assert hmv._spectrum is None
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_memoized_spectrum_equals_closed_form_energies(degenerate, rng):
+    if degenerate:
+        cases = [ExchangeHamiltonian(0.7, 0.7, 0.4, 0.3, -0.3)]
+    else:
+        cases = [random_h(rng) for _ in range(10)]
+    rho0 = product_state(ProductState.computational("01"))
+    for h in cases:
+        hmv = hamiltonian(h)
+        evolve(rho0, hmv, 0.5)
+        w, v, norm1 = hmv._spectrum
+        want = sorted(e for _, e in eigensystem_2q(h))
+        assert np.abs(w - np.array(want)).max() < 1e-12
+        assert norm1 == hmv.norm1()
+        assert np.abs((v * w) @ v.conj().T - _to_dense(hmv)).max() < 1e-12
 
 
 def test_evolve_preserves_spectrum(rng):

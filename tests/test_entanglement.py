@@ -16,6 +16,8 @@ from msta.entanglement import (
 )
 from msta.states import ProductState, bell, local_rotor, product_state, projector_sphere, sphere_state
 
+from conftest import same_bits
+
 
 def sphere00_11():
     c = ProductState.computational
@@ -43,6 +45,28 @@ def test_partial_trace_matches_oracle(rng):
         assert np.abs(got - want).max() < 1e-12
     with pytest.raises(ValueError):
         partial_trace(rho, [0, 1, 2])
+
+
+def test_partial_trace_rejects_qubits_out_of_range(rng):
+    # [0, 7] on 3 qubits must not reduce to qubit 0 alone
+    rho = states.pure_state_from_amplitudes(oracle.random_statevector(3, rng))
+    for keep in ([0, 7], [-1, 0], [3], [0, 1.0], [0.5], ["0"]):
+        with pytest.raises(ValueError):
+            partial_trace(rho, keep)
+    for keep in ([], [2, 0, 1], [1, 1, 0, 2]):
+        with pytest.raises(ValueError, match="proper subset"):
+            partial_trace(rho, keep)
+
+
+def test_partial_trace_equals_scaled_drop_bit_for_bit(rng):
+    for n in (2, 3, 5, 7):
+        rho = states.pure_state_from_amplitudes(oracle.random_statevector(n, rng))
+        for _ in range(6):
+            keep = rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist()
+            dropped = [q for q in range(n) if q not in keep]
+            got = partial_trace(rho, keep).mv
+            want = rho.mv.drop_qubits(dropped) * 2.0 ** len(dropped)
+            assert same_bits(got, want)
 
 
 def test_entropy_endpoints_and_value():
