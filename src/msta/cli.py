@@ -362,16 +362,12 @@ def verify_algebra_once(n: int, rng: np.random.Generator) -> float:
         excluded = int(rng.integers(0, n))
         keep = [q for q in range(n) if q != excluded]
         reduced = a.drop_qubits([excluded]) * 2.0
-        errs.append(
-            float(
-                np.abs(oracle.to_matrix(reduced) - oracle.partial_trace_matrix(ma, keep, n)).max()
-            )
-        )
+        want = oracle.partial_trace_matrix(ma, keep, n)
+        errs.append(float(np.abs(oracle.to_matrix(reduced) - want).max()))
     h = a + a.reverse()
     t = float(rng.uniform(-1.0, 1.0))
-    errs.append(
-        float(np.abs(oracle.to_matrix(exp_i(h, t)) - oracle.expm_minus_i(oracle.to_matrix(h), t)).max())
-    )
+    want = oracle.expm_minus_i(oracle.to_matrix(h), t)
+    errs.append(float(np.abs(oracle.to_matrix(exp_i(h, t)) - want).max()))
     return max(errs)
 
 
@@ -438,8 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
         "invariants",
         cmd_invariants,
         "local-unitary invariants of a state file",
-        "quantity,value.  On a pure state B cancels down to "
-        "1e-9..1e-6, so its last printed digits are rounding noise.",
+        "quantity,value.  On a pure state B cancels down to 1e-9..1e-6, and the "
+        "solver fixes the angles only to about 1e-12 absolute, so the last "
+        "printed digits of both are rounding noise.",
     )
     p.add_argument("--state", required=True, help="JSON state file")
 

@@ -3,6 +3,7 @@
 Everything here works on plain 2^N x 2^N complex arrays and is kept
 independent of the multivector code paths it verifies: eigenvalues come
 from a self-contained cyclic Jacobi sweep rather than a library solver.
+Input checks are written as ``not x <= bound``, so that NaN fails them.
 """
 
 from __future__ import annotations
@@ -11,15 +12,11 @@ import math
 
 import numpy as np
 
-from .algebra import MAX_QUBITS, Multivector, _merge_terms
+from .algebra import MAX_QUBITS, Multivector
 
-# single-qubit basis in blade-code order I, X, Z, Y
-_SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-)
+# row k: the Pauli matrix of code k (I, X, Z, Y) as entries 2 r + c
+_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, -1j, 1j, 0]], dtype=complex)
+_LETTERS = np.array(list("IXZY"))
 
 
 def _n_from_dim(dim: int) -> int:
@@ -31,45 +28,46 @@ def _n_from_dim(dim: int) -> int:
     return n
 
 
+def _each_qubit(t: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Apply the 4x4 map ``op`` (out, in) along every axis of a (4,)^n
+    tensor: n rounds of `np.tensordot(t, op, axes=(0, 1))` as one matmul,
+    each contracting the leading axis and appending the result last."""
+    shape = t.shape
+    for _ in shape:
+        t = t.reshape(4, -1).T @ op.T
+    return t.reshape(shape)
+
+
+def _pair_axes(n: int) -> list[int]:
+    """(row, column) axis pairs of a matrix reshaped to (2,) * 2n, qubit 0 first."""
+    return [axis for q in range(n) for axis in (q, n + q)]
+
+
 def to_matrix(a: Multivector) -> np.ndarray:
     """Map a multivector to its matrix: blades to Kronecker products of
     Pauli matrices, iota to the imaginary unit."""
     n = a.n_qubits
     dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    for key, coeff in a.items():
-        m = _SIGMA[key & 3]
-        for q in range(1, n):
-            m = np.kron(m, _SIGMA[(key >> (2 * q)) & 3])
-        out += coeff * m
-    return out
+    terms = dict(a.items())
+    t = np.zeros(dim * dim, dtype=complex)
+    t[list(terms)] = list(terms.values())
+    # key order puts qubit n - 1 on the leading axis; .T puts qubit q on axis q
+    t = _each_qubit(t.reshape((4,) * n).T, _PAULI.T)
+    return t.reshape((2,) * (2 * n)).transpose(np.argsort(_pair_axes(n))).reshape(dim, dim)
 
 
 def from_matrix(m: np.ndarray) -> Multivector:
-    """Inverse of `to_matrix` by recursive block decomposition.
-
-    Qubit 0 is the most significant index bit, so the top-level 2x2 block
-    structure of the matrix is qubit 0's Pauli expansion.
-    """
+    """Inverse of `to_matrix` by the trace formula c_k = Tr(P_k M) / 2^n,
+    one factor Tr(sigma_k A) / 2 per qubit."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     n = _n_from_dim(m.shape[0])
-    work: dict[int, np.ndarray] = {0: m}
-    for q in range(n):
-        nxt: dict[int, np.ndarray] = {}
-        for key, blk in work.items():
-            h = blk.shape[0] // 2
-            a, b = blk[:h, :h], blk[:h, h:]
-            c, d = blk[h:, :h], blk[h:, h:]
-            comps = ((a + d) / 2, (b + c) / 2, (a - d) / 2, 0.5j * (b - c))
-            for code, sub in enumerate(comps):
-                if np.any(sub):
-                    nxt[key | (code << (2 * q))] = sub
-        work = nxt
-    keys = np.fromiter(work.keys(), dtype=np.int64, count=len(work))
-    coeffs = np.array([blk[0, 0] for blk in work.values()], dtype=complex)
-    return Multivector._raw(n, *_merge_terms(n, keys, coeffs))
+    t = m.reshape((2,) * (2 * n)).transpose(_pair_axes(n)).reshape((4,) * n)
+    t = _each_qubit(t, _PAULI.conj() / 2)
+    codes = np.nonzero(t)
+    labels = _LETTERS[np.stack(codes, axis=-1)].view(f"U{n}").ravel()
+    return Multivector(n, dict(zip(labels.tolist(), t[codes].tolist())))
 
 
 def jacobi_eigh(h: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
@@ -83,7 +81,7 @@ def jacobi_eigh(h: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
     m = np.array(h, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.abs(m - m.conj().T).max() > 1e-8:
+    if not np.abs(m - m.conj().T).max() <= 1e-8:
         raise ValueError("matrix is not Hermitian")
     d = m.shape[0]
     v = np.eye(d, dtype=complex)
@@ -140,10 +138,10 @@ def expm_minus_i(h: np.ndarray, t: float) -> np.ndarray:
 def oracle_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy -sum(lam log2 lam) of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
+    if not np.abs(rho - rho.conj().T).max() <= 1e-10:
         raise ValueError("density matrix is not Hermitian")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-10:
+    if not abs(tr - 1.0) <= 1e-10:
         raise ValueError(f"density matrix trace {tr} differs from 1")
     w, _ = jacobi_eigh(rho)
     if w.min() < -1e-10:
@@ -158,7 +156,7 @@ def statevector_density(amps) -> np.ndarray:
     psi = np.asarray(amps, dtype=complex).ravel()
     _n_from_dim(psi.size)
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"statevector norm {nrm} differs from 1")
     return np.outer(psi, psi.conj())
 
@@ -166,9 +164,14 @@ def statevector_density(amps) -> np.ndarray:
 def partial_trace_matrix(m: np.ndarray, keep, n: int) -> np.ndarray:
     """Partial trace of a 2^n x 2^n matrix onto the kept qubits (sorted)."""
     keep = sorted(set(keep))
+    if keep and not 0 <= keep[0] <= keep[-1] < n:
+        raise ValueError(f"keep index {keep[0] if keep[0] < 0 else keep[-1]} out of range for n={n}")
     if not keep or len(keep) >= n:
         raise ValueError("keep must be a nonempty proper subset")
-    t = np.asarray(m, dtype=complex).reshape((2,) * (2 * n))
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (1 << n, 1 << n):
+        raise ValueError(f"expected a {1 << n}x{1 << n} matrix for n={n}, got shape {m.shape}")
+    t = m.reshape((2,) * (2 * n))
     # contract row/col axes of each dropped qubit
     dropped = [q for q in range(n) if q not in keep]
     for q in sorted(dropped, reverse=True):

@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import oracle
 from .algebra import Multivector, _dense_coeffs, _from_dense, _magnitudes, _to_dense, _x_mask, exp_i
 from .tolerances import (
     AXIS_TOL, HERMITIAN_TOL, IDENTITY_TOL, NEGLIGIBLE_WEIGHT, NORM_TOL, PRUNE_EPS, PURE_TOL, TRACE_TOL,
@@ -77,7 +76,8 @@ class DensityOperator:
         self.n_qubits = mv.n_qubits
 
     def matrix(self) -> np.ndarray:
-        return oracle.to_matrix(self.mv)
+        """The 2^n x 2^n density matrix, a writable copy."""
+        return _to_dense(self.mv).copy()
 
     def purity(self) -> float:
         """Tr(rho^2) = 2^N <rho rho> = 2^N sum_k c_k^2: every blade squares

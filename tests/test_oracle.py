@@ -3,7 +3,95 @@ import pytest
 
 from msta import oracle
 from msta.algebra import Multivector
+from msta.states import DensityOperator
 from conftest import random_hermitian_mv, random_multivector
+
+# single-qubit basis in blade-code order I, X, Z, Y
+_SIGMA = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+)
+
+
+def kron_to_matrix(a):
+    """Reference `to_matrix`: one Kronecker chain of Pauli matrices per term."""
+    n = a.n_qubits
+    dim = 1 << n
+    out = np.zeros((dim, dim), dtype=complex)
+    for key, coeff in a.items():
+        m = _SIGMA[key & 3]
+        for q in range(1, n):
+            m = np.kron(m, _SIGMA[(key >> (2 * q)) & 3])
+        out += coeff * m
+    return out
+
+
+def block_from_matrix(m):
+    """Reference `from_matrix` as {key: coefficient}, by recursive block
+    decomposition: qubit 0 is the most significant index bit, so the
+    top-level 2x2 block structure of the matrix is qubit 0's Pauli
+    expansion."""
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[0].bit_length() - 1
+    work = {0: m}
+    for q in range(n):
+        nxt = {}
+        for key, blk in work.items():
+            h = blk.shape[0] // 2
+            a, b = blk[:h, :h], blk[:h, h:]
+            c, d = blk[h:, :h], blk[h:, h:]
+            comps = ((a + d) / 2, (b + c) / 2, (a - d) / 2, 0.5j * (b - c))
+            for code, sub in enumerate(comps):
+                if np.any(sub):
+                    nxt[key | (code << (2 * q))] = sub
+        work = nxt
+    return {key: complex(blk[0, 0]) for key, blk in work.items()}
+
+
+def coeff_vector(terms, n):
+    """A {key: coefficient} map as a dense vector in key order."""
+    out = np.zeros(1 << (2 * n), dtype=complex)
+    out[list(terms)] = list(terms.values())
+    return out
+
+
+def random_density_matrix(n, rng):
+    a = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_contraction_matches_kron_and_block_references(n, rng):
+    for _ in range(10):
+        a = random_multivector(n, rng, max_terms=12)
+        assert np.abs(oracle.to_matrix(a) - kron_to_matrix(a)).max() <= 1e-15
+        rho = random_density_matrix(n, rng)
+        got = coeff_vector(dict(oracle.from_matrix(rho).items()), n)
+        assert np.abs(got - coeff_vector(block_from_matrix(rho), n)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_contraction_is_exact_on_single_blades(n, rng):
+    for key in range(1 << (2 * n)):
+        label = "".join("IXZY"[(key >> (2 * q)) & 3] for q in range(n))
+        blade = Multivector.blade(label, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        m = kron_to_matrix(blade)
+        assert np.array_equal(oracle.to_matrix(blade), m)
+        assert oracle.from_matrix(m) == blade
+        assert dict(oracle.from_matrix(m).items()) == block_from_matrix(m)
+
+
+def test_density_matrix_is_a_writable_copy_equal_to_the_oracle(rng):
+    for n in (1, 2, 3, 5):
+        rho = DensityOperator(oracle.from_matrix(random_density_matrix(n, rng)))
+        m = rho.matrix()
+        assert m.flags.writeable
+        assert np.abs(m - oracle.to_matrix(rho.mv)).max() <= 1e-15
+        m[0, 0] += 1.0
+        assert np.abs(rho.matrix() - oracle.to_matrix(rho.mv)).max() <= 1e-15
 
 
 def test_to_matrix_blade():
@@ -63,6 +151,13 @@ def test_jacobi_rejects_non_hermitian():
         oracle.jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_jacobi_rejects_nan():
+    # a NaN entry used to pass the Hermitian check and run every sweep
+    # before failing with "off-diagonal norm nan"
+    with pytest.raises(ValueError, match="not Hermitian"):
+        oracle.jacobi_eigh(np.diag([np.nan, 0.0]))
+
+
 def test_entropy_examples():
     # pure state
     assert oracle.oracle_entropy(np.diag([1.0, 0.0])) == 0.0
@@ -79,6 +174,9 @@ def test_entropy_validation():
         oracle.oracle_entropy(np.diag([0.9, 0.0]))
     with pytest.raises(ValueError):
         oracle.oracle_entropy(np.diag([1.1, -0.1]))
+    # NaN fails the Hermitian check, not Jacobi's sweep limit
+    with pytest.raises(ValueError, match="not Hermitian"):
+        oracle.oracle_entropy(np.diag([np.nan, 1.0]))
 
 
 def test_entropy_unitary_invariance(rng):
@@ -99,6 +197,20 @@ def test_statevector_density():
     assert np.abs(got - 0.5).max() < 1e-15
     with pytest.raises(ValueError):
         oracle.statevector_density([1.0, 1.0])
+    with pytest.raises(ValueError, match="norm nan"):
+        oracle.statevector_density([np.nan, 0, 0, 0])
+
+
+def test_partial_trace_matrix_checks_its_arguments():
+    m = np.eye(4) / 4
+    assert np.abs(oracle.partial_trace_matrix(m, [1], 2) - np.eye(2) / 2).max() == 0.0
+    for keep in ([2], [-1], [0, 5]):
+        bad = max(keep) if max(keep) > 0 else min(keep)
+        with pytest.raises(ValueError, match=f"keep index {bad} out of range"):
+            oracle.partial_trace_matrix(m, keep, 2)
+    for shape in ((8, 8), (3, 4), (4,)):
+        with pytest.raises(ValueError, match=rf"got shape \({shape[0]},"):
+            oracle.partial_trace_matrix(np.zeros(shape), [0], 2)
 
 
 def test_statevector_matches_ghz_construction():

@@ -1,4 +1,5 @@
-"""Every numerical threshold in msta is named once, in `msta.tolerances`."""
+"""Every numerical threshold in msta is named once, in `msta.tolerances`,
+and the oracle shares no code with the library it checks."""
 
 import ast
 import io
@@ -35,3 +36,58 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, "raise an exception instead of asserting at: " + ", ".join(found)
+
+
+def _tree(name):
+    return ast.parse((Path(msta.__file__).parent / name).read_text(encoding="utf-8"))
+
+
+def _imports_oracle(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name == "msta.oracle" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").removeprefix("msta").lstrip(".")
+        return module == "oracle" or (not module and any(alias.name == "oracle" for alias in node.names))
+    return False
+
+
+def test_oracle_shares_no_code_with_the_library():
+    # the oracle checks the library, so a bug in shared code would show on
+    # both sides of every check
+    tree = _tree("oracle.py")
+    imported = {
+        ((node.module or "").removeprefix("msta."), alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("msta"))
+        for alias in node.names
+    }
+    assert imported == {("algebra", "MAX_QUBITS"), ("algebra", "Multivector")}
+    private = [
+        f"oracle.py:{node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+    ]
+    assert not private, "the oracle reads private names: " + ", ".join(private)
+    importers = [
+        path.name
+        for path in sorted(Path(msta.__file__).parent.glob("*.py"))
+        if path.name != "cli.py" and any(_imports_oracle(node) for node in ast.walk(_tree(path.name)))
+    ]
+    assert not importers, "only the CLI may import the oracle: " + ", ".join(importers)
+
+
+def test_one_contraction_serves_both_oracle_conversions():
+    functions = {node.name: node for node in _tree("oracle.py").body if isinstance(node, ast.FunctionDef)}
+
+    def calls(fn):
+        return {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+        }
+
+    for name in ("to_matrix", "from_matrix"):
+        fn = functions[name]
+        assert "_each_qubit" in calls(fn) and "kron" not in calls(fn)
+        loops = [node.lineno for node in ast.walk(fn) if isinstance(node, (ast.For, ast.While))]
+        assert not loops, f"{name} loops outside the shared contraction at lines {loops}"
