@@ -181,8 +181,13 @@ def partial_trace_matrix(m: np.ndarray, keep, n: int) -> np.ndarray:
 
 
 def random_multivector(n: int, rng: np.random.Generator, max_terms: int = 6) -> Multivector:
-    """A sparse multivector: 1..max_terms random blades (repeats merge) with
-    uniform complex coefficients in [-1, 1] + i [-1, 1]."""
+    """A sparse multivector of at most max_terms blades.
+
+    Draws a term count in 1..max_terms, then that many blades uniform over
+    the 4^n Pauli strings, then one coefficient uniform in [-1, 1] +
+    i [-1, 1] per drawn blade.  A blade drawn twice keeps only its last
+    coefficient (the terms are collected by label, not summed), so the
+    result can have fewer terms than were drawn."""
     n_terms = int(rng.integers(1, max_terms + 1))
     terms = {}
     for key in rng.integers(0, 1 << (2 * n), size=n_terms):

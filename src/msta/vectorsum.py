@@ -24,8 +24,14 @@ from B = L4 + L6 e^{i theta}.  For lengths taken from expansion
 probabilities qubit b's sum then closes for every theta (its magnitude
 condition vanishes identically), which leaves qubit c's two equations in
 theta.  `solve` evaluates that reduction on a fixed periodic grid of theta,
-seeds damped Gauss-Newton on all four angles at the residual's local minima
-of each branch, and polishes every converged root with plain Newton steps.
+symmetric under theta -> -theta, seeds damped Gauss-Newton on all four
+angles at the residual's local minima of the +psi branch, and polishes
+every converged root with plain Newton steps.  The -psi branch at -theta is
+the conjugate of the +psi branch at theta, so its roots are the conjugates
+of the +psi ones, which `solve` adds to every root it finds.  Each
+Gauss-Newton iterate carries its twelve complex vectors: the residual is
+their per-qubit sums, the Jacobian a fixed linear map of them, and the step
+the minimum-norm least-squares solution from the Jacobian's SVD.
 Every input also tries the sixteen {0, pi}^4 lattice points.  They hold the
 roots of real-amplitude states, where the Jacobian is singular and a seed
 from the grid would converge only linearly, and they stand in for the seeds
@@ -174,21 +180,50 @@ def vector_lengths(probs) -> np.ndarray:
     return np.sqrt(p[_PAIRS].prod(axis=1))
 
 
+def _vectors(lengths: np.ndarray, free_angles) -> np.ndarray:
+    """The twelve complex vectors L_k exp(i angle_k) at the given free
+    angles, shape (..., 4) in, (..., 12) out."""
+    return lengths * np.exp(1j * (np.asarray(free_angles, dtype=float) @ _ANGLE_MATRIX.T))
+
+
+def _sums(vecs: np.ndarray) -> np.ndarray:
+    """The six components of the three per-qubit sums of `_vectors`."""
+    return vecs.reshape(vecs.shape[:-1] + (3, 4)).sum(axis=-1).view(np.float64)
+
+
 def residual(lengths, free_angles) -> np.ndarray:
     """Six components (x_a, y_a, x_b, y_b, x_c, y_c) of the three planar
     sums at the given free angles, broadcast over their leading axes:
     shape (..., 4) in, (..., 6) out."""
-    ang = np.asarray(free_angles, dtype=float) @ _ANGLE_MATRIX.T
-    vecs = lengths * np.exp(1j * ang)
-    return vecs.reshape(ang.shape[:-1] + (3, 4)).sum(axis=-1).view(np.float64)
+    return _sums(_vectors(lengths, free_angles))
 
 
-def _jacobian(lengths: np.ndarray, free_angles: np.ndarray) -> np.ndarray:
-    """d residual / d free angles, shape (..., 6, 4)."""
-    ang = free_angles @ _ANGLE_MATRIX.T
-    turned = (1j * lengths * np.exp(1j * ang)).reshape(ang.shape[:-1] + (3, 1, 4))
-    per_qubit = (turned @ _ANGLE_MATRIX.reshape(3, 4, 4))[..., 0, :]
-    return np.stack([per_qubit.real, per_qubit.imag], axis=-2).reshape(ang.shape[:-1] + (6, 4))
+# d residual / d free angles from the vectors: the x row of qubit g is
+# -sum_k Im(v_k) A_k and its y row sum_k Re(v_k) A_k over g's four vectors,
+# so the Jacobian is one real (24, 24) map of the vectors' float view
+_JACOBIAN_MAP = np.zeros((12, 2, 3, 2, 4))
+_JACOBIAN_MAP[np.arange(12), 1, np.arange(12) // 4, 0] = -_ANGLE_MATRIX
+_JACOBIAN_MAP[np.arange(12), 0, np.arange(12) // 4, 1] = _ANGLE_MATRIX
+_JACOBIAN_MAP = _JACOBIAN_MAP.reshape(24, 24)
+
+
+def _jacobian(vecs: np.ndarray) -> np.ndarray:
+    """d residual / d free angles at the vectors `vecs` (S, 12): (S, 6, 4)."""
+    return (vecs.view(np.float64) @ _JACOBIAN_MAP).reshape(len(vecs), 6, 4)
+
+
+def _step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares step -pinv(J) r for each row of a
+    (S, M, N) Jacobian stack and (S, M) residuals, without forming pinv.
+
+    From the thin SVD J = U diag(s) V^T it is V (s^-1 U^T (-r)), with
+    pinv's own cutoff (`rtol=None`): singular values at most
+    max(M, N) eps s_max count as zero, so a rank-deficient J (a lattice
+    point) gets the same step as from `np.linalg.pinv`."""
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    large = s > max(jac.shape[-2:]) * np.finfo(float).eps * s[:, :1]
+    coef = np.divide((-r[:, None, :] @ u)[:, 0, :], s, out=np.zeros(s.shape), where=large)
+    return (coef[:, None, :] @ vt)[:, 0, :]
 
 
 def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -196,17 +231,22 @@ def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
     start order, each polished to full precision.
 
     All starts advance together, for at most ``_MAX_ITER`` iterations.
-    Each takes the minimum-norm least-squares step at the first length in
-    1, 1/2, ..., 2^(1 - _MAX_HALVINGS) that lowers its max-abs residual;
-    the shorter lengths are only tried, in one array pass, by the starts
-    whose full step failed.  Once that residual is below SOLVER_TOL a start
-    takes full steps only, and it retires at the first step that does not
-    strictly lower the residual: stopping at SOLVER_TOL would leave an
-    ill-conditioned root up to residual / sigma_min(J) away, 1e-7 at
-    sigma_min = 1e-4.  Starts that no step length improves retire too.
+    Each takes the minimum-norm least-squares step (`_step`: from the SVD
+    of the Jacobian, as pinv would give it) at the first length in 1, 1/2,
+    ..., 2^(1 - _MAX_HALVINGS) that lowers its max-abs residual; the
+    shorter lengths are only tried, in one array pass, by the starts whose
+    full step failed.  Each iterate carries its twelve vectors, computed
+    once when it is tried: the residual is their per-qubit sums and the
+    Jacobian a fixed linear map of them.  Once the residual is below
+    SOLVER_TOL a start takes full steps only, and it retires at the first
+    step that does not strictly lower the residual: stopping at SOLVER_TOL
+    would leave an ill-conditioned root up to residual / sigma_min(J)
+    away, 1e-7 at sigma_min = 1e-4.  Starts that no step length improves
+    retire too.
     """
     x = np.array(starts, dtype=float)
-    r = residual(lengths, x)
+    v = _vectors(lengths, x)
+    r = _sums(v)
     rnorm = np.abs(r).max(axis=-1)
     active = np.ones(len(x), dtype=bool)
     ladder = 0.5 ** np.arange(1, _MAX_HALVINGS)[:, None, None]
@@ -214,43 +254,51 @@ def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        # rtol=None cuts singular values at eps * max(M, N), as lstsq does
-        pinv = np.linalg.pinv(_jacobian(lengths, x[idx]), rtol=None)
-        step = (pinv @ -r[idx, :, None])[..., 0]
+        step = _step(_jacobian(v[idx]), r[idx])
         cand = x[idx] + step
-        rc = residual(lengths, cand)
+        vc = _vectors(lengths, cand)
+        rc = _sums(vc)
         rcn = np.abs(rc).max(axis=-1)
         ok = rcn < rnorm[idx]
         short = np.flatnonzero(~ok & (rnorm[idx] >= SOLVER_TOL))
         if short.size:
             cands = x[idx[short]] + ladder * step[short]
-            rcs = residual(lengths, cands)
+            vcs = _vectors(lengths, cands)
+            rcs = _sums(vcs)
             rcns = np.abs(rcs).max(axis=-1)
             better = rcns < rnorm[idx[short]]
             pick = better.argmax(axis=0), np.arange(short.size)
-            cand[short], rc[short], rcn[short] = cands[pick], rcs[pick], rcns[pick]
+            cand[short], vc[short], rc[short], rcn[short] = cands[pick], vcs[pick], rcs[pick], rcns[pick]
             ok[short] = better.any(axis=0)
         moved = idx[ok]
-        x[moved], r[moved], rnorm[moved] = cand[ok], rc[ok], rcn[ok]
+        x[moved], v[moved], r[moved], rnorm[moved] = cand[ok], vc[ok], rc[ok], rcn[ok]
         active[idx[~ok]] = False
     return x[rnorm < SOLVER_TOL]
 
 
 def _seeds(lengths: np.ndarray) -> np.ndarray:
-    """Starts from the one-angle reduction: for each grid theta and both
-    branches +-psi of qubit a's triangle, the free angles that close qubit
-    a's sum (and, for lengths from probabilities, qubit b's); kept where the
-    squared norm of the six sums is a periodic local minimum along its
+    """Starts from the one-angle reduction: for each grid theta and the
+    branch +psi of qubit a's triangle, the free angles that close qubit a's
+    sum (and, for lengths from probabilities, qubit b's); kept where the
+    squared norm of the six sums is a periodic local minimum along the
     branch.  Where |A| violates the triangle inequality cos psi is clipped
     to [-1, 1], so that norm stays continuous and counts qubit a's
-    mismatch.  Empty when L1 L3 = 0."""
+    mismatch.  Empty when L1 L3 = 0.
+
+    The -psi branch is not seeded: the grid is symmetric under theta ->
+    -theta, and the -psi branch at -theta is the conjugate (every angle
+    negated) of the +psi branch at theta.  So are its minima and their
+    Gauss-Newton paths, and `solve` adds the conjugate of every root.
+    Where the triangle is clipped (psi in {0, pi}) the branches meet, and
+    a -psi minimum there can be a +psi seed itself rather than a
+    conjugate one."""
     l1l3 = lengths[1] * lengths[3]
     if l1l3 == 0.0:
         return np.empty((0, 4))
     a = lengths[0] + lengths[2] * _TURN
     b = lengths[4] + lengths[6] * _TURN
     cos_psi = (np.abs(a) ** 2 - lengths[1] ** 2 - lengths[3] ** 2) / (2.0 * l1l3)
-    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0)) * np.array([[1.0], [-1.0]])
+    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
     turn_psi = np.exp(1j * psi)
     u = lengths[1] + lengths[3] * turn_psi
     w = lengths[5] + lengths[7] * turn_psi
@@ -265,8 +313,8 @@ def _seeds(lengths: np.ndarray) -> np.ndarray:
         + lengths[11] * turn_ac * turn_bc * turn_psi * _TURN.conj()
     )
     f = np.abs(a + turn_ac * u) ** 2 + np.abs(b + turn_bc * w) ** 2 + np.abs(c) ** 2
-    keep = (f <= np.roll(f, 1, axis=-1)) & (f <= np.roll(f, -1, axis=-1))
-    return np.stack(np.broadcast_arrays(_THETA, psi, phi_ac, phi_bc), axis=-1)[keep]
+    keep = (f <= np.concatenate((f[-1:], f[:-1]))) & (f <= np.concatenate((f[1:], f[:1])))
+    return np.stack([_THETA, psi, phi_ac, phi_bc], axis=-1)[keep]
 
 
 def _distinct(points: np.ndarray) -> np.ndarray:
@@ -320,8 +368,9 @@ def solve(lengths) -> list[AngleSet]:
     found = _distinct(np.vstack([found, _wrap(-found)]))
 
     sols = [AngleSet(*p) for p in found]
-    sols.sort(key=lambda s: tuple(np.round(s.as_tuple(), 9)))
-    return sols
+    # ordered by the six named angles rounded to 1e-9, the first one first
+    six = np.round([s.as_tuple() for s in sols], 9).reshape(-1, 6)
+    return [sols[i] for i in np.lexsort(six.T[::-1])]
 
 
 def reconstruct(inv: InvariantSet3Q, angles: AngleSet, axes=None) -> DensityOperator:

@@ -225,3 +225,21 @@ def test_expm_is_unitary(rng):
     h = oracle.to_matrix(random_hermitian_mv(2, rng))
     u = oracle.expm_minus_i(h, 0.8)
     assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
+
+
+def test_random_multivector_keeps_the_last_coefficient_of_a_repeated_blade():
+    # a twin generator replays the draws: count, blades, then two uniforms
+    # per drawn blade, repeats included, so the stream `verify` reads stays
+    # where it was
+    repeats = 0
+    for seed in range(40):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        mv = oracle.random_multivector(1, rng)
+        n_terms = int(twin.integers(1, 7))
+        want = {}
+        for key in twin.integers(0, 4, size=n_terms):
+            want["IXZY"[int(key)]] = complex(twin.uniform(-1, 1), twin.uniform(-1, 1))
+        repeats += len(want) < n_terms
+        assert mv.terms() == want
+        assert rng.random() == twin.random()
+    assert repeats > 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msta import oracle
+from msta import oracle, vectorsum
 from msta.invariants import (
     InfeasibleInvariantsError,
     InvariantSet3Q,
@@ -13,7 +13,14 @@ from msta.states import DensityOperator, apply_rotor, bloch_slice, local_rotor
 from msta.tolerances import PROB_FLOOR
 from msta.vectorsum import (
     _ANGLE_MATRIX,
+    _LATTICE,
+    _THETA,
+    _TURN,
     AngleSet,
+    _jacobian,
+    _seeds,
+    _step,
+    _vectors,
     _wrap,
     reconstruct,
     residual,
@@ -190,11 +197,12 @@ def test_solve_boundary_line_solution():
 
 def test_solutions_sorted_and_deduplicated(rng):
     psi, rho, inv = random_pure_invariants(rng)
-    lengths = vector_lengths(expansion_probabilities(inv))
-    sols = solve(lengths)
-    keys = [tuple(np.round(s.as_tuple(), 9)) for s in sols]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+    # the near-special and real-amplitude cases have more than one pair
+    for lengths in [vector_lengths(expansion_probabilities(inv))] + _one_branch_cases():
+        sols = solve(lengths)
+        keys = [tuple(np.round(s.as_tuple(), 9)) for s in sols]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
 
 
 def test_reconstruct_roundtrip(rng):
@@ -448,3 +456,131 @@ def test_reconstruct_refuses_nan_angles():
     ):
         with pytest.raises(ValueError, match="angles must be finite"):
             reconstruct(inv, angles)
+
+
+def test_jacobian_of_the_vectors_matches_loops(rng):
+    lengths = rng.uniform(0.0, 1.0, size=12)
+    points = rng.uniform(-np.pi, np.pi, size=(20, 4))
+    jac = _jacobian(_vectors(lengths, points))
+    for x, got in zip(points, jac):
+        assert np.allclose(got, _sums_and_jacobian(lengths, x)[1], rtol=0.0, atol=1e-15)
+
+
+def test_svd_step_equals_pinv_step(rng):
+    lengths = rng.uniform(0.1, 1.0, size=12)
+    # random stacks; the Jacobian at every {0, pi}^4 lattice point, where
+    # every vector is real and J has rank at most 3; two equal columns
+    stacks = [rng.standard_normal((k, 6, 4)) for k in (1, 4, 33)]
+    stacks.append(_jacobian(_vectors(lengths, _LATTICE)))
+    equal_columns = rng.standard_normal((5, 6, 4))
+    equal_columns[..., 3] = equal_columns[..., 1]
+    stacks.append(equal_columns)
+    # a singular value above pinv's cutoff (6 eps s_max) and one far below
+    u = np.linalg.qr(rng.standard_normal((2, 6, 4)))[0]
+    v = np.linalg.qr(rng.standard_normal((2, 4, 4)))[0]
+    s = np.array([[1.0, 0.5, 1e-3, 1e-13], [1.0, 0.3, 1e-8, 1e-18]])
+    stacks.append(u * s[:, None, :] @ v.transpose(0, 2, 1))
+    for jac in stacks:
+        r = rng.standard_normal(jac.shape[:2])
+        want = (np.linalg.pinv(jac, rtol=None) @ -r[..., None])[..., 0]
+        got = _step(jac, r)
+        err = np.linalg.norm(got - want, axis=-1)
+        assert (err <= 1e-13 * np.linalg.norm(want, axis=-1)).all()
+    assert np.linalg.matrix_rank(stacks[3]).max() <= 3
+    assert np.linalg.matrix_rank(equal_columns).max() == 3
+    assert np.linalg.matrix_rank(stacks[5], rtol=None).tolist() == [4, 3]
+
+
+def _two_branch_seeds(lengths):
+    """The seeds as they were taken from both branches +-psi: all +psi
+    seeds in theta order, then all -psi seeds."""
+    l1l3 = lengths[1] * lengths[3]
+    if l1l3 == 0.0:
+        return np.empty((0, 4))
+    a = lengths[0] + lengths[2] * _TURN
+    b = lengths[4] + lengths[6] * _TURN
+    cos_psi = (np.abs(a) ** 2 - lengths[1] ** 2 - lengths[3] ** 2) / (2.0 * l1l3)
+    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0)) * np.array([[1.0], [-1.0]])
+    turn_psi = np.exp(1j * psi)
+    u = lengths[1] + lengths[3] * turn_psi
+    w = lengths[5] + lengths[7] * turn_psi
+    phi_ac = np.angle(-a) - np.angle(u)
+    phi_bc = np.angle(-b) - np.angle(w)
+    turn_ac, turn_bc = np.exp(1j * phi_ac), np.exp(1j * phi_bc)
+    c = (
+        lengths[8]
+        + lengths[9] * turn_bc
+        + lengths[10] * turn_ac
+        + lengths[11] * turn_ac * turn_bc * turn_psi * _TURN.conj()
+    )
+    f = np.abs(a + turn_ac * u) ** 2 + np.abs(b + turn_bc * w) ** 2 + np.abs(c) ** 2
+    keep = (f <= np.roll(f, 1, axis=-1)) & (f <= np.roll(f, -1, axis=-1))
+    return np.stack(np.broadcast_arrays(_THETA, psi, phi_ac, phi_bc), axis=-1)[keep]
+
+
+def _lengths_of(psi):
+    rho = DensityOperator(oracle.from_matrix(oracle.statevector_density(psi)))
+    return vector_lengths(expansion_probabilities(invariants_3q(rho)))
+
+
+def _one_branch_cases():
+    """Seed 4004's 100 random states, seed 4005's 20 real-amplitude states
+    and states 10^-1..10^-6 from a product, GHZ or W state (four per base
+    and distance; those whose Bloch vectors vanish are skipped)."""
+    rng = np.random.default_rng(4004)
+    cases = [vector_lengths(expansion_probabilities(random_pure_invariants(rng)[2])) for _ in range(100)]
+    rng = np.random.default_rng(4005)
+    for _ in range(20):
+        psi = rng.standard_normal(8)
+        cases.append(_lengths_of((psi / np.linalg.norm(psi)).astype(complex)))
+    product, ghz, w = np.zeros((3, 8), dtype=complex)
+    product[0] = 1.0
+    ghz[[0, 7]] = 2**-0.5
+    w[[1, 2, 4]] = 3**-0.5
+    rng = np.random.default_rng(4006)
+    for base in (product, ghz, w):
+        for k in range(1, 7):
+            for _ in range(4):
+                psi = base + 10.0**-k * oracle.random_statevector(3, rng)
+                try:
+                    cases.append(_lengths_of(psi / np.linalg.norm(psi)))
+                except ValueError:
+                    continue
+    return cases
+
+
+def test_minus_psi_seeds_are_conjugates_of_plus_psi_seeds():
+    for lengths in _one_branch_cases():
+        plus = _seeds(lengths)
+        both = _two_branch_seeds(lengths)
+        assert np.array_equal(both[: len(plus)], plus)
+        # the -psi seed at -theta is the conjugate of the +psi seed at
+        # theta.  Where the triangle is clipped (psi in {0, pi}) the two
+        # branches meet, and a tie between neighbouring grid values can keep
+        # the -psi seed at theta instead, the very point of a +psi seed
+        for seed in both[len(plus) :]:
+            conjugate = np.abs(_wrap(plus + seed)).max(axis=-1).min(initial=np.inf)
+            same = np.abs(_wrap(plus - seed)).max(axis=-1).min(initial=np.inf)
+            assert conjugate < 1e-12 or (same < 1e-12 and abs(np.sin(seed[1])) < 1e-12)
+
+
+def test_one_branch_solve_matches_two_branch_solve(monkeypatch):
+    def two_branch_solve(lengths):
+        with monkeypatch.context() as m:
+            m.setattr(vectorsum, "_seeds", _two_branch_seeds)
+            return solve(lengths)
+
+    cases = _one_branch_cases()
+    assert len(cases) > 150
+    for lengths in cases:
+        got, want = solve(lengths), two_branch_solve(lengths)
+        assert len(got) == len(want)
+        for w in want:
+            d = [np.abs(_wrap(np.subtract(g.as_tuple(), w.as_tuple()))).max() for g in got]
+            g = got[int(np.argmin(d))]
+            # two points whose residuals are at most rho can be up to about
+            # 2 rho / sigma_min(J) apart: the angles' own precision, which is
+            # above 1e-8 where the lengths are ~1e-5 (near a product state)
+            rho = max(np.abs(residual(lengths, s.free())).max() for s in (g, w))
+            sigma_min = np.linalg.svd(_jacobian(_vectors(lengths, w.free()[None]))[0], compute_uv=False)[-1]
+            assert min(d) < 1e-8 or min(d) * sigma_min < 2.0 * rho
