@@ -245,15 +245,6 @@ _MATRIX_ROUTE_PAIRS = 1 << 13
 _SPECTRAL_EXP_QUBITS = 4
 
 
-def _per_qubit(t: np.ndarray, maps) -> np.ndarray:
-    """Apply ``maps[q]``, a 4x4 matrix, along qubit q's axis of a length
-    4^n vector in key order (qubit n - 1 owns the leading base-4 digit)."""
-    t = t.reshape(4, -1)
-    for m in reversed(maps):
-        t = (m @ t).T.reshape(4, -1)
-    return t.reshape(-1)
-
-
 @lru_cache(maxsize=_BLOCK_QUBITS)
 def _dense_layout(k: int) -> tuple[np.ndarray, ...]:
     """The tables of the transform on a block of k qubits, d = 2^k: the
@@ -341,11 +332,9 @@ def _to_dense(a: "Multivector") -> np.ndarray:
     return m
 
 
-def _dense_coeffs(m: np.ndarray, maps=None) -> np.ndarray:
+def _dense_coeffs(m: np.ndarray) -> np.ndarray:
     """Every Pauli coefficient of a 2^n x 2^n matrix, in key order and
-    unpruned: `_from_dense` before its prune.  When given, ``maps[q]`` (a
-    4x4 matrix on qubit q's coefficients in code order I, X, Z, Y) is
-    applied to the result."""
+    unpruned: `_from_dense` before its prune."""
     m = np.asarray(m, dtype=np.complex128)
     n = m.shape[0].bit_length() - 1
     ka, kb = _blocks(n)
@@ -353,14 +342,13 @@ def _dense_coeffs(m: np.ndarray, maps=None) -> np.ndarray:
     c = _block_coeffs(m.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, -1), ka)
     if kb:
         c = _block_coeffs(c.T, kb)
-    c = c.reshape(-1)
-    return c if maps is None else _per_qubit(c, maps)
+    return c.reshape(-1)
 
 
-def _from_dense(m: np.ndarray, maps=None) -> "Multivector":
+def _from_dense(m: np.ndarray) -> "Multivector":
     """The canonical multivector of a 2^n x 2^n matrix, inverse to
-    `_to_dense`; ``maps`` as in `_dense_coeffs`."""
-    c = _dense_coeffs(m, maps)
+    `_to_dense`."""
+    c = _dense_coeffs(m)
     keys = _kept(c).nonzero()[0]
     return Multivector._raw(m.shape[0].bit_length() - 1, keys, c[keys])
 

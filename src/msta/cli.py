@@ -229,7 +229,10 @@ def cmd_invariants(args) -> tuple[Table, int]:
     fields = ("phi_ab", "phi_ab_prime", "phi_ac", "phi_ac_prime", "phi_bc", "phi_bc_prime")
     for i, sol in enumerate(solutions):
         out.update((f"angles[{i}].{field}", value) for field, value in zip(fields, sol.as_tuple()))
-    return _quantities(out), EXIT_SOLVER if report.feasible and not solutions else EXIT_OK
+    if report.feasible and not solutions:
+        print("error: the invariants are feasible, but the solver found no angle set", file=sys.stderr)
+        return _quantities(out), EXIT_SOLVER
+    return _quantities(out), EXIT_OK
 
 
 # -- region scan ------------------------------------------------------------
@@ -323,7 +326,8 @@ def cmd_evolve(args) -> tuple[Table, int]:
         tensor = rho_t.correlation_tensor()
         out[:3, k] = states.bloch_slice(tensor, 0)
         out[3:6, k] = states.bloch_slice(tensor, 1)
-        out[6:, k] = entanglement.entanglement_entropy(rho_t), rho_t.purity()
+        # evolve is unitary, so rho_t is as pure as rho0: no purity gate
+        out[6:, k] = entanglement._length_entropy(float(np.linalg.norm(out[:3, k]))), rho_t.purity()
     names = ("ax", "ay", "az", "bx", "by", "bz", "entropy", "purity")
     return Table(t=ts, **dict(zip(names, out))), EXIT_OK
 

@@ -54,6 +54,11 @@ def binary_entropy(p: float) -> float:
     return s
 
 
+def _length_entropy(v: float) -> float:
+    """Binary entropy of (1 + v)/2, v a reduced Bloch length clamped to 1."""
+    return binary_entropy((1.0 + min(v, 1.0)) / 2.0)
+
+
 def entanglement_entropy(rho: DensityOperator, cut: int = 0) -> float:
     """Von Neumann entropy of one qubit of a pure two-qubit state.
 
@@ -61,8 +66,7 @@ def entanglement_entropy(rho: DensityOperator, cut: int = 0) -> float:
     (1 + v)/2, maximal (= 1) when the reduced vector vanishes.
     """
     _require_pure_2q(rho)
-    v = float(np.linalg.norm(bloch_slice(rho.correlation_tensor(), cut)))
-    return binary_entropy((1.0 + min(v, 1.0)) / 2.0)
+    return _length_entropy(float(np.linalg.norm(bloch_slice(rho.correlation_tensor(), cut))))
 
 
 def concurrence_2q(rho: DensityOperator) -> float:

@@ -6,12 +6,13 @@ its own Pauli-like basis (P, X, Y, Z), the projector sphere; any
 superposition of the pair is a point on that sphere.
 
 The general pure state is built by `pure_state_from_amplitudes` with the
-dense core of `msta.algebra`: one per-qubit Walsh-Hadamard decomposition
-of |psi><psi|, O(n 4^n).  `pure_state_from_spheres` is the paper's
-construction and the reference the tests hold it equal to: the diagonal
-product-state expansion plus one X-term per pair of basis states,
-weighted by sqrt(p_i p_j) and rotated by the phase difference of the
-amplitudes, O(4^n) sphere products.
+dense core of `msta.algebra`: one table-driven Walsh-Hadamard
+decomposition of |psi><psi|, O(n 4^n); custom spin axes first rotate the
+amplitudes, one 2 x 2 frame unitary per qubit.  `pure_state_from_spheres`
+is the paper's construction and the reference the tests hold it equal
+to: the diagonal product-state expansion plus one X-term per pair of
+basis states, weighted by sqrt(p_i p_j) and rotated by the phase
+difference of the amplitudes, O(4^n) sphere products.
 """
 
 from __future__ import annotations
@@ -283,41 +284,43 @@ def _checked_amplitudes(amps, axes) -> tuple[np.ndarray, int, list]:
     return psi / nrm, n, axes
 
 
-# code order I, X, Z, Y -> Bloch component x, y, z
-_COMPONENT_OF_CODE = (0, 2, 1)
+def _frame_unitary(axis) -> np.ndarray:
+    """U = [up | sigma_e1 up] for the frame (e1, e2, axis) of `frame_for`.
 
-
-def _frame_map(axis) -> np.ndarray:
-    """diag(1, R) in code order, R = [e1 | e2 | axis] from `frame_for`.
-
-    Bit 0 of a qubit is spin up along its axis and e1 swaps up and down,
-    so a state on these axes is the z-axis state conjugated by the local
-    unitaries taking (x, y, z) to (e1, e2, axis); on Pauli coefficients
-    that is R.
+    U sigma_{x,y,z} U^H = sigma_{e1,e2,axis} whatever the phase of up, the
+    spin-up state along the axis: up = (a, b) = (1 + z, x + iy) for z >= 0
+    and (x - iy, 1 - z) below, normalised, so that -z never divides by ~0.
     """
-    r = np.column_stack(frame_for(axis))
-    out = np.zeros((4, 4))
-    out[0, 0] = 1.0
-    out[1:, 1:] = r[np.ix_(_COMPONENT_OF_CODE, _COMPONENT_OF_CODE)]
-    return out
+    e1, _, v = frame_for(axis)
+    # on Python floats: numpy scalar arithmetic costs about 10 us more per axis
+    (ex, ey, ez), (x, y, z) = e1.tolist(), v.tolist()
+    a, b = (1.0 + z, x + 1j * y) if z >= 0.0 else (x - 1j * y, 1.0 - z)
+    u = np.array([[a, ez * a + (ex - 1j * ey) * b], [b, (ex + 1j * ey) * a - ez * b]])
+    return u / (abs(a) ** 2 + abs(b) ** 2) ** 0.5
 
 
 def pure_state_from_amplitudes(amps, axes=None) -> DensityOperator:
     """Density operator of sum_i alpha_i |i> (qubit 0's bit the most
     significant), bit 0 of qubit q being spin up along ``axes[q]``.
 
-    The Pauli coefficients of |psi><psi| come from the dense core's
-    table-driven Walsh-Hadamard transform; custom axes then rotate each
-    qubit's coefficients by diag(1, R_q).  Equal to
+    Custom axes take the amplitudes to (U_0 (x) ... (x) U_{n-1}) psi with
+    U_q from `_frame_unitary`, one 2 x 2 matmul per qubit and never the
+    2^n x 2^n Kronecker product; the default z axes skip this.  The Pauli
+    coefficients of |psi><psi| then come from the dense core's
+    table-driven Walsh-Hadamard transform.  Equal to
     `pure_state_from_spheres`.  Measured up to n = 10 (2-vCPU Xeon guest,
     one BLAS thread, medians of three runs): 0.05, 0.11 and 55 ms at n = 4,
     6 and 10, and the full-density product ``rho.mv * rho.mv`` (matrix
-    route) 0.045 ms, 0.19 ms and 0.26 s.
+    route) 0.045 ms, 0.19 ms and 0.26 s.  With custom axes, 0.13, 0.19 and
+    0.42 ms at n = 2, 3 and 6 (same host under load, medians of ten runs
+    of best-of-five timeit), most of it at n = 2 in `frame_for`.
     """
     psi, _, checked = _checked_amplitudes(amps, axes)
-    # on the default z axes every frame map is the identity
-    maps = None if axes is None else [_frame_map(ax) for ax in checked]
-    return DensityOperator(_from_dense(psi[:, None] * psi.conj(), maps))
+    if axes is not None:
+        # each pass applies U_q to the leading qubit and moves that qubit last
+        for ax in checked:
+            psi = (_frame_unitary(ax) @ psi.reshape(2, -1)).T.ravel()
+    return DensityOperator(_from_dense(psi[:, None] * psi.conj()))
 
 
 def pure_state_from_spheres(amps, axes=None) -> DensityOperator:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from msta import cli, invariants, tolerances
+from msta import cli, invariants, oracle, tolerances
 from msta.cli import main, region_scan_rows, save_state
 
 
@@ -88,6 +88,24 @@ def test_invariants_json_mode(capsys, w_file):
     doc = json.loads(out)
     assert doc["command"] == "invariants"
     assert any(r["quantity"] == "I6" for r in doc["rows"])
+
+
+def test_invariants_solver_failure_names_its_cause(capsys, tmp_path):
+    # 1e-3 from |000>: the invariants pass `feasibility`, but `solve` finds
+    # no angle set, so the table ends at B and the exit code says why
+    psi = np.zeros(8, dtype=complex)
+    psi[0] = 1.0
+    psi += 1e-3 * oracle.random_statevector(3, np.random.default_rng(99))
+    path = tmp_path / "near000.json"
+    save_state(path, psi / np.linalg.norm(psi))
+    code = main(["invariants", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    vals = values_of(rows_from_csv(captured.out))
+    names = ["v_a", "v_b", "v_c", "three_tangle_sq_oracle", "degenerate", "vbar2", "vbar3"]
+    assert list(vals) == names + ["I2", "I3", "I4", "I5", "I6", "i6_minus_oracle", "feasible", "B"]
+    assert vals["feasible"] == 1.0 and vals["degenerate"] == 0.0
+    assert captured.err == "error: the invariants are feasible, but the solver found no angle set\n"
 
 
 def test_invariants_rejects_one_qubit(capsys, tmp_path):

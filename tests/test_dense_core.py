@@ -38,10 +38,9 @@ def reference_to_dense(a):
     return t.reshape((2,) * (2 * n)).transpose(np.argsort(key_axes(n))).reshape(d, d)
 
 
-def reference_dense_coeffs(m, maps=None):
+def reference_dense_coeffs(m):
     n = m.shape[0].bit_length() - 1
-    maps = (np.eye(4),) * n if maps is None else maps
-    return per_qubit(m.reshape((2,) * (2 * n)).transpose(key_axes(n)).reshape(-1), [r @ ENTRIES_TO_CODES for r in maps])
+    return per_qubit(m.reshape((2,) * (2 * n)).transpose(key_axes(n)).reshape(-1), (ENTRIES_TO_CODES,) * n)
 
 
 def random_terms(n, k, rng, scale=None):
@@ -63,6 +62,14 @@ def random_axes(n, rng):
     return [tuple(row / np.linalg.norm(row)) for row in v]
 
 
+# +-x, +-y, +-z; shifted so that each lands on every qubit
+COORDINATE_AXES = [tuple(s * np.eye(3)[k]) for k in range(3) for s in (1.0, -1.0)]
+
+
+def coordinate_axes(n):
+    return [[COORDINATE_AXES[(shift + q) % 6] for q in range(n)] for shift in range(6)]
+
+
 def named_states(n, rng):
     ghz = np.zeros(1 << n, dtype=complex)
     ghz[0] = ghz[-1] = 1 / np.sqrt(2)
@@ -76,7 +83,7 @@ def named_states(n, rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_transform_equals_sphere_reference(n, rng):
     for psi in named_states(n, rng):
-        for axes in (None, random_axes(n, rng)):
+        for axes in (None, random_axes(n, rng), *coordinate_axes(n)):
             got = states.pure_state_from_amplitudes(psi, axes=axes).mv
             want = states.pure_state_from_spheres(psi, axes=axes).mv
             assert coeff_diff(got, want) < 1e-12
@@ -161,8 +168,6 @@ def test_table_transform_equals_per_qubit_reference(n, rng):
     for _ in range(2):
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         assert np.abs(_dense_coeffs(m) - reference_dense_coeffs(m)).max() < 1e-13
-        maps = [states._frame_map(axis) for axis in random_axes(n, rng)]
-        assert np.abs(_dense_coeffs(m, maps) - reference_dense_coeffs(m, maps)).max() < 1e-13
         for a in (random_terms(n, min(1 << (2 * n), 48), rng, scale=1.0), _from_dense(m)):
             assert np.abs(_to_dense(a) - reference_to_dense(a)).max() < 1e-13
 
