@@ -105,10 +105,21 @@ def _csv_field(s: str) -> str:
 def _cells(col, quote=_csv_field) -> list[str]:
     """A column's values as CSV fields: floats as repr(float(f"{x:.12g}")),
     12 significant digits in Python's shortest repr; ints as str; strings
-    through ``quote``, by default quoted where RFC 4180 needs it."""
+    through ``quote``, by default quoted where RFC 4180 needs it.
+
+    Each distinct value is formatted once and its cell copied to every row
+    that holds it.  Numbers are keyed by their bit pattern, not by value,
+    so -0.0 and 0.0 stay apart (as do NaN payloads, which format alike)."""
     if isinstance(col, list):
         fields = {s: quote(s) for s in set(col)}
         return list(map(fields.__getitem__, col))
+    keys, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    cells = np.array(_number_cells(keys.view(col.dtype)), dtype=object)
+    return cells[inverse].tolist()
+
+
+def _number_cells(col: np.ndarray) -> list[str]:
+    """`_cells` of a numeric column, one value at a time."""
     if col.dtype.kind != "f":
         return list(map(str, col.tolist()))
     text = "%.12g\n" * len(col) % tuple(col.tolist())
@@ -165,7 +176,8 @@ def emit(args, table: Table) -> None:
 
     The JSON document is {"command", "params", "rows"}; params are the
     subcommand's own arguments in declaration order, and rows hold the CSV
-    row values as objects.
+    row values as objects.  Rows are written _CHUNK_ROWS at a time, and in
+    each chunk a column's distinct values are formatted once (`_cells`).
     """
     if args.format == "json":
         params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out", "format")}

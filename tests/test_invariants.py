@@ -422,6 +422,16 @@ def test_zero_tangle_point_refuses_impossible_lengths():
         zero_tangle_point(0.5, 0.76, 0.76)
 
 
+def test_zero_tangle_point_refuses_sum_below_one():
+    # it returned (-0.107, -0.081) at (0.2, 0.2, 0.2), where no zero-3-tangle
+    # state exists, while named_point raised by its own copy of the rule
+    for point in (zero_tangle_point, lambda *vs: named_point("zero_tangle", *vs)):
+        with pytest.raises(InfeasibleInvariantsError, match=r"sum\(v\) = 0\.6"):
+            point(0.2, 0.2, 0.2)
+        # within EXISTENCE_SLACK of the boundary the point still exists
+        assert point(0.2, 0.3, 0.5 - 5e-13) == pytest.approx((-0.03, -0.03), abs=1e-11)
+
+
 @pytest.mark.parametrize("kind", ["seed", "negative_seed", "max_tangle", "zero_tangle"])
 @pytest.mark.parametrize("vs", IMPOSSIBLE_LENGTHS)
 def test_named_point_refuses_impossible_lengths(kind, vs):

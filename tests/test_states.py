@@ -329,6 +329,14 @@ def test_frame_for_z_is_standard():
     assert np.allclose(np.cross(e1, e2), n)
 
 
+def test_frame_for_e2_equals_np_cross():
+    # e2 is written out by components; it must stay bit for bit np.cross
+    axes = np.random.default_rng(2000).standard_normal((2000, 3))
+    for axis in axes / np.linalg.norm(axes, axis=1, keepdims=True):
+        e1, e2, n = frame_for(axis)
+        assert np.array_equal(e2, np.cross(n, e1))
+
+
 def test_constructors_are_positive_semidefinite(rng):
     candidates = [
         bloch_state([0.3, -0.1, 0.4]),
