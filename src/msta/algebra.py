@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .tolerances import HERMITIAN_TOL, MATCH_TOL, PRUNE_EPS, SERIES_TOL
+from .tolerances import HERMITIAN_TOL, MATCH_TOL, PRUNE_EPS, SERIES_TOL, purity_defect_allowance
 
 MAX_QUBITS = 12
 
@@ -360,13 +360,17 @@ class Multivector:
     threshold.  Two multivectors are equal iff their canonical term maps are.
     A non-finite coefficient, or scalar operand, raises ValueError.
 
-    Because the terms never change, two derived values are kept once
+    Because the terms never change, three derived values are kept once
     computed, on at most `_SPECTRAL_EXP_QUBITS` qubits: ``_dense``, the
-    matrix (`_to_dense`), and ``_spectrum``, the eigendecomposition of a
-    Hermitian generator (`_spectrum`).  Equality ignores them.
+    matrix (`_to_dense`); ``_spectrum``, the eigendecomposition of a
+    Hermitian generator (`_spectrum`); and ``_defect``, an upper bound on
+    every Pauli coefficient of a a - a, or the recipe for one, carried
+    through `dynamics.evolve` (`_defect_bound`).  Equality and copies
+    ignore them.  Setting or deleting an attribute raises AttributeError,
+    so no kept value can go stale.
     """
 
-    __slots__ = ("n_qubits", "_keys", "_coeffs", "_dense", "_spectrum")
+    __slots__ = ("n_qubits", "_keys", "_coeffs", "_dense", "_spectrum", "_defect")
 
     def __init__(self, n_qubits: int, terms: Mapping[str, complex] | None = None):
         _check_n(n_qubits)
@@ -396,6 +400,17 @@ class Multivector:
         object.__setattr__(self, "_coeffs", coeffs)
         object.__setattr__(self, "_dense", None)
         object.__setattr__(self, "_spectrum", None)
+        object.__setattr__(self, "_defect", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Multivector is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Multivector is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the terms and keep no derived value
+        return Multivector._raw, (self.n_qubits, self._keys, self._coeffs)
 
     @classmethod
     def _raw(cls, n: int, keys: np.ndarray, coeffs: np.ndarray) -> "Multivector":
@@ -639,6 +654,58 @@ def _spectrum(a: Multivector) -> tuple[np.ndarray, np.ndarray, float]:
         s = (w, v, a.norm1())
         object.__setattr__(a, "_spectrum", s)
     return s
+
+
+def _carry_defect(source: Multivector, out: Multivector) -> None:
+    """Mark ``out``, a unitary conjugate of ``source`` on the dense route,
+    as pure to within one more `purity_defect_allowance` than ``source``.
+    Nothing is computed here: `_defect_bound` resolves the mark when it is
+    first asked, so a caller that never asks pays nothing.  The mark is
+    ``source`` itself, one step away, or (source, steps) down a chain: a
+    trajectory that steps from one start allocates nothing for it."""
+    memo = source._defect
+    if memo is None or type(memo) is float:
+        carried = source
+    elif type(memo) is tuple:
+        carried = (memo[0], memo[1] + 1)
+    else:
+        carried = (memo, 2)
+    object.__setattr__(out, "_defect", carried)
+
+
+def _defect_bound(a: Multivector) -> float | None:
+    """An upper bound on every Pauli coefficient of a a - a that
+    `states.DensityOperator.is_pure`'s exact pass can compute, or None if
+    none is known.
+
+    The bound is the root-sum-square of those coefficients, which unitary
+    conjugation leaves unchanged.  A state marked by `_carry_defect` as
+    ``steps`` conjugations away from a source takes the source's bound plus
+    ``steps`` allowances; a source with no bound of its own gets one from a
+    dense square, its measured norm plus one allowance, kept on the source.
+    Each allowance is `purity_defect_allowance`, scaled by Tr(rho^2) when
+    that exceeds 1.  An overflowing square gives no bound (NaN, which no
+    ``tol`` accepts), so the exact pass still raises on it."""
+    memo = a._defect
+    if memo is None or type(memo) is float:
+        return memo
+    source, steps = memo if type(memo) is tuple else (memo, 1)
+    n = a.n_qubits
+    c = source._coeffs
+    allowance = purity_defect_allowance(n) * max(1.0, (1 << n) * float(np.vdot(c, c).real))
+    base = source._defect
+    if base is None:
+        m = _to_dense(source)
+        with np.errstate(all="ignore"):
+            base = _finite_or_nan(float(np.linalg.norm(m @ m - m)) / math.sqrt(1 << n) + allowance)
+        object.__setattr__(source, "_defect", base)
+    bound = _finite_or_nan(base + steps * allowance)
+    object.__setattr__(a, "_defect", bound)
+    return bound
+
+
+def _finite_or_nan(x: float) -> float:
+    return x if math.isfinite(x) else math.nan
 
 
 def _dense_exp_i(a: Multivector, t: float) -> np.ndarray:

@@ -46,7 +46,11 @@ def _require_pure_2q(rho: DensityOperator) -> None:
 
 
 def binary_entropy(p: float) -> float:
-    """-p log2 p - (1-p) log2 (1-p) with 0 log 0 = 0."""
+    """-p log2 p - (1-p) log2 (1-p) with 0 log 0 = 0.  Raises ValueError
+    unless 0 <= p <= 1."""
+    # written so that a NaN p fails too
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"binary_entropy needs a probability in [0, 1], got p = {p}")
     s = 0.0
     for x in (p, 1.0 - p):
         if x > 0.0:
@@ -63,7 +67,10 @@ def entanglement_entropy(rho: DensityOperator, cut: int = 0) -> float:
     """Von Neumann entropy of one qubit of a pure two-qubit state.
 
     Closed form in the reduced Bloch length v: the binary entropy of
-    (1 + v)/2, maximal (= 1) when the reduced vector vanishes.
+    (1 + v)/2, maximal (= 1) when the reduced vector vanishes.  Raises
+    ValueError unless ``rho`` is a pure two-qubit state (`is_pure` at
+    PURE_TOL).  A state from `dynamics.evolve` passes that gate on the
+    defect bound it carries, without a dense square of its own.
     """
     _require_pure_2q(rho)
     return _length_entropy(float(np.linalg.norm(bloch_slice(rho.correlation_tensor(), cut))))

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, _dense_coeffs, _from_dense, _magnitudes, _to_dense, _x_mask, exp_i
+from .algebra import Multivector, _defect_bound, _dense_coeffs, _from_dense, _magnitudes, _to_dense, _x_mask, exp_i
 from .tolerances import (
     AXIS_TOL, HERMITIAN_TOL, IDENTITY_TOL, NEGLIGIBLE_WEIGHT, NORM_TOL, PRUNE_EPS, PURE_TOL, TRACE_TOL,
     UNIT_TOL,
@@ -93,7 +93,17 @@ class DensityOperator:
 
         The defect is the largest coefficient of rho^2 - rho that the prune
         keeps, read off the unpruned coefficient vector without building a
-        multivector.  Raises ValueError if a coefficient is not finite."""
+        multivector.  Raises ValueError if a coefficient is not finite.
+
+        A state that `dynamics.evolve` built on the dense route carries a
+        bound on that defect, its start's defect plus a rounding allowance
+        per step (`algebra._defect_bound`).  When the bound is at most
+        ``tol`` the state is pure without the dense pass; otherwise the pass
+        decides, so the verdict is always the pass's.  The start's own
+        defect is measured once, on the first such call, and kept."""
+        bound = _defect_bound(self.mv)
+        if bound is not None and bound <= tol:
+            return True
         m = _to_dense(self.mv)
         worst = float(_magnitudes(_dense_coeffs(m @ m - m)).max())
         return (worst if worst > PRUNE_EPS else 0.0) <= tol

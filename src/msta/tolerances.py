@@ -90,6 +90,47 @@ OUTCOME_FLOOR = 1e-12
 # shorter than this has no direction; a fixed orthogonal one stands in.
 DEGENERATE_AXIS = 1e-12
 
+# Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def purity_defect_allowance(n: int) -> float:
+    """What one dense step on an n-qubit state of Tr(rho^2) <= 1 may add to
+    the root-sum-square of the Pauli coefficients of rho^2 - rho: one
+    `dynamics.evolve` conjugation, or the measurement of that norm.
+
+    Derivation.  Write |X| = ||X||_F / sqrt(d), d = 2^n, for the
+    root-sum-square of X's Pauli coefficients: it bounds each coefficient,
+    unitary conjugation leaves it unchanged, and |A X| <= ||A||_2 |X|.  A
+    state with Tr(rho^2) <= 1 has ||rho||_2 <= 1.  A step returns
+    rho' = W rho W^H + D with W exactly unitary, so
+
+        rho'^2 - rho' = W (rho^2 - rho) W^H + (W rho W^H D + D W rho W^H + D^2 - D)
+
+    and |rho'^2 - rho'| <= |rho^2 - rho| + 3 |D| to first order in D.  With
+    u the unit roundoff, |D| collects:
+
+    - the prune of at most d^2 coefficients, each at most PRUNE_EPS:
+      d PRUNE_EPS;
+    - the transforms to the matrix of rho and back to coefficients, sums
+      of d terms of +-1 weight per entry: 2 d u;
+    - the two complex matmuls U rho U^H: 2 (d + 2) u;
+    - U's departure from W, at most ||U^H U - I||_2: `eigh`'s eigenvectors
+      are orthonormal to a small multiple of d u (LAPACK's backward-error
+      bound), and forming U = V e V^H adds (d + 2) u per entry, so together
+      at most d^2 u in the 2-norm; this moves rho by 2 d^2 u |rho|, and
+      |rho| <= 1 / sqrt(d), so by at most 2 d^1.5 u.
+
+    These sum to at most d PRUNE_EPS + 8 d^2 u for d >= 2.  The rounding
+    term is doubled, to 16 d^2 u, to cover the second-order terms and the
+    measurement: the dense square rho rho - rho of the defect itself and the
+    transform of its coefficients, about 4 d u.  A state of Tr(rho^2) > 1
+    scales every term by at most Tr(rho^2).
+    """
+    d = float(1 << n)
+    return 3.0 * (d * PRUNE_EPS + 16.0 * d * d * _UNIT_ROUNDOFF)
+
+
 # -- vector-sum solver ------------------------------------------------------
 
 # Gauss-Newton stops once every component of the three vector sums is

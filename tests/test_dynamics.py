@@ -1,8 +1,11 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 
 from msta import oracle, states
-from msta.algebra import Multivector, _to_dense, allclose, exp_i
+from msta.algebra import Multivector, _defect_bound, _dense_coeffs, _to_dense, allclose, exp_i
 from msta.dynamics import (
     ExchangeHamiltonian,
     ProductEvolution,
@@ -16,6 +19,7 @@ from msta.dynamics import (
 )
 from msta.entanglement import partial_trace
 from msta.states import ProductState, bell, product_state
+from msta.tolerances import PURE_TOL
 
 from conftest import fresh_copy, random_hermitian_mv, same_bits
 
@@ -142,6 +146,100 @@ def test_evolve_rejects_a_non_hermitian_generator_every_call():
         with pytest.raises(ValueError, match="Hermitian generator"):
             evolve(rho0, hmv, 1.0)
     assert hmv._spectrum is None
+
+
+def random_start(n, kind, rng):
+    """A pure start, a mixed product start, or a Hermitian unit-trace
+    operator with Tr(rho^2) = 1/2^n + r^2, r in [0.5, 2], which no state
+    has."""
+    if kind == "pure":
+        return states.pure_state_from_amplitudes(oracle.random_statevector(n, rng))
+    if kind == "mixed":
+        return mixed_product_start(n, rng)
+    d = 1 << n
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = g + g.conj().T
+    g -= np.trace(g) / d * np.eye(d)
+    g *= rng.uniform(0.5, 2.0) / np.linalg.norm(g)
+    return states.DensityOperator(oracle.from_matrix(np.eye(d) / d + g))
+
+
+def random_time(hmv, rng):
+    """A time with |t| norm1(H) log-uniform in [1e-2, 1e3] (less when
+    norm1(H) < 1)."""
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 3.0) / max(hmv.norm1(), 1.0))
+
+
+def exact_defects(rho):
+    """(root-sum-square, largest) of the Pauli coefficients of rho^2 - rho:
+    the first from the oracle's matrix, squared in extended precision; the
+    second as `is_pure`'s dense pass computes it, before its prune."""
+    m = oracle.to_matrix(rho.mv).astype(np.clongdouble)
+    l2 = float(np.sqrt(np.sum(np.abs(m @ m - m) ** 2) / len(m)))
+    md = _to_dense(rho.mv)
+    return l2, float(np.abs(_dense_coeffs(md @ md - md)).max())
+
+
+def test_evolve_carries_a_bound_on_the_purity_defect(rng):
+    # 1000 draws of (rho0, H, t) at n = 1..4, then chains of 50 evolves:
+    # the bound each result carries is at least its exact root-sum-square
+    # defect and the largest coefficient `is_pure`'s pass computes.  From a
+    # pure start the bound stays within PURE_TOL over the whole chain
+    kinds = ("pure", "mixed", "unphysical")
+
+    def checked_bound(rho):
+        bound = _defect_bound(rho.mv)
+        l2, largest = exact_defects(rho)
+        assert bound >= l2 and bound >= largest, (rho.n_qubits, bound, l2, largest)
+        return bound
+
+    for draw in range(1000):
+        n = 1 + draw % 4
+        hmv = random_hermitian_mv(n, rng)
+        checked_bound(evolve(random_start(n, kinds[draw % 3], rng), hmv, random_time(hmv, rng)))
+    for n in range(1, 5):
+        for kind in kinds:
+            hmv = random_hermitian_mv(n, rng)
+            rho = random_start(n, kind, rng)
+            for _ in range(50):
+                rho = evolve(rho, hmv, random_time(hmv, rng))
+                bound = checked_bound(rho)
+            if kind == "pure":
+                assert bound <= PURE_TOL and rho.is_pure()
+
+
+def test_evolve_resolves_the_bound_only_when_asked(rng):
+    hmv = hamiltonian(random_h(rng))
+    rho0 = states.pure_state_from_amplitudes(oracle.random_statevector(2, rng))
+    rho = evolve(rho0, hmv, 0.4)
+    assert rho0.mv._defect is None and rho.mv._defect is rho0.mv
+    assert evolve(rho, hmv, 0.1).mv._defect == (rho0.mv, 2)
+    assert rho.is_pure() and type(rho0.mv._defect) is float and type(rho.mv._defect) is float
+    # copies and equality ignore the bound
+    for twin in (fresh_copy(rho.mv), copy.copy(rho.mv), copy.deepcopy(rho.mv)):
+        assert twin == rho.mv and same_bits(twin, rho.mv) and twin._defect is None
+
+
+def test_no_bound_is_carried_above_four_qubits(rng):
+    rho0 = states.pure_state_from_amplitudes(oracle.random_statevector(5, rng))
+    rho = evolve(rho0, random_hermitian_mv(5, rng), 0.7)
+    assert _defect_bound(rho.mv) is None and rho.mv._defect is None
+    assert rho.is_pure() and rho0.mv._defect is None
+
+
+def test_an_overflowing_start_raises_as_without_the_bound(rng):
+    huge = states.DensityOperator(Multivector(2, {"II": 0.25, "XZ": 1e200}))
+    # a generic generator's rounding leaves the result non-Hermitian
+    hmv = hamiltonian(random_h(rng))
+    for t in (0.0, 0.3, 2.5):
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            evolve(huge, hmv, t)
+    # a diagonal one does not, and rho rho overflows: there is no bound,
+    # so even at tol = inf the exact pass raises
+    rho = evolve(huge, hamiltonian(ExchangeHamiltonian(omega_z=1.0)), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        rho.is_pure(math.inf)
+    assert math.isnan(_defect_bound(rho.mv))
 
 
 @pytest.mark.parametrize("degenerate", [False, True])

@@ -6,6 +6,7 @@ import pytest
 from msta import oracle, states
 from msta.entanglement import (
     ChshSetting,
+    binary_entropy,
     chsh_maximize,
     chsh_value,
     concurrence_2q,
@@ -75,6 +76,14 @@ def test_entropy_endpoints_and_value():
     assert abs(entanglement_entropy(sphere_state(sph, np.pi / 2, 0.3)) - 1.0) < 1e-12
     want = -(0.75 * np.log2(0.75) + 0.25 * np.log2(0.25))
     assert abs(entanglement_entropy(sphere_state(sph, np.pi / 3, 0.0)) - want) < 1e-12
+
+
+def test_binary_entropy_refuses_a_non_probability():
+    assert binary_entropy(0.0) == binary_entropy(1.0) == 0.0
+    assert binary_entropy(0.5) == 1.0
+    for p in (math.nan, 1.5, -0.25, math.inf, -math.inf, 1.0 + 1e-15):
+        with pytest.raises(ValueError, match="p = "):
+            binary_entropy(p)
 
 
 def test_entropy_matches_oracle(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msta import oracle, states
+from msta import dynamics, oracle, states
 from msta.algebra import Multivector, _from_dense, _to_dense, allclose
 from msta.states import (
     DensityOperator,
@@ -22,6 +22,8 @@ from msta.states import (
     w_state,
 )
 from msta.tolerances import PURE_TOL
+
+from conftest import random_hermitian_mv
 
 
 def c(bits):
@@ -118,11 +120,23 @@ def pruned_dense_defect(rho):
     return _from_dense(m @ m - m).max_abs()
 
 
+def evolved(rho0, rng):
+    """rho0 after one evolve, and after a chain of three, under a random
+    Hamiltonian: states that carry a bound on their purity defect."""
+    hmv = random_hermitian_mv(rho0.n_qubits, rng)
+    once = dynamics.evolve(rho0, hmv, float(rng.uniform(-3.0, 3.0)))
+    chain = once
+    for _ in range(2):
+        chain = dynamics.evolve(chain, hmv, float(rng.uniform(-3.0, 3.0)))
+    return [once, chain]
+
+
 def test_is_pure_matches_the_pruned_dense_defect(rng):
     # the verdict read off the unpruned coefficients equals the one from the
-    # pruned multivector.  Mixtures (1 - eps) rho + eps 1/2^n have a defect
-    # linear in eps; scaled to 1 -/+ 1e-3 of PURE_TOL they sit just below
-    # and just above it
+    # pruned multivector, also where `evolve` carried a bound on the
+    # defect.  Mixtures (1 - eps) rho + eps 1/2^n have a defect linear in
+    # eps; scaled to 1 -/+ 1e-3 of PURE_TOL they sit just below and just
+    # above it
     for n in range(1, 5):
         pure = pure_state_from_amplitudes(oracle.random_statevector(n, rng))
         white = Multivector.scalar(n, 1.0 / (1 << n))
@@ -133,7 +147,8 @@ def test_is_pure_matches_the_pruned_dense_defect(rng):
         eps = 1e-6 * PURE_TOL / pruned_dense_defect(mix(1e-6))
         edges = [mix(eps * (1.0 - 1e-3)), mix(eps * (1.0 + 1e-3))]
         assert [pruned_dense_defect(rho) <= PURE_TOL for rho in edges] == [True, False]
-        for rho in [pure, mix(0.3), product_state(c("0" * n)), *edges]:
+        starts = [pure, mix(0.3), product_state(c("0" * n)), *edges]
+        for rho in starts + [rho_t for rho0 in starts for rho_t in evolved(rho0, rng)]:
             for tol in (PURE_TOL, 1e-12, 1e-15, 0.0):
                 assert rho.is_pure(tol) == (pruned_dense_defect(rho) <= tol)
     # rho rho overflows to inf
