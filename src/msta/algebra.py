@@ -363,9 +363,9 @@ class Multivector:
     Because the terms never change, three derived values are kept once
     computed, on at most `_SPECTRAL_EXP_QUBITS` qubits: ``_dense``, the
     matrix (`_to_dense`); ``_spectrum``, the eigendecomposition of a
-    Hermitian generator (`_spectrum`); and ``_defect``, an upper bound on
-    every Pauli coefficient of a a - a, or the recipe for one, carried
-    through `dynamics.evolve` (`_defect_bound`).  Equality and copies
+    Hermitian generator (`_spectrum`); and ``_defect``, a float bounding
+    every Pauli coefficient of a a - a, measured once by `_defect_bound`
+    or written by `dynamics.evolve`.  Equality and copies
     ignore them.  Setting or deleting an attribute raises AttributeError,
     so no kept value can go stale.
     """
@@ -656,56 +656,30 @@ def _spectrum(a: Multivector) -> tuple[np.ndarray, np.ndarray, float]:
     return s
 
 
-def _carry_defect(source: Multivector, out: Multivector) -> None:
-    """Mark ``out``, a unitary conjugate of ``source`` on the dense route,
-    as pure to within one more `purity_defect_allowance` than ``source``.
-    Nothing is computed here: `_defect_bound` resolves the mark when it is
-    first asked, so a caller that never asks pays nothing.  The mark is
-    ``source`` itself, one step away, or (source, steps) down a chain: a
-    trajectory that steps from one start allocates nothing for it."""
-    memo = source._defect
-    if memo is None or type(memo) is float:
-        carried = source
-    elif type(memo) is tuple:
-        carried = (memo[0], memo[1] + 1)
-    else:
-        carried = (memo, 2)
-    object.__setattr__(out, "_defect", carried)
-
-
-def _defect_bound(a: Multivector) -> float | None:
+def _defect_bound(a: Multivector) -> float:
     """An upper bound on every Pauli coefficient of a a - a that
-    `states.DensityOperator.is_pure`'s exact pass can compute, or None if
-    none is known.
-
-    The bound is the root-sum-square of those coefficients, which unitary
-    conjugation leaves unchanged.  A state marked by `_carry_defect` as
-    ``steps`` conjugations away from a source takes the source's bound plus
-    ``steps`` allowances; a source with no bound of its own gets one from a
-    dense square, its measured norm plus one allowance, kept on the source.
-    Each allowance is `purity_defect_allowance`, scaled by Tr(rho^2) when
-    that exceeds 1.  An overflowing square gives no bound (NaN, which no
-    ``tol`` accepts), so the exact pass still raises on it."""
-    memo = a._defect
-    if memo is None or type(memo) is float:
-        return memo
-    source, steps = memo if type(memo) is tuple else (memo, 1)
-    n = a.n_qubits
-    c = source._coeffs
-    allowance = purity_defect_allowance(n) * max(1.0, (1 << n) * float(np.vdot(c, c).real))
-    base = source._defect
-    if base is None:
-        m = _to_dense(source)
+    `states.DensityOperator.is_pure`'s exact pass can compute: the
+    root-sum-square of those coefficients, which unitary conjugation leaves
+    unchanged.  A state with no bound yet is measured by one dense square,
+    its measured norm plus one `_defect_allowance`, and keeps the result.
+    An overflowing square gives no bound (NaN, which no ``tol`` accepts),
+    so the exact pass still raises on it."""
+    bound = a._defect
+    if bound is None:
+        m = _to_dense(a)
         with np.errstate(all="ignore"):
-            base = _finite_or_nan(float(np.linalg.norm(m @ m - m)) / math.sqrt(1 << n) + allowance)
-        object.__setattr__(source, "_defect", base)
-    bound = _finite_or_nan(base + steps * allowance)
-    object.__setattr__(a, "_defect", bound)
+            bound = float(np.linalg.norm(m @ m - m)) / math.sqrt(1 << a.n_qubits) + _defect_allowance(a)
+        if not math.isfinite(bound):
+            bound = math.nan
+        object.__setattr__(a, "_defect", bound)
     return bound
 
 
-def _finite_or_nan(x: float) -> float:
-    return x if math.isfinite(x) else math.nan
+def _defect_allowance(a: Multivector) -> float:
+    """`purity_defect_allowance` for ``a``, scaled by Tr(a^2) when that
+    exceeds 1."""
+    c = a._coeffs
+    return purity_defect_allowance(a.n_qubits) * max(1.0, (1 << a.n_qubits) * float(np.vdot(c, c).real))
 
 
 def _dense_exp_i(a: Multivector, t: float) -> np.ndarray:

@@ -14,7 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _SPECTRAL_EXP_QUBITS, Multivector, _carry_defect, _dense_exp_i, _from_dense, _to_dense, exp_i
+from .algebra import (
+    _SPECTRAL_EXP_QUBITS, Multivector, _defect_allowance, _defect_bound, _dense_exp_i, _from_dense, _to_dense, exp_i,
+)
 from .states import (
     DensityOperator, ProductState, ProjectorSphere, _unit3, bloch_state, frame_for, projector_sphere,
 )
@@ -116,20 +118,19 @@ def evolve(rho0: DensityOperator, hmv: Multivector, t: float) -> DensityOperator
     vector, the matmuls and `_from_dense`: at n = 2 about 0.025-0.04 ms
     against 0.06-0.07 ms for the first step (timeit medians, 2-vCPU Xeon
     guest, numpy 2.4.6, one BLAS thread).  On this route the result also
-    carries a bound on its purity defect, rho0's plus one rounding
-    allowance (`algebra._carry_defect`), so `is_pure` on it costs one
-    comparison once rho0's defect is known, and rho0's is measured once per
-    trajectory.  The bound is resolved only when `is_pure` asks, so this
-    function computes nothing more for it.  Above the cut nothing is kept
-    or carried, U comes from the series and the conjugation is
-    ``u * rho * u.reverse()``.  Raises ValueError as `exp_i` does, and on
-    a qubit count mismatch.
+    holds a bound on its purity defect: rho0's bound (`algebra._defect_bound`,
+    one dense square the first time, then kept on rho0) plus one rounding
+    allowance (`algebra._defect_allowance`).  So a trajectory squares its
+    start once, each step adds one float, and `is_pure` on a result is one
+    comparison.  Above the cut nothing is kept or carried, U comes from the
+    series and the conjugation is ``u * rho * u.reverse()``.  Raises
+    ValueError as `exp_i` does, and on a qubit count mismatch.
     """
     hmv._require_same_n(rho0.mv)
     if hmv.n_qubits <= _SPECTRAL_EXP_QUBITS:
         u = _dense_exp_i(hmv, t)
         rho = DensityOperator(_from_dense(u @ _to_dense(rho0.mv) @ u.conj().T))
-        _carry_defect(rho0.mv, rho.mv)
+        object.__setattr__(rho.mv, "_defect", _defect_bound(rho0.mv) + _defect_allowance(rho0.mv))
         return rho
     u = exp_i(hmv, t)
     return DensityOperator(u * rho0.mv * u.reverse())

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, _defect_bound, _dense_coeffs, _from_dense, _magnitudes, _to_dense, _x_mask, exp_i
+from .algebra import Multivector, _dense_coeffs, _from_dense, _magnitudes, _to_dense, _x_mask, exp_i
 from .tolerances import (
     AXIS_TOL, HERMITIAN_TOL, IDENTITY_TOL, NEGLIGIBLE_WEIGHT, NORM_TOL, PRUNE_EPS, PURE_TOL, TRACE_TOL,
     UNIT_TOL,
@@ -66,17 +66,34 @@ def bloch_slice(t: np.ndarray, qubit: int) -> np.ndarray:
 
 
 class DensityOperator:
-    """Hermitian, unit-trace multivector describing a quantum state."""
+    """Hermitian, unit-trace multivector describing a quantum state.
 
-    __slots__ = ("mv", "n_qubits")
+    Immutable, like its multivector: setting or deleting an attribute
+    raises AttributeError, so the constructor's checks cannot be bypassed.
+    """
+
+    __slots__ = ("mv",)
 
     def __init__(self, mv: Multivector):
         if mv.hermitian_defect() > HERMITIAN_TOL:
             raise ValueError("density operator must be Hermitian")
         if abs((1 << mv.n_qubits) * mv.scalar_part() - 1.0) > TRACE_TOL:
             raise ValueError("density operator must have unit trace")
-        self.mv = mv
-        self.n_qubits = mv.n_qubits
+        object.__setattr__(self, "mv", mv)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"DensityOperator is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"DensityOperator is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the checked constructor
+        return DensityOperator, (self.mv,)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.mv.n_qubits
 
     def matrix(self) -> np.ndarray:
         """The 2^n x 2^n density matrix, a writable copy."""
@@ -95,13 +112,13 @@ class DensityOperator:
         keeps, read off the unpruned coefficient vector without building a
         multivector.  Raises ValueError if a coefficient is not finite.
 
-        A state that `dynamics.evolve` built on the dense route carries a
-        bound on that defect, its start's defect plus a rounding allowance
-        per step (`algebra._defect_bound`).  When the bound is at most
-        ``tol`` the state is pure without the dense pass; otherwise the pass
-        decides, so the verdict is always the pass's.  The start's own
-        defect is measured once, on the first such call, and kept."""
-        bound = _defect_bound(self.mv)
+        A state that `dynamics.evolve` built on the dense route holds a
+        bound on that defect, its start's bound plus a rounding allowance
+        per step.  When the bound is at most ``tol`` the state is pure
+        without the dense pass; otherwise, or with no bound, the pass
+        decides, so the verdict is always the pass's.  The pass keeps no
+        bound of its own."""
+        bound = self.mv._defect
         if bound is not None and bound <= tol:
             return True
         m = _to_dense(self.mv)

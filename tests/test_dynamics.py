@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from msta import oracle, states
+from msta import algebra, oracle, states
 from msta.algebra import Multivector, _defect_bound, _dense_coeffs, _to_dense, allclose, exp_i
 from msta.dynamics import (
     ExchangeHamiltonian,
@@ -19,7 +19,7 @@ from msta.dynamics import (
 )
 from msta.entanglement import partial_trace
 from msta.states import ProductState, bell, product_state
-from msta.tolerances import PURE_TOL
+from msta.tolerances import PURE_TOL, purity_defect_allowance
 
 from conftest import fresh_copy, random_hermitian_mv, same_bits
 
@@ -208,13 +208,26 @@ def test_evolve_carries_a_bound_on_the_purity_defect(rng):
                 assert bound <= PURE_TOL and rho.is_pure()
 
 
-def test_evolve_resolves_the_bound_only_when_asked(rng):
+def test_evolve_writes_the_bound_and_squares_its_start_once(rng, monkeypatch):
     hmv = hamiltonian(random_h(rng))
     rho0 = states.pure_state_from_amplitudes(oracle.random_statevector(2, rng))
+    # `_defect_bound` takes the matrix through algebra's `_to_dense` for its
+    # square; `evolve` takes rho0's through its own import
+    to_dense = algebra._to_dense
+    squared = []
+    monkeypatch.setattr(algebra, "_to_dense", lambda a: squared.append(a) or to_dense(a))
     rho = evolve(rho0, hmv, 0.4)
-    assert rho0.mv._defect is None and rho.mv._defect is rho0.mv
-    assert evolve(rho, hmv, 0.1).mv._defect == (rho0.mv, 2)
-    assert rho.is_pure() and type(rho0.mv._defect) is float and type(rho.mv._defect) is float
+    assert type(rho0.mv._defect) is float and type(rho.mv._defect) is float
+    for t in rng.uniform(-3.0, 3.0, size=20):
+        evolve(rho0, hmv, float(t))
+    assert sum(a is rho0.mv for a in squared) == 1
+    # a chain of k evolves adds one allowance per step to its start's bound
+    chain, k = rho, 10
+    for _ in range(k):
+        chain = evolve(chain, hmv, float(rng.uniform(-3.0, 3.0)))
+    want = rho.mv._defect + k * purity_defect_allowance(2)
+    assert type(chain.mv._defect) is float and math.isclose(chain.mv._defect, want, rel_tol=1e-12)
+    assert chain.is_pure() and sum(a is rho.mv for a in squared) == 0
     # copies and equality ignore the bound
     for twin in (fresh_copy(rho.mv), copy.copy(rho.mv), copy.deepcopy(rho.mv)):
         assert twin == rho.mv and same_bits(twin, rho.mv) and twin._defect is None
@@ -223,8 +236,8 @@ def test_evolve_resolves_the_bound_only_when_asked(rng):
 def test_no_bound_is_carried_above_four_qubits(rng):
     rho0 = states.pure_state_from_amplitudes(oracle.random_statevector(5, rng))
     rho = evolve(rho0, random_hermitian_mv(5, rng), 0.7)
-    assert _defect_bound(rho.mv) is None and rho.mv._defect is None
-    assert rho.is_pure() and rho0.mv._defect is None
+    assert rho.mv._defect is None and rho0.mv._defect is None
+    assert rho.is_pure() and rho.mv._defect is None
 
 
 def test_an_overflowing_start_raises_as_without_the_bound(rng):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,22 @@ def test_projector_sphere_check_raises_on_a_bad_basis():
     m = Multivector.blade("XX")
     with pytest.raises(ValueError, match="P\\^2 = P"):
         states.ProjectorSphere(m, m, m, m, frozenset({0})).check()
+
+
+def test_density_operators_are_immutable():
+    # setting mv on a built state used to leave n_qubits at 2 while mv had
+    # 3 qubits, with purity() 100.0: the constructor's checks were bypassed
+    rho = bell("phi+")
+    for name in ("mv", "n_qubits", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(rho, name, Multivector(3, {"XXX": 5.0}))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(rho, name)
+    assert rho.n_qubits == 2 and abs(rho.purity() - 1.0) < 1e-12 and rho.is_pure()
+    for twin in (copy.copy(rho), copy.deepcopy(rho), pickle.loads(pickle.dumps(rho))):
+        assert type(twin) is DensityOperator and twin.mv == rho.mv and twin.n_qubits == 2
+        with pytest.raises(AttributeError, match="immutable"):
+            twin.mv = rho.mv
 
 
 def test_is_pure_matches_the_pairwise_defect(rng):
