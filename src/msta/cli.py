@@ -108,12 +108,15 @@ def _cells(col, quote=_csv_field) -> list[str]:
     through ``quote``, by default quoted where RFC 4180 needs it.
 
     Each distinct value is formatted once and its cell copied to every row
-    that holds it.  Numbers are keyed by their bit pattern, not by value,
-    so -0.0 and 0.0 stay apart (as do NaN payloads, which format alike)."""
+    that holds it; a column with no repeats is formatted as it is.  Numbers
+    are keyed by their bit pattern, not by value, so -0.0 and 0.0 stay apart
+    (as do NaN payloads, which format alike)."""
     if isinstance(col, list):
         fields = {s: quote(s) for s in set(col)}
         return list(map(fields.__getitem__, col))
     keys, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    if len(keys) == len(col):
+        return _number_cells(col)
     cells = np.array(_number_cells(keys.view(col.dtype)), dtype=object)
     return cells[inverse].tolist()
 

@@ -147,8 +147,22 @@ DEDUP_RADIUS = 1e-6
 # Angles given to `reconstruct` close the vector sums to this, looser than
 # SOLVER_TOL so that angles printed or rounded by a caller still pass.
 SUM_TOL = 1e-8
-# An angle within this of 0 or pi lies on the reference line.
-REAL_LINE_TOL = 1e-8
+# An eliminant coefficient at most this times the largest term its samples
+# were made of is rounding, and is trimmed from either end of the
+# polynomial: the a^2 factor and the coefficients past degree 7 come out
+# below 1e-14 of those terms, the others above 1e-10 (real-amplitude
+# states) and 6e-6 (random complex ones).
+ELIMINANT_TRIM = 1e-12
+# An eliminant root whose log radius is within this of 0 gives starts.
+# Lengths with few correct digits near a product state split a
+# near-double root on the circle across it by up to 0.06; at 1e-6 no root
+# was left for 49 of 100 states 0.1 from |000>, and for 76 of 100 at 0.01.
+UNIT_CIRCLE_TOL = 0.1
+# A start goes to Gauss-Newton when its six sums are below this times the
+# longest length: starts from true roots leave at most 1e-9 on random
+# complex states and 6e-5 at the near-double roots of real-amplitude ones;
+# the spurious ones leave 1e-4 and more.
+START_TOL = 1e-4
 
 # -- CLI --------------------------------------------------------------------
 

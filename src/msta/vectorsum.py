@@ -16,36 +16,36 @@ rules phi_ac' = phi_ac + phi_ab' - phi_ab and phi_bc' = phi_bc + phi_ab' -
 phi_ab.  A pure state requires the four vectors of every qubit to sum to
 zero: six scalar equations.
 
-With lengths L0..L11 in `vector_lengths` order, qubit a's sum is
-A + e^{i phi_ac} (L1 + L3 e^{i psi}) with A = L0 + L2 e^{i theta}: a
-triangle with sides |A|, L1 and L3.  For each theta it fixes cos psi, so
-psi on two branches +-psi, and then phi_ac; phi_bc follows in the same way
-from B = L4 + L6 e^{i theta}.  For lengths taken from expansion
-probabilities qubit b's sum then closes for every theta (its magnitude
-condition vanishes identically), which leaves qubit c's two equations in
-theta.  `solve` evaluates that reduction on a fixed periodic grid of theta,
-symmetric under theta -> -theta, seeds damped Gauss-Newton on all four
-angles at the residual's local minima of the +psi branch, and polishes
-every converged root with plain Newton steps.  The -psi branch at -theta is
-the conjugate of the +psi branch at theta, so its roots are the conjugates
-of the +psi ones, which `solve` adds to every root it finds.  Each
-Gauss-Newton iterate carries its twelve complex vectors: the residual is
-their per-qubit sums, the Jacobian a fixed linear map of them, and the step
-the minimum-norm least-squares solution from the Jacobian's SVD.
-Every input also tries the sixteen {0, pi}^4 lattice points.  They hold the
-roots of real-amplitude states, where the Jacobian is singular and a seed
-from the grid would converge only linearly, and they stand in for the seeds
-where L1 L3 or L5 L7 is below ZERO_LENGTH: there a triangle is degenerate
-and psi ill-defined (boundary states, states near a product or W state).
-Every vector is real at a lattice point, so the Gauss-Newton step there is
-zero up to rounding: a lattice point is kept, without iterating, when it
-closes the sums below SOLVER_TOL.
+With lengths L0..L11 in `vector_lengths` order, a = e^{i theta},
+c = e^{i phi_ac}, d = e^{i phi_bc} and w = e^{i (psi + phi_ac + phi_bc)},
+the sums of qubits a, b and c are L0 + L1 c + L2 a + L3 w/d,
+L4 + L5 d + L6 a + L7 w/c and L8 + L9 d + L10 c + L11 w/a.  The first
+fixes w/d = -S/L3 with S = L0 + L1 c + L2 a; the other two are then linear
+in d and agree where their determinant P1(a, c) vanishes, and |w/d| = 1
+reads E3(a, c) = ac (|S|^2 - L3^2) = 0 on the unit circle.  Both are
+quadratic in c (`_quadratics`), so their resultant in c, the eliminant, is
+a polynomial of degree 7 in a alone, with a factor a^2 (`_roots`).  At each
+of its roots near the unit circle `_starts` takes theta, phi_ac from E3,
+psi from qubit a's sum and phi_bc from qubit b's; the starts that nearly
+close the sums run Gauss-Newton (`_newton`), and `solve` adds the conjugate
+of each root.  Near theta in {0, pi} a root and its conjugate nearly meet,
+and rounding, or lengths with few correct digits near a product or W
+state, can split the pair across the circle instead, to rho e^{i phi} and
+e^{i phi}/rho; so when no start converges, each root starts again at
+theta = phi + ln rho.
+Every input also tries the sixteen {0, pi}^4 lattice points: the roots of
+real-amplitude states, where the Jacobian is singular, and the stand-ins
+for the starts where L1 L3 = 0 or the eliminant vanishes (boundary states,
+states near a product or W state).  Every vector is real there, so the
+Gauss-Newton step is zero up to rounding: a lattice point is kept, without
+iterating, when it closes the sums below SOLVER_TOL.
 Solutions come in conjugate pairs (negate every angle); boundary solutions
 with all angles in {0, pi} are self-conjugate.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, fields
 
@@ -59,8 +59,8 @@ from .invariants import (
 )
 from .states import DensityOperator, pure_state_from_amplitudes
 from .tolerances import (
-    DEDUP_RADIUS, FEASIBILITY_SLACK, PROB_FLOOR, REAL_LINE_TOL, SNAP_RADIUS,
-    SOLVER_TOL, SUM_TOL, ZERO_LENGTH,
+    DEDUP_RADIUS, ELIMINANT_TRIM, FEASIBILITY_SLACK, PROB_FLOOR, SNAP_RADIUS, SOLVER_TOL,
+    START_TOL, SUM_TOL, UNIT_CIRCLE_TOL, ZERO_LENGTH,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -69,12 +69,6 @@ TWO_PI = 2.0 * np.pi
 _MAX_ITER = 200
 _MAX_HALVINGS = 40
 
-# the theta grid of the one-angle reduction, offset by half a step: at
-# theta in {0, pi} a seed whose other angles are in {0, pi} too is a fixed
-# point of Gauss-Newton (every vector is real, and so is every step)
-_GRID = 256
-_THETA = TWO_PI * (np.arange(_GRID) + 0.5) / _GRID
-_TURN = np.exp(1j * _THETA)
 _LATTICE = np.pi * np.array(list(itertools.product((0.0, 1.0), repeat=4)))
 
 # the twelve sign-flip pairs (i, j = i | bit) of basis states, qubit a's
@@ -99,10 +93,6 @@ def _in_range(angle: float) -> float:
     """One angle mapped to (-pi, pi]; an angle already there is kept bit for
     bit, where `_wrap` would round it."""
     return float(angle) if -np.pi < angle <= np.pi else float(_wrap(angle))
-
-
-def _circ_dist(a: float, b: float) -> float:
-    return abs(float(_wrap(a - b)))
 
 
 @dataclass(frozen=True)
@@ -148,16 +138,6 @@ class AngleSet:
 
     def negated(self) -> "AngleSet":
         return AngleSet(*(-self.free()))
-
-    def twelve_angles(self) -> np.ndarray:
-        return _ANGLE_MATRIX @ self.free()
-
-    def is_real_line(self, tol: float = REAL_LINE_TOL) -> bool:
-        """True when every vector lies on the reference line (angles 0/pi)."""
-        return all(
-            min(_circ_dist(t, 0.0), _circ_dist(t, np.pi)) <= tol
-            for t in self.twelve_angles()
-        )
 
 
 def vector_lengths(probs) -> np.ndarray:
@@ -276,45 +256,59 @@ def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return x[rnorm < SOLVER_TOL]
 
 
-def _seeds(lengths: np.ndarray) -> np.ndarray:
-    """Starts from the one-angle reduction: for each grid theta and the
-    branch +psi of qubit a's triangle, the free angles that close qubit a's
-    sum (and, for lengths from probabilities, qubit b's); kept where the
-    squared norm of the six sums is a periodic local minimum along the
-    branch.  Where |A| violates the triangle inequality cos psi is clipped
-    to [-1, 1], so that norm stays continuous and counts qubit a's
-    mismatch.  Empty when L1 L3 = 0.
+@functools.cache
+def _inverse_dft() -> tuple[np.ndarray, np.ndarray]:
+    """The 16th roots of unity, more than the eliminant's degree, and the
+    matrix taking a polynomial from its values there to its coefficients,
+    lowest first."""
+    k = np.arange(16)
+    return np.exp(TWO_PI * 1j * k / 16), np.exp(-TWO_PI * 1j * np.outer(k, k) / 16) / 16
 
-    The -psi branch is not seeded: the grid is symmetric under theta ->
-    -theta, and the -psi branch at -theta is the conjugate (every angle
-    negated) of the +psi branch at theta.  So are its minima and their
-    Gauss-Newton paths, and `solve` adds the conjugate of every root.
-    Where the triangle is clipped (psi in {0, pi}) the branches meet, and
-    a -psi minimum there can be a +psi seed itself rather than a
-    conjugate one."""
-    l1l3 = lengths[1] * lengths[3]
-    if l1l3 == 0.0:
-        return np.empty((0, 4))
-    a = lengths[0] + lengths[2] * _TURN
-    b = lengths[4] + lengths[6] * _TURN
-    cos_psi = (np.abs(a) ** 2 - lengths[1] ** 2 - lengths[3] ** 2) / (2.0 * l1l3)
-    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
-    turn_psi = np.exp(1j * psi)
-    u = lengths[1] + lengths[3] * turn_psi
-    w = lengths[5] + lengths[7] * turn_psi
-    phi_ac = np.angle(-a) - np.angle(u)
-    phi_bc = np.angle(-b) - np.angle(w)
-    # the three sums of `residual`, from the turns already at hand
-    turn_ac, turn_bc = np.exp(1j * phi_ac), np.exp(1j * phi_bc)
-    c = (
-        lengths[8]
-        + lengths[9] * turn_bc
-        + lengths[10] * turn_ac
-        + lengths[11] * turn_ac * turn_bc * turn_psi * _TURN.conj()
-    )
-    f = np.abs(a + turn_ac * u) ** 2 + np.abs(b + turn_bc * w) ** 2 + np.abs(c) ** 2
-    keep = (f <= np.concatenate((f[-1:], f[:-1]))) & (f <= np.concatenate((f[1:], f[:1])))
-    return np.stack([_THETA, psi, phi_ac, phi_bc], axis=-1)[keep]
+
+def _quadratics(lengths: np.ndarray, a: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """P1's and E3's coefficients of c^2, c and 1 at the points a (module
+    docstring): (p2, p1, p0), (q2, q1, q0)."""
+    l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11 = lengths
+    s0, t0, b0 = l0 + l2 * a, l0 * a + l2, l4 + l6 * a
+    g, h = l3 * l5 - l7 * l1, -l7 * s0
+    p = (-l11 * l1 * b0 - l10 * g * a, b0 * (l3 * l9 * a - l11 * s0) - (l8 * g + l10 * h) * a, -l8 * h * a)
+    return p, (l1 * t0, t0 * s0 + (l1 * l1 - l3 * l3) * a, l1 * s0 * a)
+
+
+def _roots(lengths: np.ndarray) -> np.ndarray:
+    """The eliminant's roots within UNIT_CIRCLE_TOL of the unit circle in
+    log radius; none when L1 L3 = 0 (E3 loses its c^2 term, or is |S|^2) or
+    the eliminant vanishes or is not finite."""
+    if lengths[1] * lengths[3] == 0.0:
+        return np.empty(0, dtype=complex)
+    points, inverse = _inverse_dft()
+    (p2, p1, p0), (q2, q1, q0) = _quadratics(lengths, points)
+    u, v, w = p2 * q0 - p0 * q2, p2 * q1 - p1 * q2, p1 * q0 - p0 * q1
+    coef = (inverse @ (u * u - v * w)).real
+    # rounding of the terms the samples were made of, at either end; a
+    # power of a there has no root on the circle
+    kept = np.flatnonzero(np.abs(coef) > ELIMINANT_TRIM * np.max(np.abs(u) ** 2 + np.abs(v * w)))
+    if kept.size < 2 or not np.isfinite(coef).all():
+        return np.empty(0, dtype=complex)
+    coef = coef[kept[0] : kept[-1] + 1]
+    companion = np.eye(len(coef) - 1, k=-1)
+    companion[:, -1] = -coef[:-1] / coef[-1]
+    roots = np.linalg.eigvals(companion)
+    return roots[np.abs(np.log(np.abs(roots))) < UNIT_CIRCLE_TOL]
+
+
+def _starts(lengths: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The free angles at each theta: phi_ac from each of E3's two roots c
+    (all the + roots, then the - ones), psi from qubit a's sum and phi_bc
+    from qubit b's."""
+    theta = np.tile(theta, 2)
+    a = np.exp(1j * theta)
+    _, (q2, q1, q0) = _quadratics(lengths, a)
+    c = (np.sqrt(q1 * q1 - 4.0 * q2 * q0) * np.repeat([1.0, -1.0], len(a) // 2) - q1) / (2.0 * q2)
+    phi_ac = np.angle(c)
+    psi = np.angle(-(lengths[0] + lengths[1] * np.exp(1j * phi_ac) + lengths[2] * a)) - phi_ac
+    phi_bc = np.angle(-(lengths[4] + lengths[6] * a)) - np.angle(lengths[5] + lengths[7] * np.exp(1j * psi))
+    return np.stack([theta, psi, phi_ac, phi_bc], axis=-1)
 
 
 def _distinct(points: np.ndarray) -> np.ndarray:
@@ -331,16 +325,14 @@ def _distinct(points: np.ndarray) -> np.ndarray:
 def solve(lengths) -> list[AngleSet]:
     """All distinct angle assignments closing the three vector sums.
 
-    Deterministic: damped Gauss-Newton over the four free angles (see
-    `_newton`) from the local minima of the one-angle reduction (see
-    `_seeds` and the module docstring), joined by the {0, pi}^4 lattice
-    points that close the sums.  Every converged root is polished by plain
-    Newton steps (see `_newton`); roots near the lattice snap onto it.
-    Returned solutions are deduplicated modulo 2 pi, completed with their
-    sign-flipped conjugates, and deterministically ordered.  An empty list
-    means no root on either branch: genuinely infeasible lengths, or a
-    solver failure if feasibility said a state exists.  Non-finite lengths
-    raise ValueError.
+    Deterministic: damped Gauss-Newton with a Newton polish (`_newton`) from
+    the eliminant's roots (`_roots`, `_starts`, module docstring), joined by
+    the {0, pi}^4 lattice points that close the sums; roots near the lattice
+    snap onto it.  The solutions are deduplicated modulo 2 pi, completed
+    with their sign-flipped conjugates, and deterministically ordered.  An
+    empty list means no root: genuinely infeasible lengths, or a solver
+    failure if feasibility said a state exists.  Non-finite lengths raise
+    ValueError.
     """
     lengths = np.asarray(lengths, dtype=float).ravel()
     if lengths.size != 12:
@@ -354,7 +346,14 @@ def solve(lengths) -> list[AngleSet]:
 
     # the Gauss-Newton step is zero at a lattice point (module docstring)
     lattice = _LATTICE[np.abs(residual(lengths, _LATTICE)).max(axis=-1) < SOLVER_TOL]
-    x = np.vstack([_newton(lengths, _seeds(lengths)), lattice])
+    roots = _roots(lengths)
+    starts = _starts(lengths, np.angle(roots))
+    near = np.abs(residual(lengths, starts)).max(axis=-1) < START_TOL * lengths.max()
+    x = _newton(lengths, starts[near])
+    if not len(x) and not len(lattice):
+        # a near-double root split across the circle (module docstring)
+        x = _newton(lengths, _starts(lengths, np.angle(roots) + np.log(np.abs(roots))))
+    x = np.vstack([x, lattice])
 
     # boundary solutions are exact {0, pi} lattice points with a singular
     # Jacobian; snap nearby converged iterates so the flat valley around a

@@ -486,6 +486,20 @@ def test_cells_with_duplicates_equal_per_value_reference(xs, ks):
         assert cli._cells(col) == list(map(repr, _reference_values(col)))
 
 
+@pytest.mark.parametrize(
+    "col",
+    [
+        np.random.default_rng(21).standard_normal(50),  # all distinct: formatted as it is
+        np.repeat(np.random.default_rng(21).standard_normal(10), 5),
+        np.arange(-20, 30, dtype=np.int64),
+        np.arange(50, dtype=np.int64) % 7,
+        np.array([0.0, -0.0, 5e-324, 1e16, np.nan, np.inf]),
+    ],
+)
+def test_distinct_and_repeated_cells_equal_number_cells(col):
+    assert cli._cells(col) == cli._number_cells(col)
+
+
 def test_emit_across_chunks_equals_per_row_reference(capsys):
     # each chunk holds a different set of distinct values, some shared
     n = 2 * cli._CHUNK_ROWS + 100

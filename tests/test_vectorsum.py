@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from msta import oracle, vectorsum
+from msta import oracle
 from msta.invariants import (
     InfeasibleInvariantsError,
     InvariantSet3Q,
@@ -10,15 +12,17 @@ from msta.invariants import (
     sudbery,
 )
 from msta.states import DensityOperator, apply_rotor, bloch_slice, local_rotor
-from msta.tolerances import PROB_FLOOR
+from msta.tolerances import DEDUP_RADIUS, PROB_FLOOR, SNAP_RADIUS, SOLVER_TOL, ZERO_LENGTH
 from msta.vectorsum import (
     _ANGLE_MATRIX,
     _LATTICE,
-    _THETA,
-    _TURN,
     AngleSet,
+    _inverse_dft,
     _jacobian,
-    _seeds,
+    _newton,
+    _quadratics,
+    _roots,
+    _starts,
     _step,
     _vectors,
     _wrap,
@@ -27,6 +31,23 @@ from msta.vectorsum import (
     solve,
     vector_lengths,
 )
+
+# an angle within this of 0 or pi lies on the reference line
+REAL_LINE_TOL = 1e-8
+
+
+def _circ_dist(a, b):
+    return abs(float(_wrap(a - b)))
+
+
+def twelve_angles(s):
+    return _ANGLE_MATRIX @ s.free()
+
+
+def is_real_line(s, tol=REAL_LINE_TOL):
+    """True when every vector of the angle set lies on the reference line
+    (angles 0/pi)."""
+    return all(min(_circ_dist(t, 0.0), _circ_dist(t, np.pi)) <= tol for t in twelve_angles(s))
 
 
 def random_pure_invariants(rng):
@@ -192,7 +213,7 @@ def test_solve_boundary_line_solution():
     assert lengths.max() > 0.01
     sols = solve(lengths)
     assert len(sols) == 1
-    assert sols[0].is_real_line(1e-9)
+    assert is_real_line(sols[0], 1e-9)
 
 
 def test_solutions_sorted_and_deduplicated(rng):
@@ -375,7 +396,7 @@ def test_solve_matches_serial_reference_on_real_amplitude_states():
         lengths = vector_lengths(expansion_probabilities(invariants_3q(rho)))
         assert lengths.min() > 1e-6
         sols = solve(lengths)
-        assert any(s.is_real_line() for s in sols)
+        assert any(is_real_line(s) for s in sols)
         assert_same_solutions(sols, _serial_solve(lengths))
 
 
@@ -491,6 +512,83 @@ def test_svd_step_equals_pinv_step(rng):
     assert np.linalg.matrix_rank(stacks[5], rtol=None).tolist() == [4, 3]
 
 
+# the solver as it was before the eliminant, kept as a reference: seeds on a
+# 256-point theta grid, offset by half a step (at theta in {0, pi} a seed
+# whose other angles are in {0, pi} too is a fixed point of Gauss-Newton)
+_GRID = 256
+_THETA = 2.0 * np.pi * (np.arange(_GRID) + 0.5) / _GRID
+_TURN = np.exp(1j * _THETA)
+
+
+def _grid_seeds(lengths):
+    """Starts from the one-angle reduction: for each grid theta and the
+    branch +psi of qubit a's triangle, the free angles that close qubit a's
+    sum (and, for lengths from probabilities, qubit b's); kept where the
+    squared norm of the six sums is a periodic local minimum along the
+    branch.  Where |A| violates the triangle inequality cos psi is clipped
+    to [-1, 1], so that norm stays continuous and counts qubit a's
+    mismatch.  Empty when L1 L3 = 0.
+
+    The -psi branch is not seeded: the grid is symmetric under theta ->
+    -theta, and the -psi branch at -theta is the conjugate (every angle
+    negated) of the +psi branch at theta.  So are its minima and their
+    Gauss-Newton paths, and the solver adds the conjugate of every root.
+    Where the triangle is clipped (psi in {0, pi}) the branches meet, and
+    a -psi minimum there can be a +psi seed itself rather than a
+    conjugate one."""
+    l1l3 = lengths[1] * lengths[3]
+    if l1l3 == 0.0:
+        return np.empty((0, 4))
+    a = lengths[0] + lengths[2] * _TURN
+    b = lengths[4] + lengths[6] * _TURN
+    cos_psi = (np.abs(a) ** 2 - lengths[1] ** 2 - lengths[3] ** 2) / (2.0 * l1l3)
+    psi = np.arccos(np.clip(cos_psi, -1.0, 1.0))
+    turn_psi = np.exp(1j * psi)
+    u = lengths[1] + lengths[3] * turn_psi
+    w = lengths[5] + lengths[7] * turn_psi
+    phi_ac = np.angle(-a) - np.angle(u)
+    phi_bc = np.angle(-b) - np.angle(w)
+    turn_ac, turn_bc = np.exp(1j * phi_ac), np.exp(1j * phi_bc)
+    c = (
+        lengths[8]
+        + lengths[9] * turn_bc
+        + lengths[10] * turn_ac
+        + lengths[11] * turn_ac * turn_bc * turn_psi * _TURN.conj()
+    )
+    f = np.abs(a + turn_ac * u) ** 2 + np.abs(b + turn_bc * w) ** 2 + np.abs(c) ** 2
+    keep = (f <= np.concatenate((f[-1:], f[:-1]))) & (f <= np.concatenate((f[1:], f[:1])))
+    return np.stack([_THETA, psi, phi_ac, phi_bc], axis=-1)[keep]
+
+
+def _grid_solve(lengths, seeds=_grid_seeds):
+    """The grid-seeded solver: batched Gauss-Newton from ``seeds`` and the
+    closing lattice points, then snap, dedup, conjugates and order, as
+    `solve` does them."""
+    lengths = np.asarray(lengths, dtype=float)
+    if lengths.max() < ZERO_LENGTH:
+        return [AngleSet(0.0, 0.0, 0.0, 0.0)]
+    lattice = _LATTICE[np.abs(residual(lengths, _LATTICE)).max(axis=-1) < SOLVER_TOL]
+    x = np.vstack([_newton(lengths, seeds(lengths)), lattice])
+    snapped = np.round(x / np.pi) * np.pi
+    snap = (np.abs(_wrap(x - snapped)).max(axis=-1) < SNAP_RADIUS) & (
+        np.abs(residual(lengths, snapped)).max(axis=-1) < SOLVER_TOL
+    )
+
+    def distinct(points):
+        near = np.abs(_wrap(points[:, None] - points[None, :])).max(axis=-1) < DEDUP_RADIUS
+        keep = []
+        for i in range(len(points)):
+            if not near[i, keep].any():
+                keep.append(i)
+        return points[keep]
+
+    found = distinct(_wrap(np.where(snap[:, None], snapped, x)))
+    found = distinct(np.vstack([found, _wrap(-found)]))
+    sols = [AngleSet(*p) for p in found]
+    six = np.round([s.as_tuple() for s in sols], 9).reshape(-1, 6)
+    return [sols[i] for i in np.lexsort(six.T[::-1])]
+
+
 def _two_branch_seeds(lengths):
     """The seeds as they were taken from both branches +-psi: all +psi
     seeds in theta order, then all -psi seeds."""
@@ -551,7 +649,7 @@ def _one_branch_cases():
 
 def test_minus_psi_seeds_are_conjugates_of_plus_psi_seeds():
     for lengths in _one_branch_cases():
-        plus = _seeds(lengths)
+        plus = _grid_seeds(lengths)
         both = _two_branch_seeds(lengths)
         assert np.array_equal(both[: len(plus)], plus)
         # the -psi seed at -theta is the conjugate of the +psi seed at
@@ -564,16 +662,12 @@ def test_minus_psi_seeds_are_conjugates_of_plus_psi_seeds():
             assert conjugate < 1e-12 or (same < 1e-12 and abs(np.sin(seed[1])) < 1e-12)
 
 
-def test_one_branch_solve_matches_two_branch_solve(monkeypatch):
-    def two_branch_solve(lengths):
-        with monkeypatch.context() as m:
-            m.setattr(vectorsum, "_seeds", _two_branch_seeds)
-            return solve(lengths)
-
+def test_one_branch_solve_matches_two_branch_solve():
+    # the grid reference seeded on one branch and on both
     cases = _one_branch_cases()
     assert len(cases) > 150
     for lengths in cases:
-        got, want = solve(lengths), two_branch_solve(lengths)
+        got, want = _grid_solve(lengths), _grid_solve(lengths, _two_branch_seeds)
         assert len(got) == len(want)
         for w in want:
             d = [np.abs(_wrap(np.subtract(g.as_tuple(), w.as_tuple()))).max() for g in got]
@@ -584,3 +678,112 @@ def test_one_branch_solve_matches_two_branch_solve(monkeypatch):
             rho = max(np.abs(residual(lengths, s.free())).max() for s in (g, w))
             sigma_min = np.linalg.svd(_jacobian(_vectors(lengths, w.free()[None]))[0], compute_uv=False)[-1]
             assert min(d) < 1e-8 or min(d) * sigma_min < 2.0 * rho
+
+
+def _draws(kind, seed, count=100):
+    """Lengths of ``count`` 3-qubit states: random complex ones, ones with
+    eight real amplitudes, or random complex ones with two amplitudes zero."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        psi = rng.standard_normal(8).astype(complex) if kind == "real" else oracle.random_statevector(3, rng)
+        if kind == "two zeros":
+            psi[rng.choice(8, 2, replace=False)] = 0.0
+        try:
+            cases.append(_lengths_of(psi / np.linalg.norm(psi)))
+        except ValueError:
+            continue
+    return cases
+
+
+@pytest.mark.parametrize("kind, seed", [("complex", 2101), ("real", 2102), ("two zeros", 2103)])
+def test_solve_matches_grid_reference(kind, seed):
+    for lengths in _draws(kind, seed):
+        got, want = solve(lengths), _grid_solve(lengths)
+        assert len(got) == len(want)
+        for w in want:
+            assert min(np.abs(_wrap(np.subtract(g.as_tuple(), w.as_tuple()))).max() for g in got) < 1e-9
+
+
+@pytest.mark.parametrize("base, k", [("000", 2), ("W", 3)])
+def test_solve_rebuilds_every_near_state_the_grid_reference_solves(base, k):
+    # |000> or W plus 10^-k times a normalised real Gaussian vector: lengths
+    # with few correct digits, some of whose roots sit near theta in {0, pi}
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[[0] if base == "000" else [1, 2, 4]] = 1.0
+    psi0 /= np.linalg.norm(psi0)
+    rng = np.random.default_rng(99)
+    solved = 0
+    for _ in range(100):
+        g = rng.standard_normal(8)
+        psi = psi0 + 10.0**-k * g / np.linalg.norm(g)
+        rho = DensityOperator(oracle.from_matrix(oracle.statevector_density(psi / np.linalg.norm(psi))))
+        try:
+            inv = invariants_3q(rho)
+        except ValueError:
+            continue
+        lengths = vector_lengths(expansion_probabilities(inv))
+        if not _grid_solve(lengths):
+            continue
+        solved += 1
+        errs = []
+        for s in solve(lengths):
+            got = invariants_3q(reconstruct(inv, s))
+            errs.append(max(abs(getattr(got, n) - getattr(inv, n)) for n in ("v_a", "v_b", "v_c", "vbar2", "vbar3")))
+        assert min(errs, default=np.inf) < 1e-8
+    assert solved >= 50
+
+
+def test_a_double_root_split_across_the_circle_is_turned_onto_it():
+    # a state 1e-2 from |000>: rounding split the eliminant's two roots near
+    # a = -1 across the circle, to log radius +-0.059, where they start
+    # Gauss-Newton on the lattice and go nowhere; the grid reference solves it
+    lengths = np.array([
+        9.289544095781276e-07, 1.2658850479431204e-09, 1.2728728384415349e-09, 9.264111578687171e-07,
+        6.047009264970899e-07, 1.9519128084565815e-09, 1.955414295380912e-09, 6.008106652678738e-07,
+        1.5775701208007078e-06, 7.481908209038273e-10, 7.454182110833331e-10, 1.5760733320087575e-06,
+    ])
+    roots = _roots(lengths)
+    assert np.array_equal(roots.imag, np.zeros(2)) and np.abs(np.log(np.abs(roots))).min() > 0.05
+    assert not len(_newton(lengths, _starts(lengths, np.angle(roots))))
+    sols = solve(lengths)
+    assert len(sols) == 2
+    assert_same_solutions(sols, _grid_solve(lengths))
+
+
+def test_every_solution_is_a_root_of_p1_e3_and_the_eliminant(rng):
+    points, inverse = _inverse_dft()
+    for _ in range(20):
+        _, _, inv = random_pure_invariants(rng)
+        lengths = vector_lengths(expansion_probabilities(inv))
+        # degree 7 with a factor a^2: five roots
+        (p2, p1, p0), (q2, q1, q0) = _quadratics(lengths, points)
+        coef = np.abs(inverse @ ((p2 * q0 - p0 * q2) ** 2 - (p2 * q1 - p1 * q2) * (p1 * q0 - p0 * q1)))
+        assert coef[[0, 1, *range(8, 16)]].max() < 1e-12 * coef.max()
+        assert coef[[2, 7]].min() > 1e-6 * coef.max()
+        roots = _roots(lengths)
+        sols = solve(lengths)
+        assert len(sols) == 2
+        for s in sols:
+            a, c = np.exp(1j * s.phi_ab), np.exp(1j * s.phi_ac)
+            p, q = _quadratics(lengths, a)
+            assert abs(np.polyval(p, c)) < 1e-12 and abs(np.polyval(q, c)) < 1e-12
+            assert np.abs(roots - a).min() < 1e-6
+            # and one of the starts lies within 1e-6 of the solution
+            starts = _starts(lengths, np.angle(roots))
+            assert np.abs(_wrap(starts - s.free())).max(axis=-1).min() < 1e-6
+
+
+def test_no_roots_without_a_triangle_or_an_eliminant():
+    lengths = np.full(12, 0.1)
+    for k in (1, 3):
+        degenerate = lengths.copy()
+        degenerate[k] = 0.0
+        assert _roots(degenerate).shape == (0,)
+    # L0 = L2 = 0 leaves E3 only its c term and the eliminant exactly zero,
+    # so no start divides by E3's c^2 coefficient
+    lengths[[0, 2]] = 0.0
+    assert _roots(lengths).shape == (0,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve(lengths)
