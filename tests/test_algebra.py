@@ -113,6 +113,10 @@ def test_partial_drop_examples():
         rho.drop_qubits([2])
     with pytest.raises(ValueError):
         rho.drop_qubits([])
+    # True used to drop qubit 1
+    for dropped in ([True], [np.True_], [0, False]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            rho.drop_qubits(dropped)
 
 
 def test_partial_drop_matches_oracle(rng):

@@ -186,6 +186,10 @@ def test_square_converts_once(n, rng, monkeypatch):
 
 
 def test_import_builds_no_table():
-    code = "import msta, msta.cli; from msta import algebra; print(algebra._dense_layout.cache_info().currsize)"
+    # nor a partial-trace plan
+    code = (
+        "import msta, msta.cli; from msta import algebra; "
+        "print(algebra._dense_layout.cache_info().currsize, algebra._trace_plan.cache_info().currsize)"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "0 0"

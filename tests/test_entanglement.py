@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from msta import oracle, states
+from msta.algebra import _BLOCK_QUBITS, Multivector, _trace_plan
 from msta.entanglement import (
     ChshSetting,
     binary_entropy,
@@ -54,6 +55,10 @@ def test_partial_trace_rejects_qubits_out_of_range(rng):
     for keep in ([0, 7], [-1, 0], [3], [0, 1.0], [0.5], ["0"]):
         with pytest.raises(ValueError):
             partial_trace(rho, keep)
+    # True used to be taken as qubit 1
+    for keep in ([True], [0, False], [np.True_], [np.False_, 1]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            partial_trace(rho, keep)
     for keep in ([], [2, 0, 1], [1, 1, 0, 2]):
         with pytest.raises(ValueError, match="proper subset"):
             partial_trace(rho, keep)
@@ -68,6 +73,35 @@ def test_partial_trace_equals_scaled_drop_bit_for_bit(rng):
             got = partial_trace(rho, keep).mv
             want = rho.mv.drop_qubits(dropped) * 2.0 ** len(dropped)
             assert same_bits(got, want)
+
+
+def test_trace_plan_paths_agree_with_the_oracle(rng):
+    # the gather through the plan's index (full-span operators, n <= 6),
+    # the drop mask and the oracle, for every keep; n = 7 has no index
+    for n in range(2, 8):
+        sph = projector_sphere(ProductState.computational("0" * n), ProductState.computational("1" * (n - 1) + "0"))
+        axes = rng.standard_normal((n, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        signs = tuple(int(s) for s in rng.choice([-1, 1], size=n))
+        full = [
+            states.pure_state_from_amplitudes(oracle.random_statevector(n, rng)),
+            product_state(ProductState(tuple(map(tuple, axes)), signs)),
+        ]
+        sparse = [
+            product_state(ProductState.computational(rng.integers(0, 2, size=n).tolist())),
+            sphere_state(sph, 0.7, -1.3),
+        ]
+        assert all(len(rho.mv) == 4**n for rho in full) and all(len(rho.mv) < 4**n for rho in sparse)
+        matrices = [oracle.to_matrix(rho.mv) for rho in full + sparse]
+        for mask in range(1, (1 << n) - 1):
+            keep = [q for q in range(n) if mask >> q & 1]
+            plan = _trace_plan(n, tuple(keep))
+            assert (plan.span_index is None) == (n > _BLOCK_QUBITS)
+            for rho, m in zip(full + sparse, matrices):
+                masked = plan.masked_terms(rho.mv._keys, rho.mv._coeffs)
+                assert same_bits(Multivector._raw(len(keep), *plan.terms(rho.mv)), Multivector._raw(len(keep), *masked))
+                want = oracle.partial_trace_matrix(m, keep, n)
+                assert np.abs(partial_trace(rho, keep).matrix() - want).max() < 1e-12
 
 
 def test_entropy_endpoints_and_value():

@@ -26,7 +26,7 @@ from msta.states import (
 )
 from msta.tolerances import PURE_TOL
 
-from conftest import random_hermitian_mv
+from conftest import random_hermitian_mv, same_bits
 
 
 def c(bits):
@@ -50,6 +50,61 @@ def test_product_state_00():
     # {11} flips both signs
     rho11 = product_state(c("11"))
     assert rho11.mv == Multivector(2, {"II": 0.25, "ZI": -0.25, "IZ": -0.25, "ZZ": 0.25})
+
+
+def chained_product_state_mv(ps):
+    """A product state as the chain of multivector products
+    scalar * (1 + s_0 n_0)/2 * (1 + s_1 n_1)/2 * ..., the reference the
+    Kronecker construction is held to bit for bit."""
+    n = ps.n_qubits
+    mv = Multivector.scalar(n, 1.0)
+    for q, (ax, s) in enumerate(zip(ps.axes, ps.signs)):
+        factor = 0.5 * (Multivector.scalar(n, 1.0) + s * Multivector.vector(n, q, ax))
+        mv = mv * factor
+    return mv
+
+
+# components a factor keeps, halves below the prune or drops, with both signs
+_TINY = (0.0, -0.0, 1e-15, -1e-15, 1.5e-14, -1.5e-14, 3e-14, -3e-14)
+
+
+def reference_axes(n, rng):
+    """Four kinds of n unit axes: random, axis-aligned, axis-aligned with
+    the other two components drawn from _TINY, and random with about a
+    third of the components drawn from _TINY."""
+    rand = rng.standard_normal((n, 3))
+    rand /= np.linalg.norm(rand, axis=1)[:, None]
+    aligned = np.zeros((n, 3))
+    aligned[np.arange(n), rng.integers(0, 3, size=n)] = rng.choice([-1.0, 1.0], size=n)
+    tiny = np.where(aligned == 0.0, rng.choice(_TINY, size=(n, 3)), aligned)
+    mixed = np.where(rng.random((n, 3)) < 0.3, rng.choice(_TINY, size=(n, 3)), rand)
+    mixed[np.abs(mixed).max(axis=1) < 0.5, 2] = 1.0
+    mixed /= np.linalg.norm(mixed, axis=1)[:, None]
+    return [tuple(map(tuple, axes)) for axes in (rand, aligned, tiny, mixed)]
+
+
+def test_product_state_equals_the_product_chain_bit_for_bit(rng):
+    for n in range(1, 7):
+        for _ in range(12):
+            signs = tuple(int(s) for s in rng.choice([-1, 1], size=n))
+            for axes in reference_axes(n, rng):
+                ps = ProductState(axes, signs)
+                assert same_bits(product_state(ps).mv, chained_product_state_mv(ps))
+    # a computational-basis state keeps only its 2^n terms
+    assert len(product_state(c("0" * 12)).mv) == 1 << 12
+
+
+def test_bloch_state_equals_the_sum_bit_for_bit(rng):
+    vectors = [rng.uniform(-0.57, 0.57, size=3) for _ in range(20)]
+    vectors += [rng.choice(_TINY, size=3) for _ in range(20)]
+    vectors += [np.where(rng.random(3) < 0.5, rng.choice(_TINY, size=3), rng.uniform(-0.5, 0.5, size=3)) for _ in range(20)]
+    for v in vectors:
+        want = 0.5 * (Multivector.scalar(1, 1.0) + Multivector.vector(1, 0, v))
+        assert same_bits(bloch_state(v).mv, want)
+    # a NaN length used to pass the unit-ball check
+    for bad in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="unit ball"):
+            bloch_state(bad)
 
 
 def test_product_state_idempotent(rng):
