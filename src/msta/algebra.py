@@ -26,7 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -36,6 +36,9 @@ MAX_QUBITS = 12
 
 _CODE_OF = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 _CHAR_OF = "IXZY"
+# the ASCII letters of _CHAR_OF to their codes; a label's base-4 digit weights by length
+_CODE_BYTES = bytes.maketrans(_CHAR_OF.encode(), bytes(range(4)))
+_DIGIT_WEIGHTS = [4 ** np.arange(n) for n in range(MAX_QUBITS + 1)]
 _PHASES = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 # `exp_i` refuses |t| * norm1(a) above 2^31.  On the series route each
@@ -428,7 +431,7 @@ class Multivector:
         _check_n(n_qubits)
         object.__setattr__(self, "n_qubits", n_qubits)
         if terms:
-            keys = np.array([_key_of(self._checked_label(s)) for s in terms], dtype=np.int64)
+            keys = self._keys_of(terms)
             values = [complex(c) for c in terms.values()]
             if not all(map(cmath.isfinite, values)):
                 raise ValueError("multivector coefficients must be finite")
@@ -438,6 +441,19 @@ class Multivector:
             keys = np.empty(0, dtype=np.int64)
             coeffs = np.empty(0, dtype=np.complex128)
         self._set(keys, coeffs)
+
+    def _keys_of(self, labels: Collection[str | PauliString]) -> np.ndarray:
+        """The keys of ``labels`` by one byte lookup over the joined labels when
+        all are ASCII strings of Pauli letters of the right length; others (a
+        `PauliString`, a bad label) take the per-label parse, which raises."""
+        n = self.n_qubits
+        try:
+            joined = "".join(labels).encode("ascii")
+        except (TypeError, UnicodeEncodeError):
+            joined = None
+        if joined is None or joined.translate(None, _CHAR_OF.encode()) or set(map(len, labels)) != {n}:
+            return np.array([_key_of(self._checked_label(s)) for s in labels], dtype=np.int64)
+        return np.frombuffer(joined.translate(_CODE_BYTES), np.uint8).reshape(-1, n).dot(_DIGIT_WEIGHTS[n])
 
     def _checked_label(self, label: str | PauliString) -> str:
         s = label.letters if isinstance(label, PauliString) else label

@@ -247,6 +247,11 @@ class FeasibilityReport:
 
 def feasibility(inv: InvariantSet3Q, slack: float = FEASIBILITY_SLACK) -> FeasibilityReport:
     """Existence test: probabilities nonnegative, lengths in [0, 1], B <= 0."""
+    return _feasibility(inv, slack)[0]
+
+
+def _feasibility(inv: InvariantSet3Q, slack: float) -> tuple[FeasibilityReport, np.ndarray | None]:
+    """`feasibility` and the expansion probabilities it tested (None: uniform ones)."""
     violations: list[str] = []
     for name, v in zip("abc", inv.vs):
         if not -slack <= v <= 1.0 + slack:
@@ -257,17 +262,17 @@ def feasibility(inv: InvariantSet3Q, slack: float = FEASIBILITY_SLACK) -> Feasib
         # vanishing vector: both correlation invariants must vanish with it
         if abs(inv.vbar2) > slack or abs(inv.vbar3) > slack:
             violations.append("nonzero vbar with a vanishing Bloch vector")
-        probs = np.full(8, 0.125)
+        probs, tested = None, np.full(8, 0.125)
     else:
-        probs = expansion_probabilities(inv)
+        probs = tested = expansion_probabilities(inv)
     # the gates below are negated so that a NaN fails them
-    bad = np.flatnonzero(~(probs >= -slack))
+    bad = np.flatnonzero(~(tested >= -slack))
     for idx in bad:
-        violations.append(f"p[{idx:03b}] = {probs[idx]} < 0")
+        violations.append(f"p[{idx:03b}] = {tested[idx]} < 0")
     b_val = B_function(inv)
     if not b_val <= slack:
         violations.append(f"B = {b_val} > 0")
-    return FeasibilityReport(not violations, tuple(violations))
+    return FeasibilityReport(not violations, tuple(violations)), probs
 
 
 def _amplitudes_on_basis(probs_by_index: dict[int, float]) -> np.ndarray:

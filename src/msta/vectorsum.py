@@ -23,40 +23,34 @@ L4 + L5 d + L6 a + L7 w/c and L8 + L9 d + L10 c + L11 w/a.  The first
 fixes w/d = -S/L3 with S = L0 + L1 c + L2 a; the other two are then linear
 in d and agree where their determinant P1(a, c) vanishes, and |w/d| = 1
 reads E3(a, c) = ac (|S|^2 - L3^2) = 0 on the unit circle.  Both are
-quadratic in c (`_quadratics`), so their resultant in c, the eliminant, is
-a polynomial of degree 7 in a alone, with a factor a^2 (`_roots`).  At each
-of its roots near the unit circle `_starts` takes theta, phi_ac from E3,
-psi from qubit a's sum and phi_bc from qubit b's; the starts that nearly
-close the sums run Gauss-Newton (`_newton`), and `solve` adds the conjugate
-of each root.  Near theta in {0, pi} a root and its conjugate nearly meet,
-and rounding, or lengths with few correct digits near a product or W
-state, can split the pair across the circle instead, to rho e^{i phi} and
-e^{i phi}/rho; so when no start converges, each root starts again at
-theta = phi + ln rho.
+quadratic in c, with coefficients quadratic in a (`_coefficients`, built
+once, evaluated by one product with [1, a, a^2]), so their resultant in c,
+the eliminant, is of degree 7 in a alone, with a factor a^2 (`_roots`).
+Its coefficients are real, so its roots and the solutions come in
+conjugate pairs: at each root near the unit circle with Im a >= 0,
+`_starts` takes theta, phi_ac from E3, psi from qubit a's sum and phi_bc
+from qubit b's; the starts that nearly close the sums run Gauss-Newton
+(`_newton`), and `solve` adds the conjugates (every angle negated).  Near
+theta in {0, pi} rounding, or lengths with few correct digits near a product
+or W state, can split a pair across the circle, to rho e^{i phi} and
+e^{i phi}/rho; so when no start converges, each root restarts at phi + ln rho.
 Every input also tries the sixteen {0, pi}^4 lattice points: the roots of
 real-amplitude states, where the Jacobian is singular, and the stand-ins
 for the starts where L1 L3 = 0 or the eliminant vanishes (boundary states,
 states near a product or W state).  Every vector is real there, so the
 Gauss-Newton step is zero up to rounding: a lattice point is kept, without
-iterating, when it closes the sums below SOLVER_TOL.
-Solutions come in conjugate pairs (negate every angle); boundary solutions
-with all angles in {0, pi} are self-conjugate.
+iterating, when it closes the sums below SOLVER_TOL; one with all angles in
+{0, pi} is self-conjugate.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import (
-    InfeasibleInvariantsError,
-    InvariantSet3Q,
-    expansion_probabilities,
-    feasibility,
-)
+from .invariants import InfeasibleInvariantsError, InvariantSet3Q, _feasibility, expansion_probabilities
 from .states import DensityOperator, pure_state_from_amplitudes
 from .tolerances import (
     DEDUP_RADIUS, ELIMINANT_TRIM, FEASIBILITY_SLACK, PROB_FLOOR, SNAP_RADIUS, SOLVER_TOL,
@@ -68,6 +62,7 @@ TWO_PI = 2.0 * np.pi
 # the solver's fixed budget: Gauss-Newton iterations and step halvings
 _MAX_ITER = 200
 _MAX_HALVINGS = 40
+_LADDER = 0.5 ** np.arange(1, _MAX_HALVINGS)[:, None, None]
 
 _LATTICE = np.pi * np.array(list(itertools.product((0.0, 1.0), repeat=4)))
 
@@ -81,12 +76,18 @@ _PHASE_MATRIX[0b110, 0] = _PHASE_MATRIX[0b101, 2] = _PHASE_MATRIX[0b011, 3] = 1.
 _PHASE_MATRIX[0b111, 1:] = 1.0
 # a vector's angle is the phase difference of its pair
 _ANGLE_MATRIX = _PHASE_MATRIX[_PAIRS[:, 1]] - _PHASE_MATRIX[_PAIRS[:, 0]]
+# the turns e^{i angle} of the twelve vectors at each lattice point
+_LATTICE_TURNS = np.exp(1j * (_LATTICE @ _ANGLE_MATRIX.T))
+# the eliminant's sample points (`_inverse_dft`) and [1, a, a^2] there, as floats
+_SAMPLES = np.exp(TWO_PI * 1j * np.arange(16) / 16)
+_INVERSE_DFT = np.exp(-TWO_PI * 1j * np.outer(np.arange(16), np.arange(16)) / 16) / 16
+_SAMPLE_POWERS = (_SAMPLES ** np.arange(3)[:, None]).view(np.float64)
 
 
 def _wrap(angle) -> np.ndarray | float:
     """Map angles to (-pi, pi]; a zero comes out as +0."""
-    # the negation alone would turn +0 into -0; adding +0 clears that sign
-    return -((-np.asarray(angle) + np.pi) % TWO_PI - np.pi) + 0.0
+    # pi - m with m = (pi - angle) mod 2 pi in [0, 2 pi) is never -0
+    return np.pi - (np.pi - np.asarray(angle)) % TWO_PI
 
 
 def _in_range(angle: float) -> float:
@@ -111,30 +112,26 @@ class AngleSet:
     phi_bc: float
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            object.__setattr__(self, f.name, _in_range(getattr(self, f.name)))
-
-    def _shifted(self, angle: float) -> float:
-        # the shift is wrapped on its own, so that a zero shift leaves
-        # `angle` as it is (a zero angle as +0)
-        return _in_range(angle + float(_wrap(self.phi_ab_prime - self.phi_ab)))
+        for name, angle in vars(self).items():
+            object.__setattr__(self, name, _in_range(angle))
 
     @property
     def phi_ac_prime(self) -> float:
-        return self._shifted(self.phi_ac)
+        return self.as_tuple()[3]
 
     @property
     def phi_bc_prime(self) -> float:
-        return self._shifted(self.phi_bc)
+        return self.as_tuple()[5]
 
     def free(self) -> np.ndarray:
         return np.array([self.phi_ab, self.phi_ab_prime, self.phi_ac, self.phi_bc])
 
     def as_tuple(self) -> tuple[float, ...]:
         """All six named angles, the primed ones after their unprimed."""
-        return (
-            self.phi_ab, self.phi_ab_prime, self.phi_ac, self.phi_ac_prime, self.phi_bc, self.phi_bc_prime
-        )
+        # the shift is wrapped on its own: a zero shift keeps an angle, a zero as +0
+        shift = float(_wrap(self.phi_ab_prime - self.phi_ab))
+        ac, bc = self.phi_ac, self.phi_bc
+        return self.phi_ab, self.phi_ab_prime, ac, _in_range(ac + shift), bc, _in_range(bc + shift)
 
     def negated(self) -> "AngleSet":
         return AngleSet(*(-self.free()))
@@ -224,67 +221,73 @@ def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
     away, 1e-7 at sigma_min = 1e-4.  Starts that no step length improves
     retire too.
     """
-    x = np.array(starts, dtype=float)
+    x = np.asarray(starts, dtype=float)
     v = _vectors(lengths, x)
     r = _sums(v)
     rnorm = np.abs(r).max(axis=-1)
-    active = np.ones(len(x), dtype=bool)
-    ladder = 0.5 ** np.arange(1, _MAX_HALVINGS)[:, None, None]
+    slot, out, out_norm = np.arange(len(x)), np.empty_like(x), np.empty(len(x))
     for _ in range(_MAX_ITER):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if not slot.size:
             break
-        step = _step(_jacobian(v[idx]), r[idx])
-        cand = x[idx] + step
+        step = _step(_jacobian(v), r)
+        cand = x + step
         vc = _vectors(lengths, cand)
         rc = _sums(vc)
         rcn = np.abs(rc).max(axis=-1)
-        ok = rcn < rnorm[idx]
-        short = np.flatnonzero(~ok & (rnorm[idx] >= SOLVER_TOL))
-        if short.size:
-            cands = x[idx[short]] + ladder * step[short]
-            vcs = _vectors(lengths, cands)
-            rcs = _sums(vcs)
-            rcns = np.abs(rcs).max(axis=-1)
-            better = rcns < rnorm[idx[short]]
-            pick = better.argmax(axis=0), np.arange(short.size)
-            cand[short], vc[short], rc[short], rcn[short] = cands[pick], vcs[pick], rcs[pick], rcns[pick]
-            ok[short] = better.any(axis=0)
-        moved = idx[ok]
-        x[moved], v[moved], r[moved], rnorm[moved] = cand[ok], vc[ok], rc[ok], rcn[ok]
-        active[idx[~ok]] = False
-    return x[rnorm < SOLVER_TOL]
+        ok = rcn < rnorm
+        if not ok.all():
+            short = np.flatnonzero(~ok & (rnorm >= SOLVER_TOL))
+            if short.size:
+                cands = x[short] + _LADDER * step[short]
+                vcs = _vectors(lengths, cands)
+                rcs = _sums(vcs)
+                rcns = np.abs(rcs).max(axis=-1)
+                better = rcns < rnorm[short]
+                pick = better.argmax(axis=0), np.arange(short.size)
+                cand[short], vc[short], rc[short], rcn[short] = cands[pick], vcs[pick], rcs[pick], rcns[pick]
+                ok[short] = better.any(axis=0)
+            if not ok.any():
+                break
+            out[slot[~ok]], out_norm[slot[~ok]] = x[~ok], rnorm[~ok]
+            slot, cand, vc, rc, rcn = slot[ok], cand[ok], vc[ok], rc[ok], rcn[ok]
+        x, v, r, rnorm = cand, vc, rc, rcn
+    out[slot], out_norm[slot] = x, rnorm
+    return out[out_norm < SOLVER_TOL]
 
 
-@functools.cache
 def _inverse_dft() -> tuple[np.ndarray, np.ndarray]:
     """The 16th roots of unity, more than the eliminant's degree, and the
     matrix taking a polynomial from its values there to its coefficients,
     lowest first."""
-    k = np.arange(16)
-    return np.exp(TWO_PI * 1j * k / 16), np.exp(-TWO_PI * 1j * np.outer(k, k) / 16) / 16
+    return _SAMPLES, _INVERSE_DFT
 
 
-def _quadratics(lengths: np.ndarray, a: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
-    """P1's and E3's coefficients of c^2, c and 1 at the points a (module
-    docstring): (p2, p1, p0), (q2, q1, q0)."""
-    l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11 = lengths
-    s0, t0, b0 = l0 + l2 * a, l0 * a + l2, l4 + l6 * a
-    g, h = l3 * l5 - l7 * l1, -l7 * s0
-    p = (-l11 * l1 * b0 - l10 * g * a, b0 * (l3 * l9 * a - l11 * s0) - (l8 * g + l10 * h) * a, -l8 * h * a)
-    return p, (l1 * t0, t0 * s0 + (l1 * l1 - l3 * l3) * a, l1 * s0 * a)
+def _coefficients(lengths: np.ndarray) -> np.ndarray:
+    """P1's and E3's coefficients of c^2, c and 1 (rows p2, p1, p0, q2, q1,
+    q0), each a quadratic in a with its a^k term in column k."""
+    l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11 = lengths.tolist()
+    g, m = l3 * l5 - l7 * l1, l3 * l9 - l11 * l2
+    return np.array([
+        (-l11 * l1 * l4, -l11 * l1 * l6 - l10 * g, 0.0),
+        (-l11 * l4 * l0, l4 * m - l11 * l6 * l0 - l8 * g + l10 * l7 * l0, l6 * m + l10 * l7 * l2),
+        (0.0, l8 * l7 * l0, l8 * l7 * l2),
+        (l1 * l2, l1 * l0, 0.0),
+        (l0 * l2, l0 * l0 + l1 * l1 + l2 * l2 - l3 * l3, l0 * l2),
+        (0.0, l1 * l0, l1 * l2),
+    ])
 
 
-def _roots(lengths: np.ndarray) -> np.ndarray:
-    """The eliminant's roots within UNIT_CIRCLE_TOL of the unit circle in
-    log radius; none when L1 L3 = 0 (E3 loses its c^2 term, or is |S|^2) or
-    the eliminant vanishes or is not finite."""
+def _roots(lengths: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """The roots of `quad`'s eliminant within UNIT_CIRCLE_TOL of the unit
+    circle in log radius; none when L1 L3 = 0 (E3 loses its c^2 term, or is
+    |S|^2) or the eliminant vanishes or is not finite."""
     if lengths[1] * lengths[3] == 0.0:
         return np.empty(0, dtype=complex)
-    points, inverse = _inverse_dft()
-    (p2, p1, p0), (q2, q1, q0) = _quadratics(lengths, points)
-    u, v, w = p2 * q0 - p0 * q2, p2 * q1 - p1 * q2, p1 * q0 - p0 * q1
-    coef = (inverse @ (u * u - v * w)).real
+    # u, v, w = p2 q0 - p0 q2, p2 q1 - p1 q2, p1 q0 - p0 q1 as one product
+    pairs = quad[[0, 0, 1, 5, 4, 5, 2, 1, 2, 3, 3, 4]]
+    left, right, left_, right_ = (pairs @ _SAMPLE_POWERS).view(complex).reshape(4, 3, -1)
+    u, v, w = left * right - left_ * right_
+    coef = (_INVERSE_DFT @ (u * u - v * w)).real
     # rounding of the terms the samples were made of, at either end; a
     # power of a there has no root on the circle
     kept = np.flatnonzero(np.abs(coef) > ELIMINANT_TRIM * np.max(np.abs(u) ** 2 + np.abs(v * w)))
@@ -297,42 +300,43 @@ def _roots(lengths: np.ndarray) -> np.ndarray:
     return roots[np.abs(np.log(np.abs(roots))) < UNIT_CIRCLE_TOL]
 
 
-def _starts(lengths: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _starts(lengths: np.ndarray, theta: np.ndarray, quad: np.ndarray) -> np.ndarray:
     """The free angles at each theta: phi_ac from each of E3's two roots c
-    (all the + roots, then the - ones), psi from qubit a's sum and phi_bc
-    from qubit b's."""
-    theta = np.tile(theta, 2)
+    (E3 from `quad`; all the + roots, then the - ones), psi from qubit a's
+    sum and phi_bc from qubit b's."""
     a = np.exp(1j * theta)
-    _, (q2, q1, q0) = _quadratics(lengths, a)
-    c = (np.sqrt(q1 * q1 - 4.0 * q2 * q0) * np.repeat([1.0, -1.0], len(a) // 2) - q1) / (2.0 * q2)
-    phi_ac = np.angle(c)
+    q2, q1, q0 = quad[3:] @ a ** np.arange(3)[:, None]
+    root = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
+    phi_ac = np.angle((np.array([root, -root]) - q1) / (2.0 * q2))
     psi = np.angle(-(lengths[0] + lengths[1] * np.exp(1j * phi_ac) + lengths[2] * a)) - phi_ac
     phi_bc = np.angle(-(lengths[4] + lengths[6] * a)) - np.angle(lengths[5] + lengths[7] * np.exp(1j * psi))
-    return np.stack([theta, psi, phi_ac, phi_bc], axis=-1)
+    return np.array([[theta, theta], psi, phi_ac, phi_bc]).reshape(4, -1).T
 
 
 def _distinct(points: np.ndarray) -> np.ndarray:
-    """Each point farther than DEDUP_RADIUS (per angle, modulo 2 pi) from
-    every earlier kept point, in order."""
-    near = np.abs(_wrap(points[:, None] - points[None, :])).max(axis=-1) < DEDUP_RADIUS
+    """The wrapped points, then their conjugates (every angle negated), each
+    kept when farther than DEDUP_RADIUS (per angle, modulo 2 pi) from every
+    earlier kept one; a conjugate only when its point was kept."""
+    found = np.concatenate([points, _wrap(-points)])
+    near = (np.abs(_wrap(found[:, None] - found)).max(axis=-1) < DEDUP_RADIUS).tolist()
     keep: list[int] = []
-    for i in range(len(points)):
-        if not near[i, keep].any():
+    for i, row in enumerate(near):
+        if (i < len(points) or i - len(points) in keep) and not any(row[j] for j in keep):
             keep.append(i)
-    return points[keep]
+    return found[keep]
 
 
 def solve(lengths) -> list[AngleSet]:
     """All distinct angle assignments closing the three vector sums.
 
     Deterministic: damped Gauss-Newton with a Newton polish (`_newton`) from
-    the eliminant's roots (`_roots`, `_starts`, module docstring), joined by
-    the {0, pi}^4 lattice points that close the sums; roots near the lattice
-    snap onto it.  The solutions are deduplicated modulo 2 pi, completed
-    with their sign-flipped conjugates, and deterministically ordered.  An
-    empty list means no root: genuinely infeasible lengths, or a solver
-    failure if feasibility said a state exists.  Non-finite lengths raise
-    ValueError.
+    the eliminant's roots in the upper half plane (`_roots`, `_starts`,
+    module docstring), joined by the {0, pi}^4 lattice points that close the
+    sums; roots near the lattice snap onto it.  The solutions are completed
+    with their sign-flipped conjugates, deduplicated modulo 2 pi and
+    deterministically ordered.  An empty list means no root: genuinely
+    infeasible lengths, or a solver failure if feasibility said a state
+    exists.  Non-finite lengths raise ValueError.
     """
     lengths = np.asarray(lengths, dtype=float).ravel()
     if lengths.size != 12:
@@ -344,29 +348,25 @@ def solve(lengths) -> list[AngleSet]:
     if lengths.max() < ZERO_LENGTH:
         return [AngleSet(0.0, 0.0, 0.0, 0.0)]
 
-    # the Gauss-Newton step is zero at a lattice point (module docstring)
-    lattice = _LATTICE[np.abs(residual(lengths, _LATTICE)).max(axis=-1) < SOLVER_TOL]
-    roots = _roots(lengths)
-    starts = _starts(lengths, np.angle(roots))
+    lattice = _LATTICE[np.abs(_sums(lengths * _LATTICE_TURNS)).max(axis=-1) < SOLVER_TOL]
+    quad = _coefficients(lengths)
+    roots = _roots(lengths, quad)
+    # the lower half's roots give the conjugate solutions (module docstring)
+    starts = _starts(lengths, np.angle(roots[roots.imag >= 0.0]), quad)
     near = np.abs(residual(lengths, starts)).max(axis=-1) < START_TOL * lengths.max()
     x = _newton(lengths, starts[near])
     if not len(x) and not len(lattice):
         # a near-double root split across the circle (module docstring)
-        x = _newton(lengths, _starts(lengths, np.angle(roots) + np.log(np.abs(roots))))
-    x = np.vstack([x, lattice])
+        x = _newton(lengths, _starts(lengths, np.angle(roots) + np.log(np.abs(roots)), quad))
 
-    # boundary solutions are exact {0, pi} lattice points with a singular
-    # Jacobian; snap nearby converged iterates so the flat valley around a
-    # line solution does not smear into duplicates
+    # boundary solutions are exact {0, pi} lattice points with a singular Jacobian; snap nearby
+    # iterates (|x - snapped| <= pi/2) so a line solution's flat valley does not smear into duplicates
     snapped = np.round(x / np.pi) * np.pi
-    snap = (np.abs(_wrap(x - snapped)).max(axis=-1) < SNAP_RADIUS) & (
-        np.abs(residual(lengths, snapped)).max(axis=-1) < SOLVER_TOL
-    )
-    found = _distinct(_wrap(np.where(snap[:, None], snapped, x)))
-    # conjugate completion: negating every angle preserves the sums
-    found = _distinct(np.vstack([found, _wrap(-found)]))
-
-    sols = [AngleSet(*p) for p in found]
+    snap = np.abs(x - snapped).max(axis=-1) < SNAP_RADIUS
+    if snap.any():
+        snap &= np.abs(residual(lengths, snapped)).max(axis=-1) < SOLVER_TOL
+        x = np.where(snap[:, None], snapped, x)
+    sols = [AngleSet(*p) for p in _distinct(_wrap(np.concatenate([x, lattice]))).tolist()]
     # ordered by the six named angles rounded to 1e-9, the first one first
     six = np.round([s.as_tuple() for s in sols], 9).reshape(-1, 6)
     return [sols[i] for i in np.lexsort(six.T[::-1])]
@@ -380,12 +380,12 @@ def reconstruct(inv: InvariantSet3Q, angles: AngleSet, axes=None) -> DensityOper
     pair's phase difference.  The result is pure by construction and
     reproduces the input invariants.
     """
-    report = feasibility(inv)
+    report, probs = _feasibility(inv, FEASIBILITY_SLACK)
     if not report.feasible:
         raise InfeasibleInvariantsError("; ".join(report.violations))
     if not np.isfinite(angles.as_tuple()).all():
         raise ValueError(f"angles must be finite, got {angles.as_tuple()}")
-    probs = expansion_probabilities(inv)
+    probs = expansion_probabilities(inv) if probs is None else probs
     lengths = vector_lengths(probs)
     res = np.abs(residual(lengths, angles.free())).max()
     if res > SUM_TOL:

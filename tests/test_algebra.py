@@ -12,6 +12,7 @@ from msta.algebra import (
     Multivector,
     PauliString,
     _dense_exp_i,
+    _key_of,
     _merge_terms,
     _sum_by_slot,
     _to_dense,
@@ -41,6 +42,48 @@ def test_pauli_string_roundtrip():
     assert PauliString.from_key(ps.key, 4) == ps
     with pytest.raises(ValueError):
         PauliString("ABC")
+
+
+def _keys_one_at_a_time(n, labels):
+    """The constructor's label parse as it was: each label checked and
+    parsed on its own, raising at the first bad one."""
+    keys = []
+    for label in labels:
+        s = label.letters if isinstance(label, PauliString) else label
+        if len(s) != n:
+            raise ValueError(f"label {s!r} has length {len(s)}, expected {n}")
+        keys.append(_key_of(s))
+    return np.array(keys, dtype=np.int64)
+
+
+def test_constructor_keys_equal_the_per_label_parse(rng):
+    for n in range(1, 13):
+        for count in (1, 5, 64):
+            codes = rng.integers(0, 4, size=(count, n))
+            labels = ["".join("IXZY"[c] for c in row) for row in codes]
+            mixed = [PauliString(s) if i % 3 == 0 else s for i, s in enumerate(labels)]
+            for terms in (labels, mixed):
+                want = _keys_one_at_a_time(n, terms)
+                assert np.array_equal(Multivector(n)._keys_of(terms), want)
+                assert Multivector(n, dict.fromkeys(terms, 1.0))._keys.tolist() == sorted(set(want.tolist()))
+    # a label without a length fails as the per-label parse fails
+    for bad in (3, None):
+        with pytest.raises(TypeError, match="has no len"):
+            Multivector(2, {"XY": 1.0, bad: 1.0})
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [["XQ"], ["XX", "X"], ["XXX"], [""], ["Xé"], ["ΧΥ"], ["X_"], ["X "], ["+X"], ["-X"], ["1_"], ["xy"], ["X\x00"],
+     ["XY", "ZZ", "IQ"], ["XY", "Y"], [b"XY"]],
+)
+def test_constructor_errors_match_the_per_label_parse(labels):
+    # int("+1_0", 4) parses, so no label may reach a base-4 int parse
+    with pytest.raises(ValueError) as want:
+        _keys_one_at_a_time(2, labels)
+    with pytest.raises(ValueError) as got:
+        Multivector(2, dict.fromkeys(labels, 1.0))
+    assert str(got.value) == str(want.value)
 
 
 def test_different_qubit_vectors_commute():

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -8,19 +9,23 @@ from msta.invariants import (
     InfeasibleInvariantsError,
     InvariantSet3Q,
     expansion_probabilities,
+    feasibility,
     invariants_3q,
     sudbery,
 )
-from msta.states import DensityOperator, apply_rotor, bloch_slice, local_rotor
-from msta.tolerances import DEDUP_RADIUS, PROB_FLOOR, SNAP_RADIUS, SOLVER_TOL, ZERO_LENGTH
+from msta.states import DensityOperator, apply_rotor, bloch_slice, local_rotor, pure_state_from_amplitudes
+from msta.tolerances import DEDUP_RADIUS, PROB_FLOOR, SNAP_RADIUS, SOLVER_TOL, START_TOL, SUM_TOL, ZERO_LENGTH
 from msta.vectorsum import (
     _ANGLE_MATRIX,
     _LATTICE,
+    _PHASE_MATRIX,
     AngleSet,
+    _coefficients,
+    _distinct,
+    _in_range,
     _inverse_dft,
     _jacobian,
     _newton,
-    _quadratics,
     _roots,
     _starts,
     _step,
@@ -31,6 +36,7 @@ from msta.vectorsum import (
     solve,
     vector_lengths,
 )
+from conftest import same_bits
 
 # an angle within this of 0 or pi lies on the reference line
 REAL_LINE_TOL = 1e-8
@@ -48,6 +54,17 @@ def is_real_line(s, tol=REAL_LINE_TOL):
     """True when every vector of the angle set lies on the reference line
     (angles 0/pi)."""
     return all(min(_circ_dist(t, 0.0), _circ_dist(t, np.pi)) <= tol for t in twelve_angles(s))
+
+
+def _quadratics(lengths, a):
+    """P1's and E3's coefficients of c^2, c and 1 at the points a, from the
+    sums (module docstring of `msta.vectorsum`): (p2, p1, p0), (q2, q1, q0);
+    the reference for `_coefficients`."""
+    l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11 = lengths
+    s0, t0, b0 = l0 + l2 * a, l0 * a + l2, l4 + l6 * a
+    g, h = l3 * l5 - l7 * l1, -l7 * s0
+    p = (-l11 * l1 * b0 - l10 * g * a, b0 * (l3 * l9 * a - l11 * s0) - (l8 * g + l10 * h) * a, -l8 * h * a)
+    return p, (l1 * t0, t0 * s0 + (l1 * l1 - l3 * l3) * a, l1 * s0 * a)
 
 
 def random_pure_invariants(rng):
@@ -743,9 +760,9 @@ def test_a_double_root_split_across_the_circle_is_turned_onto_it():
         6.047009264970899e-07, 1.9519128084565815e-09, 1.955414295380912e-09, 6.008106652678738e-07,
         1.5775701208007078e-06, 7.481908209038273e-10, 7.454182110833331e-10, 1.5760733320087575e-06,
     ])
-    roots = _roots(lengths)
+    roots = _roots(lengths, _coefficients(lengths))
     assert np.array_equal(roots.imag, np.zeros(2)) and np.abs(np.log(np.abs(roots))).min() > 0.05
-    assert not len(_newton(lengths, _starts(lengths, np.angle(roots))))
+    assert not len(_newton(lengths, _starts(lengths, np.angle(roots), _coefficients(lengths))))
     sols = solve(lengths)
     assert len(sols) == 2
     assert_same_solutions(sols, _grid_solve(lengths))
@@ -761,7 +778,7 @@ def test_every_solution_is_a_root_of_p1_e3_and_the_eliminant(rng):
         coef = np.abs(inverse @ ((p2 * q0 - p0 * q2) ** 2 - (p2 * q1 - p1 * q2) * (p1 * q0 - p0 * q1)))
         assert coef[[0, 1, *range(8, 16)]].max() < 1e-12 * coef.max()
         assert coef[[2, 7]].min() > 1e-6 * coef.max()
-        roots = _roots(lengths)
+        roots = _roots(lengths, _coefficients(lengths))
         sols = solve(lengths)
         assert len(sols) == 2
         for s in sols:
@@ -770,7 +787,7 @@ def test_every_solution_is_a_root_of_p1_e3_and_the_eliminant(rng):
             assert abs(np.polyval(p, c)) < 1e-12 and abs(np.polyval(q, c)) < 1e-12
             assert np.abs(roots - a).min() < 1e-6
             # and one of the starts lies within 1e-6 of the solution
-            starts = _starts(lengths, np.angle(roots))
+            starts = _starts(lengths, np.angle(roots), _coefficients(lengths))
             assert np.abs(_wrap(starts - s.free())).max(axis=-1).min() < 1e-6
 
 
@@ -779,11 +796,209 @@ def test_no_roots_without_a_triangle_or_an_eliminant():
     for k in (1, 3):
         degenerate = lengths.copy()
         degenerate[k] = 0.0
-        assert _roots(degenerate).shape == (0,)
+        assert _roots(degenerate, _coefficients(degenerate)).shape == (0,)
     # L0 = L2 = 0 leaves E3 only its c term and the eliminant exactly zero,
     # so no start divides by E3's c^2 coefficient
     lengths[[0, 2]] = 0.0
-    assert _roots(lengths).shape == (0,)
+    assert _roots(lengths, _coefficients(lengths)).shape == (0,)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solve(lengths)
+
+
+def _greedy_distinct(points):
+    """Each point farther than DEDUP_RADIUS (per angle, modulo 2 pi) from
+    every earlier kept point, in order: `solve`'s dedup as it was, run
+    before and after the conjugate completion."""
+    near = np.abs(_wrap(points[:, None] - points[None, :])).max(axis=-1) < DEDUP_RADIUS
+    keep = []
+    for i in range(len(points)):
+        if not near[i, keep].any():
+            keep.append(i)
+    return points[keep]
+
+
+def _every_root_solve(lengths):
+    """`solve` as it was when Gauss-Newton ran from the starts of every root
+    of the eliminant, the lower half's too, and deduplicated greedily before
+    and after the conjugate completion."""
+    lattice = _LATTICE[np.abs(residual(lengths, _LATTICE)).max(axis=-1) < SOLVER_TOL]
+    roots = _roots(lengths, _coefficients(lengths))
+    starts = _starts(lengths, np.angle(roots), _coefficients(lengths))
+    x = _newton(lengths, starts[np.abs(residual(lengths, starts)).max(axis=-1) < START_TOL * lengths.max()])
+    if not len(x) and not len(lattice):
+        x = _newton(lengths, _starts(lengths, np.angle(roots) + np.log(np.abs(roots)), _coefficients(lengths)))
+    x = np.vstack([x, lattice])
+    snapped = np.round(x / np.pi) * np.pi
+    snap = (np.abs(_wrap(x - snapped)).max(axis=-1) < SNAP_RADIUS) & (
+        np.abs(residual(lengths, snapped)).max(axis=-1) < SOLVER_TOL
+    )
+    found = _greedy_distinct(_wrap(np.where(snap[:, None], snapped, x)))
+    found = _greedy_distinct(np.vstack([found, _wrap(-found)]))
+    sols = [AngleSet(*p) for p in found]
+    six = np.round([s.as_tuple() for s in sols], 9).reshape(-1, 6)
+    return [sols[i] for i in np.lexsort(six.T[::-1])]
+
+
+def _near_draws(base, k, count=100):
+    """Lengths of |000> or W plus 10^-k times a normalised real Gaussian
+    vector (seed 99), as in the near-state test above."""
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[[0] if base == "000" else [1, 2, 4]] = 1.0
+    psi0 /= np.linalg.norm(psi0)
+    rng = np.random.default_rng(99)
+    cases = []
+    for _ in range(count):
+        g = rng.standard_normal(8)
+        try:
+            cases.append(_lengths_of(psi0 + 10.0**-k * g / np.linalg.norm(g)))
+        except ValueError:
+            continue
+    return cases
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [("complex", 2101), ("real", 2102), ("two zeros", 2103), ("000", 2), ("W", 3)],
+    ids=["complex", "real", "two zeros", "000-2", "W-3"],
+)
+def test_upper_half_starts_give_the_solutions_of_every_root(cases):
+    draws = _draws(*cases) if cases[0] in ("complex", "real", "two zeros") else _near_draws(*cases)
+    for lengths in draws:
+        got, want = solve(lengths), _every_root_solve(lengths)
+        assert len(got) == len(want)
+        for w in want:
+            d = [np.abs(_wrap(np.subtract(g.as_tuple(), w.as_tuple()))).max() for g in got]
+            g = got[int(np.argmin(d))]
+            # near |000> and W the angles are fixed only to about
+            # 2 rho / sigma_min(J), rho the residual (see the one-branch test)
+            rho = max(np.abs(residual(lengths, s.free())).max() for s in (g, w))
+            sigma_min = np.linalg.svd(_jacobian(_vectors(lengths, w.free()[None]))[0], compute_uv=False)[-1]
+            assert min(d) < 1e-9 or min(d) * sigma_min < 2.0 * rho
+
+
+def test_roots_come_in_exact_conjugate_pairs():
+    # the eliminant's coefficients are real, so the lower half's roots are
+    # the upper half's conjugates bit for bit
+    for lengths in _draws("complex", 2104):
+        roots = np.sort_complex(_roots(lengths, _coefficients(lengths)).astype(complex))
+        assert np.array_equal(roots, np.sort_complex(roots.conj()))
+
+
+def _scalar_as_tuple(free):
+    """The six named angles by the scalar rule `AngleSet` has always used:
+    each primed angle is the unprimed one turned by the separately wrapped
+    shift phi_ab' - phi_ab."""
+    ab, ab_prime, ac, bc = (_in_range(f) for f in free)
+    shift = float(_wrap(ab_prime - ab))
+    return ab, ab_prime, ac, _in_range(ac + shift), bc, _in_range(bc + shift)
+
+
+def test_as_tuple_is_the_scalar_rule_bit_for_bit():
+    # solve orders by as_tuple, which wraps the shift phi_ab' - phi_ab once;
+    # it must round as the scalar rule does, at +-pi, +-0 and at shifts that
+    # wrap, and a set built from wrapped rows keeps them
+    values = [np.pi, -np.pi, 0.0, -0.0, np.pi - 1e-16, -np.pi + 4e-16, 3.0, -3.0, 1e-300, 2.5 * np.pi, -2.5 * np.pi]
+    for row in itertools.product(values, repeat=4):
+        wrapped = _wrap(np.array(row))
+        s = AngleSet(*wrapped.tolist())
+        assert np.float64(s.phi_ab).tobytes() == wrapped[0].tobytes()
+        assert np.array(s.as_tuple()).tobytes() == np.array(_scalar_as_tuple(wrapped.tolist())).tobytes()
+        assert np.array(AngleSet(*row).as_tuple()).tobytes() == np.array(_scalar_as_tuple(row)).tobytes()
+
+
+def test_coefficient_form_equals_the_sample_form(rng):
+    for _ in range(50):
+        lengths = vector_lengths(expansion_probabilities(random_pure_invariants(rng)[2]))
+        a = np.exp(1j * rng.uniform(-np.pi, np.pi, 16)) * rng.uniform(0.5, 2.0, 16)
+        want = np.array(_quadratics(lengths, a)).reshape(6, -1)
+        got = _coefficients(lengths) @ a ** np.arange(3)[:, None]
+        assert (np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=-1, keepdims=True)).all()
+
+
+def _reconstruct_reference(inv, angles):
+    """`reconstruct` as it was: feasibility, then the probabilities again."""
+    assert feasibility(inv).feasible and np.isfinite(angles.as_tuple()).all()
+    probs = expansion_probabilities(inv)
+    lengths = vector_lengths(probs)
+    assert np.abs(residual(lengths, angles.free())).max() <= SUM_TOL
+    amps = np.sqrt(np.clip(probs, 0.0, None)) * np.exp(1j * (_PHASE_MATRIX @ angles.free()))
+    return pure_state_from_amplitudes(amps / np.linalg.norm(amps))
+
+
+def test_reconstruct_is_bit_identical_to_computing_the_probabilities_twice(rng):
+    for _ in range(50):
+        _, _, inv = random_pure_invariants(rng)
+        for s in solve(vector_lengths(expansion_probabilities(inv))):
+            assert same_bits(reconstruct(inv, s).mv, _reconstruct_reference(inv, s).mv)
+    # Bloch lengths whose pairwise products vanish: feasibility tests
+    # uniform probabilities, and reconstruct computes the expansion's own
+    va, vb, vc = 1e-6, 1e-6, 0.5
+    inv = InvariantSet3Q(va, vb, vc, 0.0, 0.0)
+    s = solve(vector_lengths(expansion_probabilities(inv)))[0]
+    assert same_bits(reconstruct(inv, s).mv, _reconstruct_reference(inv, s).mv)
+
+
+def test_sets_that_tie_in_phi_ab_are_ordered_by_the_other_angles():
+    # a real state near W: two solution pairs share phi_ab
+    # to 1e-9 and arrive in the order phi_ab alone cannot fix
+    lengths = np.array([
+        2.8891710109078494e-06, 1.4445834727838774e-06, 1.444587492391913e-06, 7.133991176295348e-12,
+        2.889145363990193e-06, 1.4445418431052285e-06, 1.4446003159822131e-06, 7.134196767958594e-12,
+        2.889143729257446e-06, 1.4445426604546151e-06, 1.4445971137186928e-06, 7.1342125824565195e-12,
+    ])
+    keys = [tuple(np.round(s.as_tuple(), 9)) for s in solve(lengths)]
+    assert len({k[0] for k in keys}) < len(keys)
+    assert keys == sorted(keys)
+
+
+def test_wrap_equals_the_six_operation_form_bit_for_bit(rng):
+    # _wrap was -((-a + pi) % 2 pi - pi) + 0; the three-operation form must
+    # round alike on every finite angle, a zero coming out as +0
+    angles = [rng.uniform(-20.0, 20.0, 100000), rng.standard_normal(1000) * 1e-12, [0.0, -0.0, 1e-300, -5e-324]]
+    for k in range(-6, 7):
+        base = k * np.pi
+        angles.append(base + np.arange(-20, 21) * np.spacing(base if base else 1.0))
+    a = np.concatenate(angles)
+    want = -((-a + np.pi) % (2.0 * np.pi) - np.pi) + 0.0
+    assert _wrap(a).tobytes() == want.tobytes()
+    assert np.signbit(_wrap(np.array([0.0, -0.0, 2.0 * np.pi]))).sum() == 0
+
+
+def _conjugate_dedup(points):
+    """`solve`'s dedup as it was: greedy over the wrapped points, then over
+    the kept ones and their conjugates."""
+    found = _greedy_distinct(_wrap(points))
+    return _greedy_distinct(np.vstack([found, _wrap(-found)]))
+
+
+def test_dedup_keeps_both_ends_of_a_chain():
+    # B lies within DEDUP_RADIUS of A and of C, A and C farther apart: B
+    # goes, A and C stay, and so do both conjugates
+    a = np.array([0.3, -1.2, 2.0, 0.7])
+    step = np.array([0.0, 0.6 * DEDUP_RADIUS, 0.0, 0.0])
+    got = _distinct(_wrap(np.array([a, a + step, a + 2.0 * step])))
+    assert got.tobytes() == _conjugate_dedup(np.array([a, a + step, a + 2.0 * step])).tobytes()
+    assert np.allclose(got, [a, a + 2.0 * step, -a, -a - 2.0 * step], rtol=0.0, atol=1e-15)
+    # a chain through the conjugates: near the {0, pi} lattice a point and
+    # its conjugate are near too
+    b = np.array([np.pi, 0.0, np.pi, 0.0]) + 0.3 * DEDUP_RADIUS
+    got = _distinct(_wrap(np.array([b, b + 4.0 * step])))
+    assert got.tobytes() == _conjugate_dedup(np.array([b, b + 4.0 * step])).tobytes()
+    assert len(got) == 3
+
+
+def test_dedup_equals_the_greedy_passes_bit_for_bit(rng):
+    # two clusters 2.4 DEDUP_RADIUS wide around random points, points of
+    # the {0, pi} lattice and +-pi, where chains form and conjugates meet
+    chains = 0
+    for _ in range(300):
+        centres = rng.choice([0.0, np.pi, -np.pi, 1.0], size=(2, 4)) + (rng.random((2, 1)) < 0.3) * rng.uniform(-3, 3, (2, 4))
+        points = centres[rng.integers(0, 2, 8)] + rng.uniform(-1.2, 1.2, (8, 4)) * DEDUP_RADIUS
+        got, want = _distinct(_wrap(points)), _conjugate_dedup(points)
+        assert got.tobytes() == want.tobytes()
+        # the rule "drop a point near any earlier one" keeps fewer here
+        both = _wrap(np.vstack([points, -points]))
+        near = np.abs(_wrap(both[:, None] - both)).max(axis=-1) < DEDUP_RADIUS
+        chains += len(want) > np.flatnonzero(near.cumsum(axis=-1).diagonal() == 1).size
+    assert chains > 30
