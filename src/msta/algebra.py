@@ -30,7 +30,7 @@ from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .tolerances import HERMITIAN_TOL, MATCH_TOL, PRUNE_EPS, SERIES_TOL, purity_defect_allowance
+from .tolerances import HERMITIAN_TOL, MATCH_TOL, PRUNE_EPS, SERIES_TOL
 
 MAX_QUBITS = 12
 
@@ -415,17 +415,15 @@ class Multivector:
     threshold.  Two multivectors are equal iff their canonical term maps are.
     A non-finite coefficient, or scalar operand, raises ValueError.
 
-    Because the terms never change, three derived values are kept once
+    Because the terms never change, two derived values are kept once
     computed, on at most `_SPECTRAL_EXP_QUBITS` qubits: ``_dense``, the
-    matrix (`_to_dense`); ``_spectrum``, the eigendecomposition of a
-    Hermitian generator (`_spectrum`); and ``_defect``, a float bounding
-    every Pauli coefficient of a a - a, measured once by `_defect_bound`
-    or written by `dynamics.evolve`.  Equality and copies
-    ignore them.  Setting or deleting an attribute raises AttributeError,
-    so no kept value can go stale.
+    matrix (`_to_dense`), and ``_spectrum``, the eigendecomposition of a
+    Hermitian generator (`_spectrum`).  Equality and copies ignore them.
+    Setting or deleting an attribute raises AttributeError, so no kept
+    value can go stale.
     """
 
-    __slots__ = ("n_qubits", "_keys", "_coeffs", "_dense", "_spectrum", "_defect")
+    __slots__ = ("n_qubits", "_keys", "_coeffs", "_dense", "_spectrum")
 
     def __init__(self, n_qubits: int, terms: Mapping[str, complex] | None = None):
         _check_n(n_qubits)
@@ -468,7 +466,6 @@ class Multivector:
         object.__setattr__(self, "_coeffs", coeffs)
         object.__setattr__(self, "_dense", None)
         object.__setattr__(self, "_spectrum", None)
-        object.__setattr__(self, "_defect", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"Multivector is immutable: cannot set {name!r}")
@@ -579,12 +576,7 @@ class Multivector:
             if abs(other) == 0.0:
                 return Multivector.zero(self.n_qubits)
             coeffs = self._coeffs * other
-            # stored coefficients have finite moduli (`_kept`), so only
-            # |other| > 1 can overflow one.  Skipping the finiteness
-            # reduction otherwise is worth 3 % of `trajectory2q` throughput:
-            # 47.8 against 46.3 norm ops/s, medians of 10 alternating 20 s
-            # pairs (the unconditional check won 1 of 10).
-            keep = _kept(coeffs) if abs(other) > 1.0 else np.abs(coeffs) > PRUNE_EPS
+            keep = _kept(coeffs)
             return Multivector._raw(self.n_qubits, self._keys[keep], coeffs[keep])
         self._require_same_n(other)
         if self._keys.size == 0 or other._keys.size == 0:
@@ -719,32 +711,6 @@ def _spectrum(a: Multivector) -> tuple[np.ndarray, np.ndarray, float]:
         s = (w, v, a.norm1())
         object.__setattr__(a, "_spectrum", s)
     return s
-
-
-def _defect_bound(a: Multivector) -> float:
-    """An upper bound on every Pauli coefficient of a a - a that
-    `states.DensityOperator.is_pure`'s exact pass can compute: the
-    root-sum-square of those coefficients, which unitary conjugation leaves
-    unchanged.  A state with no bound yet is measured by one dense square,
-    its measured norm plus one `_defect_allowance`, and keeps the result.
-    An overflowing square gives no bound (NaN, which no ``tol`` accepts),
-    so the exact pass still raises on it."""
-    bound = a._defect
-    if bound is None:
-        m = _to_dense(a)
-        with np.errstate(all="ignore"):
-            bound = float(np.linalg.norm(m @ m - m)) / math.sqrt(1 << a.n_qubits) + _defect_allowance(a)
-        if not math.isfinite(bound):
-            bound = math.nan
-        object.__setattr__(a, "_defect", bound)
-    return bound
-
-
-def _defect_allowance(a: Multivector) -> float:
-    """`purity_defect_allowance` for ``a``, scaled by Tr(a^2) when that
-    exceeds 1."""
-    c = a._coeffs
-    return purity_defect_allowance(a.n_qubits) * max(1.0, (1 << a.n_qubits) * float(np.vdot(c, c).real))
 
 
 def _dense_exp_i(a: Multivector, t: float) -> np.ndarray:

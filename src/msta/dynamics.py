@@ -14,9 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (
-    _SPECTRAL_EXP_QUBITS, Multivector, _defect_allowance, _defect_bound, _dense_exp_i, _from_dense, _to_dense, exp_i,
-)
+from .algebra import _SPECTRAL_EXP_QUBITS, Multivector, _dense_exp_i, exp_i
 from .states import (
     DensityOperator, ProductState, ProjectorSphere, _unit3, bloch_state, frame_for, projector_sphere,
 )
@@ -111,27 +109,24 @@ def evolve(rho0: DensityOperator, hmv: Multivector, t: float) -> DensityOperator
 
     The route follows the qubit count, as `exp_i`'s does.  On at most
     `_SPECTRAL_EXP_QUBITS` (4) qubits U stays the matrix of `exp_i`'s
-    spectral route and U rho U^H is two 2^n x 2^n matmuls, with one
-    `_to_dense` and one `_from_dense`.  ``hmv`` keeps its eigendecomposition
-    and ``rho0.mv`` its matrix after the first call, so a trajectory pays
-    for them once, and each later step on the same pair is one phase
-    vector, the matmuls and `_from_dense`: at n = 2 about 0.025-0.04 ms
-    against 0.06-0.07 ms for the first step (timeit medians, 2-vCPU Xeon
-    guest, numpy 2.4.6, one BLAS thread).  On this route the result also
-    holds a bound on its purity defect: rho0's bound (`algebra._defect_bound`,
-    one dense square the first time, then kept on rho0) plus one rounding
-    allowance (`algebra._defect_allowance`).  So a trajectory squares its
-    start once, each step adds one float, and `is_pure` on a result is one
-    comparison.  Above the cut nothing is kept or carried, U comes from the
-    series and the conjugation is ``u * rho * u.reverse()``.  Raises
-    ValueError as `exp_i` does, and on a qubit count mismatch.
+    spectral route and the result is ``rho0._conjugated(U)``: two 2^n x 2^n
+    matmuls on rho0's matrix and one `_from_dense`.  ``hmv`` keeps its
+    eigendecomposition and ``rho0.mv`` its matrix after the first call, so
+    a trajectory pays for them once, and each later step on the same pair
+    is one phase vector, the matmuls and `_from_dense`: at n = 2 about
+    0.025-0.04 ms against 0.06-0.07 ms for the first step (timeit medians,
+    2-vCPU Xeon guest, numpy 2.4.6, one BLAS thread).  On this route the
+    result also holds a bound on its purity defect: rho0's bound
+    (`DensityOperator._defect_bound`, one dense square the first time,
+    then kept on rho0) plus one rounding allowance.  So a trajectory
+    squares its start once, each step adds one float, and `is_pure` on a
+    result is one comparison.  Above the cut nothing is kept or carried, U
+    comes from the series and the conjugation is ``u * rho * u.reverse()``.
+    Raises ValueError as `exp_i` does, and on a qubit count mismatch.
     """
     hmv._require_same_n(rho0.mv)
     if hmv.n_qubits <= _SPECTRAL_EXP_QUBITS:
-        u = _dense_exp_i(hmv, t)
-        rho = DensityOperator(_from_dense(u @ _to_dense(rho0.mv) @ u.conj().T))
-        object.__setattr__(rho.mv, "_defect", _defect_bound(rho0.mv) + _defect_allowance(rho0.mv))
-        return rho
+        return rho0._conjugated(_dense_exp_i(hmv, t))
     u = exp_i(hmv, t)
     return DensityOperator(u * rho0.mv * u.reverse())
 
@@ -141,32 +136,20 @@ def eigensystem_2q(h: ExchangeHamiltonian) -> list[tuple[DensityOperator, float]
 
     A is the rotation axis of each projector space; when the angular speed
     vanishes the space is degenerate and the Z basis vector serves as the
-    axis (any orthogonal pair spans the eigenspace).
+    axis (any orthogonal pair spans the eigenspace).  The aligned space
+    comes first, with energies (omega_z +/- 2 omega00)/4, then the
+    anti-aligned one, with (-omega_z +/- 2 omega01)/4.
     """
-    sph00, sph01 = _standard_spheres()
+    spaces = zip(
+        _standard_spheres(),
+        ((h.omega_minus, h.beta_plus, h.omega00), (h.omega_plus, h.beta_minus, h.omega01)),
+        (h.omega_z, -h.omega_z),
+    )
     out: list[tuple[DensityOperator, float]] = []
-    if h.omega00 > 0.0:
-        a00 = (h.omega_minus * sph00.x + h.beta_plus * sph00.z) / h.omega00
-    else:
-        a00 = sph00.z
-    if h.omega01 > 0.0:
-        a01 = (h.omega_plus * sph01.x + h.beta_minus * sph01.z) / h.omega01
-    else:
-        a01 = sph01.z
-    for sign in (1.0, -1.0):
-        out.append(
-            (
-                DensityOperator(0.5 * (sph00.p + sign * a00)),
-                (h.omega_z + sign * 2.0 * h.omega00) / 4.0,
-            )
-        )
-    for sign in (1.0, -1.0):
-        out.append(
-            (
-                DensityOperator(0.5 * (sph01.p + sign * a01)),
-                (-h.omega_z + sign * 2.0 * h.omega01) / 4.0,
-            )
-        )
+    for sph, (wx, wz, speed), omega_z in spaces:
+        axis = (wx * sph.x + wz * sph.z) / speed if speed > 0.0 else sph.z
+        for sign in (1.0, -1.0):
+            out.append((DensityOperator(0.5 * (sph.p + sign * axis)), (omega_z + sign * 2.0 * speed) / 4.0))
     return out
 
 

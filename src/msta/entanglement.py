@@ -1,8 +1,9 @@
 """Reduced operators, entanglement measures, measurement updates, CHSH.
 
-Entropy, concurrence and the CHSH maximum read slices of the correlation
-tensor (`DensityOperator.correlation_tensor`); `correlator` and
-`chsh_value` keep the paper's scalar-part forms.  `partial_trace` keeps
+Entropy, concurrence, correlators, CHSH values and the CHSH maximum read
+slices of the correlation tensor (`DensityOperator.correlation_tensor`);
+the tests hold the correlators equal to the paper's scalar-part forms,
+4 <a_1 b_2 rho>.  `partial_trace` keeps
 the terms on the kept qubits, scaled by 2^d, O(terms) for any n where the
 tensor costs O(4^n).  Which terms it keeps and how it reindexes them is
 fixed per (n, keep), so it reads them from a plan built once per pair
@@ -128,23 +129,26 @@ class ChshSetting:
             _unit3(v)
 
 
-def correlator(rho: DensityOperator, axis_a, axis_b) -> float:
-    """E(a, b) = 4 < a_1 b_2 rho > for a two-qubit state."""
+def _correlation_matrix(rho: DensityOperator) -> np.ndarray:
+    """T[1:, 1:] of a two-qubit state: entry (i, j) is Tr(rho sigma_i (x)
+    sigma_j) over i, j in (x, y, z)."""
     if rho.n_qubits != 2:
         raise ValueError("expected a two-qubit state")
-    obs = Multivector.vector(2, 0, _unit3(axis_a)) * Multivector.vector(2, 1, _unit3(axis_b))
-    return rho.expectation(obs)
+    return rho.correlation_tensor()[1:, 1:]
+
+
+def correlator(rho: DensityOperator, axis_a, axis_b) -> float:
+    """E(a, b) = 4 < a_1 b_2 rho > = a . T b for a two-qubit state, T the
+    correlation matrix."""
+    return float(_unit3(axis_a) @ _correlation_matrix(rho) @ _unit3(axis_b))
 
 
 def chsh_value(rho: DensityOperator, setting: ChshSetting) -> float:
-    """E(QS) + E(RS) + E(RT) - E(QT) evaluated as one scalar part."""
-    if rho.n_qubits != 2:
-        raise ValueError("expected a two-qubit state")
-    va = Multivector.vector
-    q, r = va(2, 0, _unit3(setting.q)), va(2, 0, _unit3(setting.r))
-    s, t = va(2, 1, _unit3(setting.s)), va(2, 1, _unit3(setting.t))
-    obs = q * s + r * s + r * t - q * t
-    return rho.expectation(obs)
+    """E(QS) + E(RS) + E(RT) - E(QT) = q . T (s - t) + r . T (s + t), T the
+    correlation matrix."""
+    corr = _correlation_matrix(rho)
+    q, r, s, t = (_unit3(v) for v in (setting.q, setting.r, setting.s, setting.t))
+    return float(q @ corr @ (s - t) + r @ corr @ (s + t))
 
 
 def chsh_maximize(rho: DensityOperator) -> tuple[float, ChshSetting]:
@@ -156,11 +160,9 @@ def chsh_maximize(rho: DensityOperator) -> tuple[float, ChshSetting]:
     q = u_2, r = u_1, s = cos(phi) w_1 + sin(phi) w_2 and t = cos(phi) w_1
     - sin(phi) w_2 with phi = atan2(s_2, s_1).  Where singular values tie
     (every Bell state) these axes are one optimum of many.  The value is
-    reported through `chsh_value`'s scalar-part route.
+    reported through `chsh_value`.
     """
-    if rho.n_qubits != 2:
-        raise ValueError("expected a two-qubit state")
-    u, sv, wt = np.linalg.svd(rho.correlation_tensor()[1:, 1:])
+    u, sv, wt = np.linalg.svd(_correlation_matrix(rho))
     phi = np.arctan2(sv[1], sv[0])
     s = np.cos(phi) * wt[0] + np.sin(phi) * wt[1]
     t = np.cos(phi) * wt[0] - np.sin(phi) * wt[1]

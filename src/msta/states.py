@@ -19,7 +19,8 @@ difference of the amplitudes, O(4^n) sphere products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .algebra import Multivector, _dense_coeffs, _from_dense, _kept, _magnitudes, _to_dense, _x_mask, exp_i
 from .tolerances import (
     AXIS_TOL, HERMITIAN_TOL, IDENTITY_TOL, NEGLIGIBLE_WEIGHT, NORM_TOL, PRUNE_EPS, PURE_TOL, TRACE_TOL,
-    UNIT_TOL,
+    UNIT_TOL, purity_defect_allowance,
 )
 
 
@@ -72,9 +73,13 @@ class DensityOperator:
 
     Immutable, like its multivector: setting or deleting an attribute
     raises AttributeError, so the constructor's checks cannot be bypassed.
+    The one value a state keeps besides its terms is ``_defect``, a float
+    bounding every Pauli coefficient of rho rho - rho, or None: measured
+    once by `_defect_bound`, or written on a conjugated state by
+    `_conjugated`.  Copies and pickles drop it.
     """
 
-    __slots__ = ("mv",)
+    __slots__ = ("mv", "_defect")
 
     def __init__(self, mv: Multivector):
         if mv.hermitian_defect() > HERMITIAN_TOL:
@@ -82,6 +87,7 @@ class DensityOperator:
         if abs((1 << mv.n_qubits) * mv.scalar_part() - 1.0) > TRACE_TOL:
             raise ValueError("density operator must have unit trace")
         object.__setattr__(self, "mv", mv)
+        object.__setattr__(self, "_defect", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"DensityOperator is immutable: cannot set {name!r}")
@@ -114,18 +120,51 @@ class DensityOperator:
         keeps, read off the unpruned coefficient vector without building a
         multivector.  Raises ValueError if a coefficient is not finite.
 
-        A state that `dynamics.evolve` built on the dense route holds a
-        bound on that defect, its start's bound plus a rounding allowance
-        per step.  When the bound is at most ``tol`` the state is pure
-        without the dense pass; otherwise, or with no bound, the pass
-        decides, so the verdict is always the pass's.  The pass keeps no
-        bound of its own."""
-        bound = self.mv._defect
+        A state that `_conjugated` built, as `dynamics.evolve` does on its
+        dense route, holds a bound on that defect (``_defect``), its start's
+        bound plus a rounding allowance per step.  When the bound is at most
+        ``tol`` the state is pure without the dense pass; otherwise, or with
+        no bound, the pass decides, so the verdict is always the pass's.
+        The pass keeps no bound of its own."""
+        bound = self._defect
         if bound is not None and bound <= tol:
             return True
         m = _to_dense(self.mv)
         worst = float(_magnitudes(_dense_coeffs(m @ m - m)).max())
         return (worst if worst > PRUNE_EPS else 0.0) <= tol
+
+    def _defect_bound(self) -> float:
+        """An upper bound on every Pauli coefficient of rho rho - rho that
+        `is_pure`'s exact pass can compute: the root-sum-square of those
+        coefficients, which unitary conjugation leaves unchanged.  A state
+        with no bound yet is measured by one dense square, its measured
+        norm plus one `_defect_allowance`, and keeps the result.  An
+        overflowing square gives no bound (NaN, which no ``tol`` accepts),
+        so the exact pass still raises on it."""
+        bound = self._defect
+        if bound is None:
+            m = self.matrix()
+            with np.errstate(all="ignore"):
+                bound = float(np.linalg.norm(m @ m - m)) / math.sqrt(1 << self.n_qubits) + self._defect_allowance()
+            if not math.isfinite(bound):
+                bound = math.nan
+            object.__setattr__(self, "_defect", bound)
+        return bound
+
+    def _defect_allowance(self) -> float:
+        """`purity_defect_allowance` for this state, scaled by Tr(rho^2)
+        when that exceeds 1."""
+        c = self.mv._coeffs
+        return purity_defect_allowance(self.n_qubits) * max(1.0, (1 << self.n_qubits) * float(np.vdot(c, c).real))
+
+    def _conjugated(self, u: np.ndarray) -> "DensityOperator":
+        """The state U rho U^H for the 2^n x 2^n unitary matrix ``u``: two
+        matmuls on rho's matrix and one `_from_dense`.  The result holds
+        this state's `_defect_bound` plus one `_defect_allowance`, so a
+        chain of conjugations squares its start once."""
+        rho = DensityOperator(_from_dense(u @ _to_dense(self.mv) @ u.conj().T))
+        object.__setattr__(rho, "_defect", self._defect_bound() + self._defect_allowance())
+        return rho
 
     def correlation_tensor(self) -> np.ndarray:
         """T[mu_0, ..., mu_{n-1}] = Tr(rho sigma_mu_0 (x) ... (x) sigma_mu_{n-1}).
@@ -148,10 +187,6 @@ class DensityOperator:
         if self.n_qubits != 1:
             raise ValueError("bloch_vector is defined for single-qubit operators")
         return self.correlation_tensor()[1:]
-
-    def expectation(self, observable: Multivector) -> float:
-        """Tr(O rho) via the scalar part."""
-        return (1 << self.n_qubits) * (observable * self.mv).scalar_part()
 
     def __repr__(self) -> str:
         return f"DensityOperator(n={self.n_qubits}, {len(self.mv)} terms)"

@@ -78,7 +78,9 @@ _PHASE_MATRIX[0b111, 1:] = 1.0
 _ANGLE_MATRIX = _PHASE_MATRIX[_PAIRS[:, 1]] - _PHASE_MATRIX[_PAIRS[:, 0]]
 # the turns e^{i angle} of the twelve vectors at each lattice point
 _LATTICE_TURNS = np.exp(1j * (_LATTICE @ _ANGLE_MATRIX.T))
-# the eliminant's sample points (`_inverse_dft`) and [1, a, a^2] there, as floats
+# the eliminant's sample points, the 16th roots of unity (more than its
+# degree); the matrix taking a polynomial from its values there to its
+# coefficients, lowest first; and [1, a, a^2] at the samples, as floats
 _SAMPLES = np.exp(TWO_PI * 1j * np.arange(16) / 16)
 _INVERSE_DFT = np.exp(-TWO_PI * 1j * np.outer(np.arange(16), np.arange(16)) / 16) / 16
 _SAMPLE_POWERS = (_SAMPLES ** np.arange(3)[:, None]).view(np.float64)
@@ -253,13 +255,6 @@ def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
         x, v, r, rnorm = cand, vc, rc, rcn
     out[slot], out_norm[slot] = x, rnorm
     return out[out_norm < SOLVER_TOL]
-
-
-def _inverse_dft() -> tuple[np.ndarray, np.ndarray]:
-    """The 16th roots of unity, more than the eliminant's degree, and the
-    matrix taking a polynomial from its values there to its coefficients,
-    lowest first."""
-    return _SAMPLES, _INVERSE_DFT
 
 
 def _coefficients(lengths: np.ndarray) -> np.ndarray:

@@ -306,11 +306,10 @@ def test_memoized_dense_matrix_is_read_only_and_fresh(rng):
 
 
 def test_multivectors_are_immutable_and_copy_without_kept_values(rng):
-    # the kept matrix, spectrum and purity-defect bound trust the terms
-    # never to change
+    # the kept matrix and spectrum trust the terms never to change
     a = random_hermitian_mv(2, rng)
     m = _to_dense(a)
-    for name in ("n_qubits", "_keys", "_coeffs", "_dense", "_spectrum", "_defect", "other"):
+    for name in ("n_qubits", "_keys", "_coeffs", "_dense", "_spectrum", "other"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(a, name, None)
         with pytest.raises(AttributeError, match="immutable"):
@@ -318,7 +317,7 @@ def test_multivectors_are_immutable_and_copy_without_kept_values(rng):
     assert a._dense is m
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert same_bits(b, a) and b == a
-        assert b._dense is None and b._spectrum is None and b._defect is None
+        assert b._dense is None and b._spectrum is None
         assert not (b._keys.flags.writeable or b._coeffs.flags.writeable)
         with pytest.raises(AttributeError, match="immutable"):
             b._coeffs = a._coeffs

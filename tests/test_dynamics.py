@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from msta import algebra, oracle, states
-from msta.algebra import Multivector, _defect_bound, _dense_coeffs, _to_dense, allclose, exp_i
+from msta import oracle, states
+from msta.algebra import Multivector, _dense_coeffs, _to_dense, allclose, exp_i
 from msta.dynamics import (
     ExchangeHamiltonian,
     ProductEvolution,
@@ -188,7 +188,7 @@ def test_evolve_carries_a_bound_on_the_purity_defect(rng):
     kinds = ("pure", "mixed", "unphysical")
 
     def checked_bound(rho):
-        bound = _defect_bound(rho.mv)
+        bound = rho._defect_bound()
         l2, largest = exact_defects(rho)
         assert bound >= l2 and bound >= largest, (rho.n_qubits, bound, l2, largest)
         return bound
@@ -211,33 +211,33 @@ def test_evolve_carries_a_bound_on_the_purity_defect(rng):
 def test_evolve_writes_the_bound_and_squares_its_start_once(rng, monkeypatch):
     hmv = hamiltonian(random_h(rng))
     rho0 = states.pure_state_from_amplitudes(oracle.random_statevector(2, rng))
-    # `_defect_bound` takes the matrix through algebra's `_to_dense` for its
-    # square; `evolve` takes rho0's through its own import
-    to_dense = algebra._to_dense
+    # `_defect_bound` takes the matrix for its square through
+    # `DensityOperator.matrix`; `_conjugated` reads rho0's through `_to_dense`
+    matrix = states.DensityOperator.matrix
     squared = []
-    monkeypatch.setattr(algebra, "_to_dense", lambda a: squared.append(a) or to_dense(a))
+    monkeypatch.setattr(states.DensityOperator, "matrix", lambda rho: squared.append(rho) or matrix(rho))
     rho = evolve(rho0, hmv, 0.4)
-    assert type(rho0.mv._defect) is float and type(rho.mv._defect) is float
+    assert type(rho0._defect) is float and type(rho._defect) is float
     for t in rng.uniform(-3.0, 3.0, size=20):
         evolve(rho0, hmv, float(t))
-    assert sum(a is rho0.mv for a in squared) == 1
+    assert sum(a is rho0 for a in squared) == 1
     # a chain of k evolves adds one allowance per step to its start's bound
     chain, k = rho, 10
     for _ in range(k):
         chain = evolve(chain, hmv, float(rng.uniform(-3.0, 3.0)))
-    want = rho.mv._defect + k * purity_defect_allowance(2)
-    assert type(chain.mv._defect) is float and math.isclose(chain.mv._defect, want, rel_tol=1e-12)
-    assert chain.is_pure() and sum(a is rho.mv for a in squared) == 0
+    want = rho._defect + k * purity_defect_allowance(2)
+    assert type(chain._defect) is float and math.isclose(chain._defect, want, rel_tol=1e-12)
+    assert chain.is_pure() and sum(a is rho for a in squared) == 0
     # copies and equality ignore the bound
-    for twin in (fresh_copy(rho.mv), copy.copy(rho.mv), copy.deepcopy(rho.mv)):
-        assert twin == rho.mv and same_bits(twin, rho.mv) and twin._defect is None
+    for twin in (states.DensityOperator(fresh_copy(rho.mv)), copy.copy(rho), copy.deepcopy(rho)):
+        assert twin.mv == rho.mv and same_bits(twin.mv, rho.mv) and twin._defect is None
 
 
 def test_no_bound_is_carried_above_four_qubits(rng):
     rho0 = states.pure_state_from_amplitudes(oracle.random_statevector(5, rng))
     rho = evolve(rho0, random_hermitian_mv(5, rng), 0.7)
-    assert rho.mv._defect is None and rho0.mv._defect is None
-    assert rho.is_pure() and rho.mv._defect is None
+    assert rho._defect is None and rho0._defect is None
+    assert rho.is_pure() and rho._defect is None
 
 
 def test_an_overflowing_start_raises_as_without_the_bound(rng):
@@ -252,7 +252,7 @@ def test_an_overflowing_start_raises_as_without_the_bound(rng):
     rho = evolve(huge, hamiltonian(ExchangeHamiltonian(omega_z=1.0)), 1.0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         rho.is_pure(math.inf)
-    assert math.isnan(_defect_bound(rho.mv))
+    assert math.isnan(rho._defect_bound())
 
 
 @pytest.mark.parametrize("degenerate", [False, True])

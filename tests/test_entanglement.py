@@ -175,6 +175,47 @@ def test_measure_update_impossible_outcome():
         measure_update(rho, 0, [0, 0, 1], -1)
 
 
+def reference_correlator(rho, axis_a, axis_b):
+    """The paper's scalar-part form E(a, b) = 4 < a_1 b_2 rho >, from
+    `Multivector.vector` products: the reference for `correlator`."""
+    obs = Multivector.vector(2, 0, axis_a) * Multivector.vector(2, 1, axis_b)
+    return 4.0 * (obs * rho.mv).scalar_part()
+
+
+def reference_chsh(rho, setting):
+    """E(QS) + E(RS) + E(RT) - E(QT) as one scalar part, the paper's form:
+    the reference for `chsh_value`."""
+    va = Multivector.vector
+    q, r = va(2, 0, setting.q), va(2, 0, setting.r)
+    s, t = va(2, 1, setting.s), va(2, 1, setting.t)
+    return 4.0 * ((q * s + r * s + r * t - q * t) * rho.mv).scalar_part()
+
+
+def random_axes(k, rng):
+    vs = rng.standard_normal((k, 3))
+    return [tuple(v) for v in vs / np.linalg.norm(vs, axis=1)[:, None]]
+
+
+def test_correlator_and_chsh_value_match_the_scalar_part_forms(rng):
+    # the correlation-tensor reads against the paper's multivector products,
+    # on pure states and on mixtures of two
+    rhos = []
+    for _ in range(50):
+        a = states.pure_state_from_amplitudes(oracle.random_statevector(2, rng))
+        b = states.pure_state_from_amplitudes(oracle.random_statevector(2, rng))
+        w = float(rng.uniform(0.0, 1.0))
+        rhos += [a, states.DensityOperator(w * a.mv + (1.0 - w) * b.mv)]
+    for rho in rhos:
+        for _ in range(4):
+            axis_a, axis_b = random_axes(2, rng)
+            assert abs(correlator(rho, axis_a, axis_b) - reference_correlator(rho, axis_a, axis_b)) < 1e-14
+            setting = ChshSetting(*random_axes(4, rng))
+            assert abs(chsh_value(rho, setting) - reference_chsh(rho, setting)) < 1e-14
+    for f, args in ((correlator, ((0, 0, 1), (0, 0, 1))), (chsh_value, (ChshSetting(*random_axes(4, rng)),))):
+        with pytest.raises(ValueError, match="two-qubit"):
+            f(states.ghz(), *args)
+
+
 def test_chsh_single_correlator():
     assert abs(correlator(bell("psi-"), [0, 0, 1], [0, 0, 1]) + 1.0) < 1e-12
 
@@ -264,9 +305,9 @@ def _ascent_chsh(rho, restarts=8, tol=1e-12, max_iter=2000, seed=0):
     analytic half-steps (best (s, t) lie along T^T(q + r) and T^T(r - q),
     best (q, r) along T(s - t) and T(s + t)) until the value improves by
     less than ``tol``; the best of ``restarts`` ascents.  T is built from
-    the scalar-part `correlator` over the Cartesian axes."""
+    the scalar-part `reference_correlator` over the Cartesian axes."""
     axes = np.eye(3)
-    tmat = np.array([[correlator(rho, ea, eb) for eb in axes] for ea in axes])
+    tmat = np.array([[reference_correlator(rho, ea, eb) for eb in axes] for ea in axes])
 
     def normalized(v):
         nrm = np.linalg.norm(v)

@@ -161,16 +161,19 @@ def test_projector_sphere_check_raises_on_a_bad_basis():
 
 def test_density_operators_are_immutable():
     # setting mv on a built state used to leave n_qubits at 2 while mv had
-    # 3 qubits, with purity() 100.0: the constructor's checks were bypassed
+    # 3 qubits, with purity() 100.0: the constructor's checks were bypassed.
+    # The purity-defect bound is immutable too, and copies drop it
     rho = bell("phi+")
-    for name in ("mv", "n_qubits", "other"):
+    for name in ("mv", "n_qubits", "_defect", "other"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(rho, name, Multivector(3, {"XXX": 5.0}))
         with pytest.raises(AttributeError, match="immutable"):
             delattr(rho, name)
     assert rho.n_qubits == 2 and abs(rho.purity() - 1.0) < 1e-12 and rho.is_pure()
+    assert rho._defect is None and type(rho._defect_bound()) is float and rho._defect == rho._defect_bound()
     for twin in (copy.copy(rho), copy.deepcopy(rho), pickle.loads(pickle.dumps(rho))):
         assert type(twin) is DensityOperator and twin.mv == rho.mv and twin.n_qubits == 2
+        assert twin._defect is None
         with pytest.raises(AttributeError, match="immutable"):
             twin.mv = rho.mv
 

@@ -17,13 +17,14 @@ from msta.states import DensityOperator, apply_rotor, bloch_slice, local_rotor, 
 from msta.tolerances import DEDUP_RADIUS, PROB_FLOOR, SNAP_RADIUS, SOLVER_TOL, START_TOL, SUM_TOL, ZERO_LENGTH
 from msta.vectorsum import (
     _ANGLE_MATRIX,
+    _INVERSE_DFT,
     _LATTICE,
     _PHASE_MATRIX,
+    _SAMPLES,
     AngleSet,
     _coefficients,
     _distinct,
     _in_range,
-    _inverse_dft,
     _jacobian,
     _newton,
     _roots,
@@ -769,7 +770,7 @@ def test_a_double_root_split_across_the_circle_is_turned_onto_it():
 
 
 def test_every_solution_is_a_root_of_p1_e3_and_the_eliminant(rng):
-    points, inverse = _inverse_dft()
+    points, inverse = _SAMPLES, _INVERSE_DFT
     for _ in range(20):
         _, _, inv = random_pure_invariants(rng)
         lengths = vector_lengths(expansion_probabilities(inv))
