@@ -56,10 +56,9 @@ from .invariants import (
     feasibility,
     invariants_2q,
     invariants_3q,
-    special_state,
     sudbery,
     three_tangle_oracle,
 )
-from .vectorsum import AngleSet, reconstruct, solve, vector_lengths
+from .vectorsum import AngleSet, reconstruct, solve, special_state, vector_lengths
 
 __version__ = "0.1.0"

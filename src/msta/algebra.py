@@ -573,14 +573,10 @@ class Multivector:
         if isinstance(other, (int, float, complex)):
             if not cmath.isfinite(other):
                 raise ValueError(f"cannot scale a multivector by {other}")
-            if abs(other) == 0.0:
-                return Multivector.zero(self.n_qubits)
             coeffs = self._coeffs * other
             keep = _kept(coeffs)
             return Multivector._raw(self.n_qubits, self._keys[keep], coeffs[keep])
         self._require_same_n(other)
-        if self._keys.size == 0 or other._keys.size == 0:
-            return Multivector.zero(self.n_qubits)
         n = self.n_qubits
         if self._keys.size * other._keys.size >= max(_MATRIX_ROUTE_PAIRS, 1 << (2 * n + 2)):
             m = _to_dense(self)

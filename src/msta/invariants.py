@@ -28,7 +28,7 @@ import numpy as np
 from .states import DensityOperator, _checked_amplitudes, pure_state_from_amplitudes
 from .tolerances import (
     DEGENERATE_V, EXISTENCE_SLACK, FEASIBILITY_SLACK, INVARIANT_PURE_TOL, PAIR_TOL, PROB_FLOOR,
-    RANGE_SLACK, REPORT_SLACK, VANISHING_V,
+    RANGE_SLACK, VANISHING_V,
 )
 
 # the sign of qubit a, b and c (rows) in each of the eight p[ijk] (columns)
@@ -375,32 +375,6 @@ def named_point(kind: str, va: float, vb: float, vc: float) -> tuple[float, floa
     if vmin * vmin < g - tol:
         raise InfeasibleInvariantsError(f"maximum-3-tangle state needs v_min^2 >= {g}")
     return vmin * vmin, g**2 / (vmin * vmin)
-
-
-def special_state(
-    kind: str, va: float, vb: float, vc: float
-) -> tuple[InvariantSet3Q, DensityOperator]:
-    """Construct one of the named invariant points and a state realising it.
-
-    kind and the existence conditions are those of `named_point`.  The seed
-    and negative seed are built from their four basis probabilities, the
-    other two through the vector-sum solver.
-    """
-    # vectorsum imports this module, so it is imported at call time
-    from .vectorsum import reconstruct, solve, vector_lengths
-
-    inv = InvariantSet3Q(va, vb, vc, *named_point(kind, va, vb, vc))
-    if kind in ("seed", "negative_seed"):
-        probs = (seed_probabilities if kind == "seed" else negative_seed_probabilities)(va, vb, vc)
-        return inv, pure_state_from_amplitudes(_amplitudes_on_basis(probs))
-    report = feasibility(inv, slack=REPORT_SLACK)
-    if not report.feasible:
-        raise InfeasibleInvariantsError("; ".join(report.violations))
-    lengths = vector_lengths(expansion_probabilities(inv))
-    solutions = solve(lengths)
-    if not solutions:
-        raise RuntimeError("vector-sum solver found no solution for a feasible point")
-    return inv, reconstruct(inv, solutions[0])
 
 
 def degenerate_limit(case: str, *, v_b: float | None = None, v_c: float | None = None) -> DensityOperator:

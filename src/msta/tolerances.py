@@ -139,8 +139,8 @@ SOLVER_TOL = 1e-11
 # A vector length within this of zero is zero: below -ZERO_LENGTH it is an
 # error, and twelve lengths under it close at any angles.
 ZERO_LENGTH = 1e-12
-# A converged iterate within this (per angle) of a {0, pi} lattice point
-# snaps to it when the lattice point also closes the sums.
+# A converged iterate within this (per angle, modulo 2 pi) of a {0, pi}
+# lattice point that closes the sums is that point, and is dropped.
 SNAP_RADIUS = 1e-3
 # Two solutions closer than this per angle, modulo 2 pi, are one.
 DEDUP_RADIUS = 1e-6

@@ -29,8 +29,8 @@ the eliminant, is of degree 7 in a alone, with a factor a^2 (`_roots`).
 Its coefficients are real, so its roots and the solutions come in
 conjugate pairs: at each root near the unit circle with Im a >= 0,
 `_starts` takes theta, phi_ac from E3, psi from qubit a's sum and phi_bc
-from qubit b's; the starts that nearly close the sums run Gauss-Newton
-(`_newton`), and `solve` adds the conjugates (every angle negated).  Near
+from qubit b's; Gauss-Newton (`_newton`) runs from the starts that nearly
+close the sums, and `solve` adds the conjugates (every angle negated).  Near
 theta in {0, pi} rounding, or lengths with few correct digits near a product
 or W state, can split a pair across the circle, to rho e^{i phi} and
 e^{i phi}/rho; so when no start converges, each root restarts at phi + ln rho.
@@ -39,8 +39,12 @@ real-amplitude states, where the Jacobian is singular, and the stand-ins
 for the starts where L1 L3 = 0 or the eliminant vanishes (boundary states,
 states near a product or W state).  Every vector is real there, so the
 Gauss-Newton step is zero up to rounding: a lattice point is kept, without
-iterating, when it closes the sums below SOLVER_TOL; one with all angles in
-{0, pi} is self-conjugate.
+iterating, when it closes the sums below SOLVER_TOL, and it stands for every
+Gauss-Newton iterate within SNAP_RADIUS of it, so that a line solution's flat
+valley does not smear into duplicates.  A lattice point is self-conjugate.
+
+`reconstruct` builds the state from the invariants and one solution, and
+`special_state` the states of the named invariant points.
 """
 
 from __future__ import annotations
@@ -50,11 +54,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import InfeasibleInvariantsError, InvariantSet3Q, _feasibility, expansion_probabilities
+from .invariants import (
+    InfeasibleInvariantsError, InvariantSet3Q, _amplitudes_on_basis, _feasibility, expansion_probabilities,
+    feasibility, named_point, negative_seed_probabilities, seed_probabilities,
+)
 from .states import DensityOperator, pure_state_from_amplitudes
 from .tolerances import (
-    DEDUP_RADIUS, ELIMINANT_TRIM, FEASIBILITY_SLACK, PROB_FLOOR, SNAP_RADIUS, SOLVER_TOL,
-    START_TOL, SUM_TOL, UNIT_CIRCLE_TOL, ZERO_LENGTH,
+    DEDUP_RADIUS, ELIMINANT_TRIM, FEASIBILITY_SLACK, PROB_FLOOR, REPORT_SLACK, SNAP_RADIUS,
+    SOLVER_TOL, START_TOL, SUM_TOL, UNIT_CIRCLE_TOL, ZERO_LENGTH,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -205,9 +212,10 @@ def _step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (coef[:, None, :] @ vt)[:, 0, :]
 
 
-def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The converged iterates of damped Gauss-Newton from each start, in
-    start order, each polished to full precision.
+def _newton(lengths: np.ndarray, starts: np.ndarray, limit: float = np.inf) -> np.ndarray:
+    """The converged iterates of damped Gauss-Newton from each start whose
+    max-abs residual is below ``limit``, in start order, each polished to
+    full precision.
 
     All starts advance together, for at most ``_MAX_ITER`` iterations.
     Each takes the minimum-norm least-squares step (`_step`: from the SVD
@@ -227,6 +235,8 @@ def _newton(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
     v = _vectors(lengths, x)
     r = _sums(v)
     rnorm = np.abs(r).max(axis=-1)
+    near = rnorm < limit
+    x, v, r, rnorm = x[near], v[near], r[near], rnorm[near]
     slot, out, out_norm = np.arange(len(x)), np.empty_like(x), np.empty(len(x))
     for _ in range(_MAX_ITER):
         if not slot.size:
@@ -327,7 +337,7 @@ def solve(lengths) -> list[AngleSet]:
     Deterministic: damped Gauss-Newton with a Newton polish (`_newton`) from
     the eliminant's roots in the upper half plane (`_roots`, `_starts`,
     module docstring), joined by the {0, pi}^4 lattice points that close the
-    sums; roots near the lattice snap onto it.  The solutions are completed
+    sums, which replace the roots near them.  The solutions are completed
     with their sign-flipped conjugates, deduplicated modulo 2 pi and
     deterministically ordered.  An empty list means no root: genuinely
     infeasible lengths, or a solver failure if feasibility said a state
@@ -348,19 +358,12 @@ def solve(lengths) -> list[AngleSet]:
     roots = _roots(lengths, quad)
     # the lower half's roots give the conjugate solutions (module docstring)
     starts = _starts(lengths, np.angle(roots[roots.imag >= 0.0]), quad)
-    near = np.abs(residual(lengths, starts)).max(axis=-1) < START_TOL * lengths.max()
-    x = _newton(lengths, starts[near])
+    x = _newton(lengths, starts, START_TOL * lengths.max())
     if not len(x) and not len(lattice):
         # a near-double root split across the circle (module docstring)
         x = _newton(lengths, _starts(lengths, np.angle(roots) + np.log(np.abs(roots)), quad))
-
-    # boundary solutions are exact {0, pi} lattice points with a singular Jacobian; snap nearby
-    # iterates (|x - snapped| <= pi/2) so a line solution's flat valley does not smear into duplicates
-    snapped = np.round(x / np.pi) * np.pi
-    snap = np.abs(x - snapped).max(axis=-1) < SNAP_RADIUS
-    if snap.any():
-        snap &= np.abs(residual(lengths, snapped)).max(axis=-1) < SOLVER_TOL
-        x = np.where(snap[:, None], snapped, x)
+    # a closing lattice point stands for the iterates near it (module docstring)
+    x = x[(np.abs(_wrap(x[:, None] - lattice)).max(axis=-1) >= SNAP_RADIUS).all(axis=-1)]
     sols = [AngleSet(*p) for p in _distinct(_wrap(np.concatenate([x, lattice]))).tolist()]
     # ordered by the six named angles rounded to 1e-9, the first one first
     six = np.round([s.as_tuple() for s in sols], 9).reshape(-1, 6)
@@ -388,3 +391,26 @@ def reconstruct(inv: InvariantSet3Q, angles: AngleSet, axes=None) -> DensityOper
     amps = np.sqrt(np.clip(probs, 0.0, None)) * np.exp(1j * (_PHASE_MATRIX @ angles.free()))
     amps = amps / np.linalg.norm(amps)
     return pure_state_from_amplitudes(amps, axes=axes)
+
+
+def special_state(
+    kind: str, va: float, vb: float, vc: float
+) -> tuple[InvariantSet3Q, DensityOperator]:
+    """Construct one of the named invariant points and a state realising it.
+
+    kind and the existence conditions are those of `named_point`.  The seed
+    and negative seed are built from their four basis probabilities, the
+    other two through the vector-sum solver.
+    """
+    inv = InvariantSet3Q(va, vb, vc, *named_point(kind, va, vb, vc))
+    if kind in ("seed", "negative_seed"):
+        probs = (seed_probabilities if kind == "seed" else negative_seed_probabilities)(va, vb, vc)
+        return inv, pure_state_from_amplitudes(_amplitudes_on_basis(probs))
+    report = feasibility(inv, slack=REPORT_SLACK)
+    if not report.feasible:
+        raise InfeasibleInvariantsError("; ".join(report.violations))
+    lengths = vector_lengths(expansion_probabilities(inv))
+    solutions = solve(lengths)
+    if not solutions:
+        raise RuntimeError("vector-sum solver found no solution for a feasible point")
+    return inv, reconstruct(inv, solutions[0])

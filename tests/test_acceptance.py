@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from msta import oracle, states
-from msta.algebra import exp_i
-from msta.cli import region_scan_rows
+from msta.cli import region_scan_rows, verify_algebra_once
 from msta.dynamics import (
     ExchangeHamiltonian,
     ProductEvolution,
@@ -27,7 +26,6 @@ from msta.invariants import (
     expansion_probabilities,
     invariants_3q,
     negative_seed_probabilities,
-    special_state,
     sudbery,
     three_tangle_oracle,
     zero_tangle_point,
@@ -43,8 +41,7 @@ from msta.states import (
     sphere_state,
     w_state,
 )
-from msta.vectorsum import reconstruct, residual, solve, vector_lengths
-from conftest import random_multivector
+from msta.vectorsum import reconstruct, residual, solve, special_state, vector_lengths
 
 
 def report(num, ok, detail):
@@ -59,27 +56,7 @@ def test_criterion_1_oracle_isomorphism():
     pairs_per_n = 1000
     for n in (1, 2, 3, 4):
         for _ in range(pairs_per_n):
-            a = random_multivector(n, rng, max_terms=6)
-            b = random_multivector(n, rng, max_terms=6)
-            ma, mb = oracle.to_matrix(a), oracle.to_matrix(b)
-            worst = max(worst, np.abs(oracle.to_matrix(a * b) - ma @ mb).max())
-            worst = max(
-                worst, np.abs(oracle.to_matrix(a.reverse()) - ma.conj().T).max()
-            )
-            worst = max(worst, abs(a.scalar_part() - np.trace(ma).real / (1 << n)))
-            if n >= 2:
-                excluded = int(rng.integers(0, n))
-                keep = [q for q in range(n) if q != excluded]
-                got = oracle.to_matrix(a.drop_qubits([excluded]) * 2.0)
-                worst = max(
-                    worst,
-                    np.abs(got - oracle.partial_trace_matrix(ma, keep, n)).max(),
-                )
-            h = a + a.reverse()
-            t = float(rng.uniform(-1.0, 1.0))
-            got = oracle.to_matrix(exp_i(h, t))
-            want = oracle.expm_minus_i(oracle.to_matrix(h), t)
-            worst = max(worst, np.abs(got - want).max())
+            worst = max(worst, verify_algebra_once(n, rng))
     elapsed = time.time() - t0
     report(
         1,

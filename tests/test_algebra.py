@@ -107,6 +107,18 @@ def test_iota_squares_to_minus_one():
     assert (i2 * i2 + 1.0).max_abs() == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 3, 9])
+def test_products_with_zero_are_the_zero_multivector(n, rng):
+    zero = Multivector.zero(n)
+    a = random_multivector(n, rng)
+    products = [p for s in (0, 0.0, -0.0, 0j) for p in (a * s, s * a)]
+    products += [a * zero, zero * a, zero * zero]
+    for p in products:
+        assert p == zero
+        assert p._keys.dtype == zero._keys.dtype == np.int64
+        assert p._coeffs.dtype == zero._coeffs.dtype == np.complex128
+
+
 def test_prune_keeps_equality_canonical():
     a = Multivector(1, {"X": 1.0, "Z": 1e-16})
     b = Multivector(1, {"X": 1.0})

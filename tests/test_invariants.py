@@ -16,7 +16,6 @@ from msta.invariants import (
     invariants_3q,
     lengths_exist,
     named_point,
-    special_state,
     sudbery,
     three_tangle_oracle,
     zero_tangle_point,
@@ -35,7 +34,7 @@ from msta.states import (
     sphere_state,
     w_state,
 )
-from msta.vectorsum import vector_lengths
+from msta.vectorsum import special_state, vector_lengths
 
 
 def random_pure_3q(rng):

@@ -38,6 +38,22 @@ def test_no_assert_statements():
     assert not found, "raise an exception instead of asserting at: " + ", ".join(found)
 
 
+def test_no_import_inside_a_function():
+    # an import at call time hides a module cycle; the modules import each
+    # other at the top, in one order
+    found = []
+    for path in sorted(Path(msta.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+    assert not found, "import at the top of the module instead of at: " + ", ".join(found)
+
+
 def _tree(name):
     return ast.parse((Path(msta.__file__).parent / name).read_text(encoding="utf-8"))
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from msta import oracle
+from msta import oracle, vectorsum
 from msta.invariants import (
     InfeasibleInvariantsError,
     InvariantSet3Q,
@@ -750,6 +750,36 @@ def test_solve_rebuilds_every_near_state_the_grid_reference_solves(base, k):
             errs.append(max(abs(getattr(got, n) - getattr(inv, n)) for n in ("v_a", "v_b", "v_c", "vbar2", "vbar3")))
         assert min(errs, default=np.inf) < 1e-8
     assert solved >= 50
+
+
+def test_newton_drops_starts_at_or_above_the_limit_before_iterating(rng, monkeypatch):
+    lengths = _lengths_of(oracle.random_statevector(3, rng))
+    near = solve(lengths)[0].free() + 1e-3
+    starts = np.array([near, near + 0.5])
+    first = np.abs(residual(lengths, starts)).max(axis=-1)
+    assert first[0] < first[1]
+    rows = []
+    step = vectorsum._step
+    monkeypatch.setattr(vectorsum, "_step", lambda jac, r: rows.append(len(jac)) or step(jac, r))
+    # at the limit a start is dropped: nothing is iterated
+    assert _newton(lengths, starts[:1], first[0]).shape == (0, 4)
+    assert not rows
+    # the same start converges without a limit
+    x = _newton(lengths, starts[:1])
+    assert len(x) == 1 and np.abs(residual(lengths, x)).max() < SOLVER_TOL
+    # of two starts only the one below the limit is iterated
+    rows.clear()
+    x = _newton(lengths, starts, first[1])
+    assert rows and set(rows) == {1}
+    assert len(x) == 1 and np.abs(residual(lengths, x)).max() < SOLVER_TOL
+
+
+def test_iterates_near_a_closing_lattice_point_are_that_point():
+    # a real-amplitude state whose Gauss-Newton roots end within 1e-7 of the
+    # lattice point (0, 0, pi, pi): only the exact lattice point is returned
+    a = np.array([0.2, -0.35, 0.3, 0.45, -0.25, 0.4, 0.15, -0.3])
+    sols = solve(_lengths_of(a / np.linalg.norm(a)))
+    assert [s.free().tolist() for s in sols] == [[0.0, 0.0, np.pi, np.pi]]
 
 
 def test_a_double_root_split_across_the_circle_is_turned_onto_it():
