@@ -35,6 +35,7 @@ from .entanglement import (
     entanglement_entropy,
     measure_update,
     partial_trace,
+    pure_2q_measures,
 )
 from .dynamics import (
     ExchangeHamiltonian,

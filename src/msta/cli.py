@@ -220,8 +220,8 @@ def _quantities(values: dict[str, float]) -> Table:
 def cmd_invariants(args) -> tuple[Table, int]:
     amps, rho = _pure_state(args.state, (2, 3), "invariants")
     if rho.n_qubits == 2:
-        out = {"v": invariants.invariants_2q(rho), "concurrence": entanglement.concurrence_2q(rho)}
-        out["entropy"] = entanglement.entanglement_entropy(rho)
+        out = {"v": invariants.invariants_2q(rho)}
+        out["concurrence"], out["entropy"] = entanglement.pure_2q_measures(amps)
         return _quantities(out), EXIT_OK
 
     t = rho.correlation_tensor()

@@ -3,11 +3,9 @@
 Entropy, concurrence, correlators, CHSH values and the CHSH maximum read
 slices of the correlation tensor (`DensityOperator.correlation_tensor`);
 the tests hold the correlators equal to the paper's scalar-part forms,
-4 <a_1 b_2 rho>.  `partial_trace` keeps
-the terms on the kept qubits, scaled by 2^d, O(terms) for any n where the
-tensor costs O(4^n).  Which terms it keeps and how it reindexes them is
-fixed per (n, keep), so it reads them from a plan built once per pair
-(`algebra._trace_plan`), the one `Multivector.drop_qubits` reads.
+4 <a_1 b_2 rho>.  `pure_2q_measures` reads a state's amplitudes instead.
+`partial_trace` keeps the terms on the kept qubits, scaled by 2^d,
+O(terms) for any n where the tensor costs O(4^n).
 """
 
 from __future__ import annotations
@@ -30,12 +28,7 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     operator that holds every key, as a random pure state does, reduces by
     one gather through the plan's index on up to 6 qubits; any other takes
     the drop mask.  The result equals
-    ``rho.mv.drop_qubits(dropped) * 2.0**d`` bit for bit.  On a random
-    2-qubit pure state a call takes 9-15 us, against 12-16 us when each
-    call built its own mask, and 10-16 against 17-21 us at n = 6 keeping
-    three qubits (timeit, best of 5, three alternating runs, 2-vCPU Xeon
-    guest).
-    Raises ValueError unless ``keep`` is a nonempty proper subset of the
+    ``rho.mv.drop_qubits(dropped) * 2.0**d`` bit for bit.  Raises ValueError unless ``keep`` is a nonempty proper subset of the
     qubit indices 0..n-1 (a bool is no index), or if a scaled coefficient
     overflows."""
     n = rho.n_qubits
@@ -77,23 +70,37 @@ def _length_entropy(v: float) -> float:
 
 
 def entanglement_entropy(rho: DensityOperator, cut: int = 0) -> float:
-    """Von Neumann entropy of one qubit of a pure two-qubit state.
-
-    Closed form in the reduced Bloch length v: the binary entropy of
-    (1 + v)/2, maximal (= 1) when the reduced vector vanishes.  Raises
-    ValueError unless ``rho`` is a pure two-qubit state (`is_pure` at
-    PURE_TOL).  A state from `dynamics.evolve` passes that gate on the
-    defect bound it carries, without a dense square of its own.
+    """Von Neumann entropy of one qubit of a pure two-qubit state: the binary
+    entropy of (1 + v)/2, v the reduced Bloch length.  Raises ValueError
+    unless ``rho`` is a pure two-qubit state (`is_pure` at PURE_TOL).  Like
+    `concurrence_2q` it fails below C of about 1e-8; see `pure_2q_measures`.
     """
     _require_pure_2q(rho)
     return _length_entropy(float(np.linalg.norm(bloch_slice(rho.correlation_tensor(), cut))))
 
 
 def concurrence_2q(rho: DensityOperator) -> float:
-    """sqrt(2 (1 - Tr rho_a^2)) = sqrt(1 - v^2) for a pure two-qubit state."""
+    """sqrt(1 - v^2) for a pure two-qubit state.  1 - v^2 keeps the Pauli
+    coefficients' absolute rounding, about 1e-16, so C has a floor of about
+    1e-8; `pure_2q_measures` takes C from the amplitudes instead."""
     _require_pure_2q(rho)
     v = float(np.linalg.norm(bloch_slice(rho.correlation_tensor(), 0)))
     return float(np.sqrt(max(0.0, 1.0 - v * v)))
+
+
+def pure_2q_measures(amps) -> tuple[float, float]:
+    """Concurrence C = 2 |psi00 psi11 - psi01 psi10| (Wootters, PRL 80,
+    2245, 1998) and one-qubit entropy of a pure two-qubit state from its
+    normalised amplitudes, exact to rounding near product states: the
+    smaller reduced eigenvalue is C^2 / (2 (1 + sqrt(1 - C^2))), and log1p
+    gives the entropy's (1 - lambda) term."""
+    psi00, psi01, psi10, psi11 = np.asarray(amps, dtype=complex).ravel().tolist()
+    c = min(2.0 * abs(psi00 * psi11 - psi01 * psi10), 1.0)
+    lam = c * c / (2.0 * (1.0 + np.sqrt(1.0 - c * c)))
+    entropy = -(1.0 - lam) * np.log1p(-lam) / np.log(2.0)
+    if lam > 0.0:
+        entropy -= lam * np.log2(lam)
+    return c, float(entropy)
 
 
 def measure_update(

@@ -33,6 +33,7 @@ from .tolerances import (
 
 # the sign of qubit a, b and c (rows) in each of the eight p[ijk] (columns)
 _SIGNS = 1.0 - 2.0 * ((np.arange(8) >> np.array([[2], [1], [0]])) & 1)
+_SIGN_TRIPLES = _SIGNS.T.tolist()
 
 
 class InfeasibleInvariantsError(ValueError):
@@ -142,6 +143,7 @@ def expansion_probabilities(inv: InvariantSet3Q) -> np.ndarray:
     most significant); sums to one identically.
 
     Shape (8,) for float vbar2 and vbar3, (8,) + their shape for arrays.
+    Floats take Python arithmetic in the array form's order, bit for bit.
     """
     va, vb, vc = inv.vs
     if min(va, vb, vc) < VANISHING_V:
@@ -151,6 +153,12 @@ def expansion_probabilities(inv: InvariantSet3Q) -> np.ndarray:
     vbar_bc = inv.vbar2 / (vb * vc)
     vbar_abc = inv.vbar3 / (va * vb * vc)
     point_axes = max(np.ndim(inv.vbar2), np.ndim(inv.vbar3))
+    if not point_axes:
+        va, vb, vc, ab, ac, bc, abc = map(float, (va, vb, vc, vbar_ab, vbar_ac, vbar_bc, vbar_abc))
+        return np.array([
+            (1.0 + i * va + j * vb + k * vc + i * j * ab + i * k * ac + j * k * bc + i * j * k * abc) / 8.0
+            for i, j, k in _SIGN_TRIPLES
+        ])
     i, j, k = _SIGNS.reshape((3, 8) + (1,) * point_axes)
     return (
         1.0

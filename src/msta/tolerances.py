@@ -144,6 +144,12 @@ ZERO_LENGTH = 1e-12
 SNAP_RADIUS = 1e-3
 # Two solutions closer than this per angle, modulo 2 pi, are one.
 DEDUP_RADIUS = 1e-6
+# A max-abs residual at most this times the longest length L is rounding,
+# and Gauss-Newton retires a start there after a full step: each component
+# of `_sums` adds four terms of modulus at most L, each rounded by about
+# 2 eps L (its angle, exponential and product), in three additions of about
+# 2 eps L each: 14 eps L, rounded up.
+SUM_FLOOR = 16.0 * 2.0**-52
 # Angles given to `reconstruct` close the vector sums to this, looser than
 # SOLVER_TOL so that angles printed or rounded by a caller still pass.
 SUM_TOL = 1e-8

@@ -29,19 +29,19 @@ the eliminant, is of degree 7 in a alone, with a factor a^2 (`_roots`).
 Its coefficients are real, so its roots and the solutions come in
 conjugate pairs: at each root near the unit circle with Im a >= 0,
 `_starts` takes theta, phi_ac from E3, psi from qubit a's sum and phi_bc
-from qubit b's; Gauss-Newton (`_newton`) runs from the starts that nearly
-close the sums, and `solve` adds the conjugates (every angle negated).  Near
+from qubit b's; Gauss-Newton (`_newton`) polishes each start that nearly
+closes the sums, and `solve` adds the conjugates (every angle negated).  Near
 theta in {0, pi} rounding, or lengths with few correct digits near a product
 or W state, can split a pair across the circle, to rho e^{i phi} and
 e^{i phi}/rho; so when no start converges, each root restarts at phi + ln rho.
 Every input also tries the sixteen {0, pi}^4 lattice points: the roots of
 real-amplitude states, where the Jacobian is singular, and the stand-ins
 for the starts where L1 L3 = 0 or the eliminant vanishes (boundary states,
-states near a product or W state).  Every vector is real there, so the
-Gauss-Newton step is zero up to rounding: a lattice point is kept, without
-iterating, when it closes the sums below SOLVER_TOL, and it stands for every
-Gauss-Newton iterate within SNAP_RADIUS of it, so that a line solution's flat
-valley does not smear into duplicates.  A lattice point is self-conjugate.
+states near a product or W state).  A lattice point is self-conjugate, and
+every vector is real there, so the Gauss-Newton step is zero up to rounding:
+one that closes the sums (`_closing_lattice`) is kept without iterating, and
+stands for every iterate within SNAP_RADIUS of it, so that a line solution's
+flat valley does not smear into duplicates.
 
 `reconstruct` builds the state from the invariants and one solution, and
 `special_state` the states of the named invariant points.
@@ -61,7 +61,7 @@ from .invariants import (
 from .states import DensityOperator, pure_state_from_amplitudes
 from .tolerances import (
     DEDUP_RADIUS, ELIMINANT_TRIM, FEASIBILITY_SLACK, PROB_FLOOR, REPORT_SLACK, SNAP_RADIUS,
-    SOLVER_TOL, START_TOL, SUM_TOL, UNIT_CIRCLE_TOL, ZERO_LENGTH,
+    SOLVER_TOL, START_TOL, SUM_FLOOR, SUM_TOL, UNIT_CIRCLE_TOL, ZERO_LENGTH,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -69,7 +69,7 @@ TWO_PI = 2.0 * np.pi
 # the solver's fixed budget: Gauss-Newton iterations and step halvings
 _MAX_ITER = 200
 _MAX_HALVINGS = 40
-_LADDER = 0.5 ** np.arange(1, _MAX_HALVINGS)[:, None, None]
+_LADDER = 0.5 ** np.arange(1, _MAX_HALVINGS)[:, None]
 
 _LATTICE = np.pi * np.array(list(itertools.product((0.0, 1.0), repeat=4)))
 
@@ -83,8 +83,9 @@ _PHASE_MATRIX[0b110, 0] = _PHASE_MATRIX[0b101, 2] = _PHASE_MATRIX[0b011, 3] = 1.
 _PHASE_MATRIX[0b111, 1:] = 1.0
 # a vector's angle is the phase difference of its pair
 _ANGLE_MATRIX = _PHASE_MATRIX[_PAIRS[:, 1]] - _PHASE_MATRIX[_PAIRS[:, 0]]
-# the turns e^{i angle} of the twelve vectors at each lattice point
-_LATTICE_TURNS = np.exp(1j * (_LATTICE @ _ANGLE_MATRIX.T))
+# the turns e^{i angle} of the twelve vectors at each lattice point: the
+# real parts, exactly +-1
+_LATTICE_TURNS = np.exp(1j * (_LATTICE @ _ANGLE_MATRIX.T)).real
 # the eliminant's sample points, the 16th roots of unity (more than its
 # degree); the matrix taking a polynomial from its values there to its
 # coefficients, lowest first; and [1, a, a^2] at the samples, as floats
@@ -94,25 +95,25 @@ _SAMPLE_POWERS = (_SAMPLES ** np.arange(3)[:, None]).view(np.float64)
 
 
 def _wrap(angle) -> np.ndarray | float:
-    """Map angles to (-pi, pi]; a zero comes out as +0."""
+    """Map angles (an array, or a float by Python's %, which rounds as
+    numpy's does) to (-pi, pi]; a zero comes out as +0."""
     # pi - m with m = (pi - angle) mod 2 pi in [0, 2 pi) is never -0
-    return np.pi - (np.pi - np.asarray(angle)) % TWO_PI
+    return np.pi - (np.pi - angle) % TWO_PI
 
 
 def _in_range(angle: float) -> float:
-    """One angle mapped to (-pi, pi]; an angle already there is kept bit for
-    bit, where `_wrap` would round it."""
-    return float(angle) if -np.pi < angle <= np.pi else float(_wrap(angle))
+    """One angle mapped to (-pi, pi] as a Python float; an angle already
+    there is kept bit for bit, where `_wrap` would round it."""
+    angle = float(angle)
+    return angle if -np.pi < angle <= np.pi else _wrap(angle)
 
 
 @dataclass(frozen=True)
 class AngleSet:
     """The four free angles of the twelve consistency vectors, each mapped
-    into (-pi, pi] when the set is built.
-
-    They fix every vector's direction.  The primed ac and bc angles follow
-    by the closure rules, which turn phi_ac and phi_bc by the same shift
-    phi_ab' - phi_ab (module docstring).
+    into (-pi, pi] when the set is built.  They fix every vector's direction;
+    the primed ac and bc angles follow by the closure rules, which turn
+    phi_ac and phi_bc by the same shift phi_ab' - phi_ab (module docstring).
     """
 
     phi_ab: float
@@ -138,7 +139,7 @@ class AngleSet:
     def as_tuple(self) -> tuple[float, ...]:
         """All six named angles, the primed ones after their unprimed."""
         # the shift is wrapped on its own: a zero shift keeps an angle, a zero as +0
-        shift = float(_wrap(self.phi_ab_prime - self.phi_ab))
+        shift = _wrap(self.phi_ab_prime - self.phi_ab)
         ac, bc = self.phi_ac, self.phi_bc
         return self.phi_ab, self.phi_ab_prime, ac, _in_range(ac + shift), bc, _in_range(bc + shift)
 
@@ -147,13 +148,11 @@ class AngleSet:
 
 
 def vector_lengths(probs) -> np.ndarray:
-    """Lengths of the twelve vectors from the eight expansion probabilities.
+    """Lengths of the twelve vectors from the eight expansion probabilities:
+    sqrt(p_i p_j) for each sign-flip pair (i, j) of `_PAIRS`.
 
-    Length k is sqrt(p_i p_j) for the k-th sign-flip pair (i, j) of
-    `_PAIRS`: qubit a's four pairs, then b's, then c's.
-    Probabilities below PROB_FLOOR are treated as exact zeros: boundary
-    states produce analytic zeros contaminated by rounding, and the square
-    root would otherwise inflate that noise into unclosable vectors.
+    Probabilities below PROB_FLOOR are exact zeros: boundary states leave
+    rounding there, whose square root would make vectors that cannot close.
     """
     p = np.asarray(probs, dtype=float).ravel()
     if p.size != 8:
@@ -163,7 +162,7 @@ def vector_lengths(probs) -> np.ndarray:
     if p.min() < -FEASIBILITY_SLACK:
         raise ValueError(f"negative probability {p.min()}")
     p = np.where(p < PROB_FLOOR, 0.0, p)
-    return np.sqrt(p[_PAIRS].prod(axis=1))
+    return np.sqrt(p[_PAIRS[:, 0]] * p[_PAIRS[:, 1]])
 
 
 def _vectors(lengths: np.ndarray, free_angles) -> np.ndarray:
@@ -200,12 +199,10 @@ def _jacobian(vecs: np.ndarray) -> np.ndarray:
 
 def _step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The minimum-norm least-squares step -pinv(J) r for each row of a
-    (S, M, N) Jacobian stack and (S, M) residuals, without forming pinv.
-
-    From the thin SVD J = U diag(s) V^T it is V (s^-1 U^T (-r)), with
-    pinv's own cutoff (`rtol=None`): singular values at most
-    max(M, N) eps s_max count as zero, so a rank-deficient J (a lattice
-    point) gets the same step as from `np.linalg.pinv`."""
+    (S, M, N) Jacobian stack and (S, M) residuals, without forming pinv:
+    V (s^-1 U^T (-r)) from the thin SVD J = U diag(s) V^T, with pinv's
+    cutoff (singular values at most max(M, N) eps s_max are zero), so a
+    rank-deficient J (a lattice point) gets pinv's step."""
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
     large = s > max(jac.shape[-2:]) * np.finfo(float).eps * s[:, :1]
     coef = np.divide((-r[:, None, :] @ u)[:, 0, :], s, out=np.zeros(s.shape), where=large)
@@ -217,54 +214,58 @@ def _newton(lengths: np.ndarray, starts: np.ndarray, limit: float = np.inf) -> n
     max-abs residual is below ``limit``, in start order, each polished to
     full precision.
 
-    All starts advance together, for at most ``_MAX_ITER`` iterations.
-    Each takes the minimum-norm least-squares step (`_step`: from the SVD
-    of the Jacobian, as pinv would give it) at the first length in 1, 1/2,
-    ..., 2^(1 - _MAX_HALVINGS) that lowers its max-abs residual; the
-    shorter lengths are only tried, in one array pass, by the starts whose
-    full step failed.  Each iterate carries its twelve vectors, computed
-    once when it is tried: the residual is their per-qubit sums and the
-    Jacobian a fixed linear map of them.  Once the residual is below
-    SOLVER_TOL a start takes full steps only, and it retires at the first
-    step that does not strictly lower the residual: stopping at SOLVER_TOL
-    would leave an ill-conditioned root up to residual / sigma_min(J)
-    away, 1e-7 at sigma_min = 1e-4.  Starts that no step length improves
-    retire too.
+    The first residuals are one batch; then each kept start iterates alone,
+    for at most ``_MAX_ITER`` minimum-norm least-squares steps (`_step`, one
+    SVD each), taken at the first length in 1, 1/2, ..., 2^(1 - _MAX_HALVINGS)
+    that lowers the max-abs residual, below SOLVER_TOL at full length only.
+    An iterate carries its twelve vectors: the residual is their per-qubit
+    sums and the Jacobian a linear map of them.  A start retires at the first
+    step that does not strictly lower its residual, or once a full step takes
+    it to the rounding of `_sums` (SUM_FLOOR times the longest length), where
+    a residual certifies nothing more.  Stopping at SOLVER_TOL instead would
+    leave an ill-conditioned root up to residual / sigma_min(J) away.
     """
-    x = np.asarray(starts, dtype=float)
-    v = _vectors(lengths, x)
-    r = _sums(v)
-    rnorm = np.abs(r).max(axis=-1)
-    near = rnorm < limit
-    x, v, r, rnorm = x[near], v[near], r[near], rnorm[near]
-    slot, out, out_norm = np.arange(len(x)), np.empty_like(x), np.empty(len(x))
-    for _ in range(_MAX_ITER):
-        if not slot.size:
-            break
-        step = _step(_jacobian(v), r)
-        cand = x + step
-        vc = _vectors(lengths, cand)
-        rc = _sums(vc)
-        rcn = np.abs(rc).max(axis=-1)
-        ok = rcn < rnorm
-        if not ok.all():
-            short = np.flatnonzero(~ok & (rnorm >= SOLVER_TOL))
-            if short.size:
-                cands = x[short] + _LADDER * step[short]
-                vcs = _vectors(lengths, cands)
-                rcs = _sums(vcs)
-                rcns = np.abs(rcs).max(axis=-1)
-                better = rcns < rnorm[short]
-                pick = better.argmax(axis=0), np.arange(short.size)
-                cand[short], vc[short], rc[short], rcn[short] = cands[pick], vcs[pick], rcs[pick], rcns[pick]
-                ok[short] = better.any(axis=0)
-            if not ok.any():
+    xs = np.asarray(starts, dtype=float)
+    vs = _vectors(lengths, xs)
+    rs = _sums(vs)
+    norms = np.abs(rs).max(axis=-1)
+    near = norms < limit
+    floor = SUM_FLOOR * lengths.max()
+    out = []
+    for x, v, r, rnorm in zip(xs[near], vs[near], rs[near], norms[near]):
+        for _ in range(_MAX_ITER):
+            step = _step(_jacobian(v[None]), r[None])[0]
+            cand = x + step
+            vc = _vectors(lengths, cand)
+            rc = _sums(vc)
+            rcn = np.abs(rc).max()
+            if rcn < rnorm:
+                x, v, r, rnorm = cand, vc, rc, rcn
+                if rnorm <= floor:
+                    break
+                continue
+            if rnorm < SOLVER_TOL:
                 break
-            out[slot[~ok]], out_norm[slot[~ok]] = x[~ok], rnorm[~ok]
-            slot, cand, vc, rc, rcn = slot[ok], cand[ok], vc[ok], rc[ok], rcn[ok]
-        x, v, r, rnorm = cand, vc, rc, rcn
-    out[slot], out_norm[slot] = x, rnorm
-    return out[out_norm < SOLVER_TOL]
+            cands = x + _LADDER * step
+            vcs = _vectors(lengths, cands)
+            rcs = _sums(vcs)
+            rcns = np.abs(rcs).max(axis=-1)
+            better = np.flatnonzero(rcns < rnorm)
+            if not better.size:
+                break
+            k = better[0]
+            x, v, r, rnorm = cands[k], vcs[k], rcs[k], rcns[k]
+        if rnorm < SOLVER_TOL:
+            out.append(x)
+    return np.array(out).reshape(-1, 4)
+
+
+def _closing_lattice(lengths: np.ndarray) -> np.ndarray:
+    """The lattice points whose real sums, added in the pairwise order of
+    numpy's complex sum (its real parts bit for bit), close below SOLVER_TOL."""
+    turned = lengths * _LATTICE_TURNS
+    halves = turned[:, ::2] + turned[:, 1::2]
+    return _LATTICE[np.abs(halves[:, ::2] + halves[:, 1::2]).max(axis=-1) < SOLVER_TOL]
 
 
 def _coefficients(lengths: np.ndarray) -> np.ndarray:
@@ -334,14 +335,13 @@ def _distinct(points: np.ndarray) -> np.ndarray:
 def solve(lengths) -> list[AngleSet]:
     """All distinct angle assignments closing the three vector sums.
 
-    Deterministic: damped Gauss-Newton with a Newton polish (`_newton`) from
-    the eliminant's roots in the upper half plane (`_roots`, `_starts`,
-    module docstring), joined by the {0, pi}^4 lattice points that close the
-    sums, which replace the roots near them.  The solutions are completed
-    with their sign-flipped conjugates, deduplicated modulo 2 pi and
-    deterministically ordered.  An empty list means no root: genuinely
-    infeasible lengths, or a solver failure if feasibility said a state
-    exists.  Non-finite lengths raise ValueError.
+    Deterministic: Gauss-Newton (`_newton`) from the eliminant's roots in the
+    upper half plane (`_roots`, `_starts`), joined by the closing lattice
+    points, which replace the iterates near them (module docstring).  The
+    solutions are completed with their conjugates, deduplicated modulo 2 pi
+    and ordered.  An empty list means no root: infeasible lengths, or a
+    solver failure if feasibility said a state exists.  Non-finite lengths
+    raise ValueError.
     """
     lengths = np.asarray(lengths, dtype=float).ravel()
     if lengths.size != 12:
@@ -353,17 +353,18 @@ def solve(lengths) -> list[AngleSet]:
     if lengths.max() < ZERO_LENGTH:
         return [AngleSet(0.0, 0.0, 0.0, 0.0)]
 
-    lattice = _LATTICE[np.abs(_sums(lengths * _LATTICE_TURNS)).max(axis=-1) < SOLVER_TOL]
+    lattice = _closing_lattice(lengths)
     quad = _coefficients(lengths)
     roots = _roots(lengths, quad)
     # the lower half's roots give the conjugate solutions (module docstring)
     starts = _starts(lengths, np.angle(roots[roots.imag >= 0.0]), quad)
     x = _newton(lengths, starts, START_TOL * lengths.max())
-    if not len(x) and not len(lattice):
+    if len(lattice):
+        # a closing lattice point stands for the iterates near it (module docstring)
+        x = x[(np.abs(_wrap(x[:, None] - lattice)).max(axis=-1) >= SNAP_RADIUS).all(axis=-1)]
+    elif not len(x):
         # a near-double root split across the circle (module docstring)
         x = _newton(lengths, _starts(lengths, np.angle(roots) + np.log(np.abs(roots)), quad))
-    # a closing lattice point stands for the iterates near it (module docstring)
-    x = x[(np.abs(_wrap(x[:, None] - lattice)).max(axis=-1) >= SNAP_RADIUS).all(axis=-1)]
     sols = [AngleSet(*p) for p in _distinct(_wrap(np.concatenate([x, lattice]))).tolist()]
     # ordered by the six named angles rounded to 1e-9, the first one first
     six = np.round([s.as_tuple() for s in sols], 9).reshape(-1, 6)
@@ -393,9 +394,7 @@ def reconstruct(inv: InvariantSet3Q, angles: AngleSet, axes=None) -> DensityOper
     return pure_state_from_amplitudes(amps, axes=axes)
 
 
-def special_state(
-    kind: str, va: float, vb: float, vc: float
-) -> tuple[InvariantSet3Q, DensityOperator]:
+def special_state(kind: str, va: float, vb: float, vc: float) -> tuple[InvariantSet3Q, DensityOperator]:
     """Construct one of the named invariant points and a state realising it.
 
     kind and the existence conditions are those of `named_point`.  The seed

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import decimal
 import io
 import json
 
@@ -88,6 +89,39 @@ def test_invariants_json_mode(capsys, w_file):
     doc = json.loads(out)
     assert doc["command"] == "invariants"
     assert any(r["quantity"] == "I6" for r in doc["rows"])
+
+
+def _decimal_2q_measures(amps):
+    """Concurrence and entropy of a two-qubit state at 40 digits: the
+    amplitudes normalised in Decimal, the reduced state's eigenvalue
+    (1 - sqrt(1 - C^2)) / 2 with C = 2 |psi00 psi11 - psi01 psi10|."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d = [(decimal.Decimal(z.real), decimal.Decimal(z.imag)) for z in amps]
+        norm = sum(a * a + b * b for a, b in d).sqrt()
+        (a0, b0), (a1, b1), (a2, b2), (a3, b3) = [(a / norm, b / norm) for a, b in d]
+        re, im = a0 * a3 - b0 * b3 - a1 * a2 + b1 * b2, a0 * b3 + b0 * a3 - a1 * b2 - b1 * a2
+        c = 2 * (re * re + im * im).sqrt()
+        lam = (1 - (1 - c * c).sqrt()) / 2
+        return c, -(lam * lam.ln() + (1 - lam) * (1 - lam).ln()) / decimal.Decimal(2).ln()
+
+
+def test_two_qubit_concurrence_and_entropy_hold_near_a_product_state(capsys, tmp_path):
+    # 1e-7 from |00>: from the Pauli coefficients 1 - v^2 is rounding, and
+    # the concurrence was 17 % off; the amplitudes give both to rounding
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi = np.array([1.0, 0, 0, 0]) + 1e-7 * z / np.linalg.norm(z)
+    path = tmp_path / "near00.json"
+    save_state(path, psi / np.linalg.norm(psi))
+    code, out = run_cli(capsys, "invariants", "--state", str(path))
+    assert code == 0
+    vals = values_of(rows_from_csv(out))
+    amps = [complex(re, im) for re, im in json.loads(path.read_text())["amplitudes"]]
+    c, entropy = _decimal_2q_measures(amps)
+    assert c > 1e-9
+    assert abs(decimal.Decimal(vals["concurrence"]) - c) <= decimal.Decimal(1e-10) * c
+    assert abs(decimal.Decimal(vals["entropy"]) - entropy) <= decimal.Decimal(1e-10) * entropy
 
 
 def test_invariants_solver_failure_names_its_cause(capsys, tmp_path):

@@ -216,6 +216,19 @@ def test_array_and_float_evaluations_are_bit_identical(rng):
             assert sudbery(inv).i6 == i6[n]
 
 
+def test_scalar_probabilities_equal_the_array_path_bit_for_bit(rng):
+    # Python floats, numpy scalars and 0-d arrays take Python arithmetic; a
+    # one-point array takes the array path
+    points = [rng.uniform(-1.0, 1.0, 2).tolist() for _ in range(300)]
+    points += [[0.0, -0.0], [-0.0, 0.0], [1e-300, -1e-300], [0.1, 0.1]]
+    for n, (v2, v3) in enumerate(points):
+        vs = rng.uniform(1e-6, 1.0, 3) if n % 2 else rng.uniform(0.05, 0.95, 3).tolist()
+        want = expansion_probabilities(InvariantSet3Q(*vs, np.array([v2]), np.array([v3])))[:, 0]
+        for kind in (float, np.float64, np.array):
+            got = expansion_probabilities(InvariantSet3Q(*vs, kind(v2), kind(v3)))
+            assert got.shape == (8,) and got.tobytes() == want.tobytes()
+
+
 def test_sudbery_examples():
     assert sudbery(InvariantSet3Q(0, 0, 0, 0, 0)).i6 == 1.0
     w = sudbery(InvariantSet3Q(1 / 3, 1 / 3, 1 / 3, -1 / 27, -1 / 27))
