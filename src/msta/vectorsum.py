@@ -43,13 +43,20 @@ one that closes the sums (`_closing_lattice`) is kept without iterating, and
 stands for every iterate within SNAP_RADIUS of it, so that a line solution's
 flat valley does not smear into duplicates.
 
+Per state the solver does its arithmetic on Python floats and complex
+numbers; numpy does only the eliminant's samples and `eigvals` (`_roots`),
+one SVD per Gauss-Newton step (`_step`) and the lattice screen.
+
 `reconstruct` builds the state from the invariants and one solution, and
 `special_state` the states of the named invariant points.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +76,6 @@ TWO_PI = 2.0 * np.pi
 # the solver's fixed budget: Gauss-Newton iterations and step halvings
 _MAX_ITER = 200
 _MAX_HALVINGS = 40
-_LADDER = 0.5 ** np.arange(1, _MAX_HALVINGS)[:, None]
 
 _LATTICE = np.pi * np.array(list(itertools.product((0.0, 1.0), repeat=4)))
 
@@ -154,107 +160,104 @@ def vector_lengths(probs) -> np.ndarray:
     Probabilities below PROB_FLOOR are exact zeros: boundary states leave
     rounding there, whose square root would make vectors that cannot close.
     """
-    p = np.asarray(probs, dtype=float).ravel()
-    if p.size != 8:
+    p = np.asarray(probs, dtype=float).ravel().tolist()
+    if len(p) != 8:
         raise ValueError("expected eight probabilities")
-    if not np.isfinite(p).all():
+    if not all(map(math.isfinite, p)):
         raise ValueError("probabilities must be finite")
-    if p.min() < -FEASIBILITY_SLACK:
-        raise ValueError(f"negative probability {p.min()}")
-    p = np.where(p < PROB_FLOOR, 0.0, p)
-    return np.sqrt(p[_PAIRS[:, 0]] * p[_PAIRS[:, 1]])
+    if min(p) < -FEASIBILITY_SLACK:
+        raise ValueError(f"negative probability {min(p)}")
+    p = [0.0 if q < PROB_FLOOR else q for q in p]
+    return np.array([math.sqrt(p[i] * p[j]) for i, j in _PAIRS.tolist()])
 
 
-def _vectors(lengths: np.ndarray, free_angles) -> np.ndarray:
-    """The twelve complex vectors L_k exp(i angle_k) at the given free
-    angles, shape (..., 4) in, (..., 12) out."""
-    return lengths * np.exp(1j * (np.asarray(free_angles, dtype=float) @ _ANGLE_MATRIX.T))
+def _vectors(lengths: list[float], x) -> list[complex]:
+    """The twelve vectors L_k e^{i angle_k} at one point x of free angles,
+    each angle summed from x alone, so no other point changes its bits."""
+    t, p, ac, bc = x
+    l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11 = lengths
+    rect = cmath.rect
+    return [l0, rect(l1, ac), rect(l2, t), rect(l3, p + ac), l4, rect(l5, bc), rect(l6, t), rect(l7, p + bc),
+            l8, rect(l9, bc), rect(l10, ac), rect(l11, (p - t) + (ac + bc))]
 
 
-def _sums(vecs: np.ndarray) -> np.ndarray:
-    """The six components of the three per-qubit sums of `_vectors`."""
-    return vecs.reshape(vecs.shape[:-1] + (3, 4)).sum(axis=-1).view(np.float64)
+def _sums(v: list[complex]) -> list[float]:
+    """The six components of the three per-qubit sums of `_vectors`, four
+    vectors added as numpy adds them, (v0 + v1) + (v2 + v3)."""
+    a, b, c = ((v[g] + v[g + 1]) + (v[g + 2] + v[g + 3]) for g in (0, 4, 8))
+    return [a.real, a.imag, b.real, b.imag, c.real, c.imag]
 
 
 def residual(lengths, free_angles) -> np.ndarray:
     """Six components (x_a, y_a, x_b, y_b, x_c, y_c) of the three planar
     sums at the given free angles, broadcast over their leading axes:
     shape (..., 4) in, (..., 6) out."""
-    return _sums(_vectors(lengths, free_angles))
+    vecs = lengths * np.exp(1j * (np.asarray(free_angles, dtype=float) @ _ANGLE_MATRIX.T))
+    return vecs.reshape(vecs.shape[:-1] + (3, 4)).sum(axis=-1).view(np.float64)
 
 
-# d residual / d free angles from the vectors: the x row of qubit g is
-# -sum_k Im(v_k) A_k and its y row sum_k Re(v_k) A_k over g's four vectors,
-# so the Jacobian is one real (24, 24) map of the vectors' float view
-_JACOBIAN_MAP = np.zeros((12, 2, 3, 2, 4))
-_JACOBIAN_MAP[np.arange(12), 1, np.arange(12) // 4, 0] = -_ANGLE_MATRIX
-_JACOBIAN_MAP[np.arange(12), 0, np.arange(12) // 4, 1] = _ANGLE_MATRIX
-_JACOBIAN_MAP = _JACOBIAN_MAP.reshape(24, 24)
+def _step(jac, r) -> list[float]:
+    """The minimum-norm least-squares step -pinv(J) r for one (M, N)
+    Jacobian and M residuals, without forming pinv: V (s^-1 U^T (-r)) from
+    the thin SVD J = U diag(s) V^T, with pinv's cutoff (singular values at
+    most max(M, N) eps s_max are zero), so a rank-deficient J (a lattice
+    point) gets pinv's step.  Each dot product is rounded once (`math.fsum`),
+    on every Python version."""
+    u, s, vt = (m.tolist() for m in np.linalg.svd(jac, full_matrices=False))
+    cut = max(len(u), len(vt[0])) * sys.float_info.epsilon * s[0]
+    coef = [-math.fsum(map(float.__mul__, r, col)) / sk if sk > cut else 0.0 for col, sk in zip(zip(*u), s)]
+    return [math.fsum(map(float.__mul__, coef, row)) for row in zip(*vt)]
 
 
-def _jacobian(vecs: np.ndarray) -> np.ndarray:
-    """d residual / d free angles at the vectors `vecs` (S, 12): (S, 6, 4)."""
-    return (vecs.view(np.float64) @ _JACOBIAN_MAP).reshape(len(vecs), 6, 4)
-
-
-def _step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The minimum-norm least-squares step -pinv(J) r for each row of a
-    (S, M, N) Jacobian stack and (S, M) residuals, without forming pinv:
-    V (s^-1 U^T (-r)) from the thin SVD J = U diag(s) V^T, with pinv's
-    cutoff (singular values at most max(M, N) eps s_max are zero), so a
-    rank-deficient J (a lattice point) gets pinv's step."""
-    u, s, vt = np.linalg.svd(jac, full_matrices=False)
-    large = s > max(jac.shape[-2:]) * np.finfo(float).eps * s[:, :1]
-    coef = np.divide((-r[:, None, :] @ u)[:, 0, :], s, out=np.zeros(s.shape), where=large)
-    return (coef[:, None, :] @ vt)[:, 0, :]
-
-
-def _newton(lengths: np.ndarray, starts: np.ndarray, limit: float = np.inf) -> np.ndarray:
+def _newton(lengths, starts, limit: float = math.inf) -> np.ndarray:
     """The converged iterates of damped Gauss-Newton from each start whose
     max-abs residual is below ``limit``, in start order, each polished to
     full precision.
 
-    The first residuals are one batch; then each kept start iterates alone,
-    for at most ``_MAX_ITER`` minimum-norm least-squares steps (`_step`, one
-    SVD each), taken at the first length in 1, 1/2, ..., 2^(1 - _MAX_HALVINGS)
-    that lowers the max-abs residual, below SOLVER_TOL at full length only.
-    An iterate carries its twelve vectors: the residual is their per-qubit
-    sums and the Jacobian a linear map of them.  A start retires at the first
-    step that does not strictly lower its residual, or once a full step takes
-    it to the rounding of `_sums` (SUM_FLOOR times the longest length), where
-    a residual certifies nothing more.  Stopping at SOLVER_TOL instead would
+    Each start iterates alone, on Python floats, so an iterate does not
+    depend on the other starts: at most ``_MAX_ITER`` minimum-norm
+    least-squares steps (`_step`, numpy's one SVD each), taken at the first
+    length in 1, 1/2, ..., 2^(1 - _MAX_HALVINGS) that lowers the max-abs
+    residual, below SOLVER_TOL at full length only.  An iterate carries its
+    twelve vectors: the residual is their per-qubit sums and the Jacobian a
+    linear map of them.  A start retires at the first step that does not
+    strictly lower its residual, or once a full step takes it to the
+    rounding of `_sums` (SUM_FLOOR times the longest length), where a
+    residual certifies nothing more.  Stopping at SOLVER_TOL instead would
     leave an ill-conditioned root up to residual / sigma_min(J) away.
     """
-    xs = np.asarray(starts, dtype=float)
-    vs = _vectors(lengths, xs)
-    rs = _sums(vs)
-    norms = np.abs(rs).max(axis=-1)
-    near = norms < limit
-    floor = SUM_FLOOR * lengths.max()
+    lengths = list(map(float, lengths))
+    floor = SUM_FLOOR * max(lengths)
     out = []
-    for x, v, r, rnorm in zip(xs[near], vs[near], rs[near], norms[near]):
+    for x in np.asarray(starts, dtype=float).reshape(-1, 4).tolist():
+        v = _vectors(lengths, x)
+        r = _sums(v)
+        rnorm = max(map(abs, r))
+        if not rnorm < limit:
+            continue
         for _ in range(_MAX_ITER):
-            step = _step(_jacobian(v[None]), r[None])[0]
-            cand = x + step
-            vc = _vectors(lengths, cand)
-            rc = _sums(vc)
-            rcn = np.abs(rc).max()
-            if rcn < rnorm:
-                x, v, r, rnorm = cand, vc, rc, rcn
-                if rnorm <= floor:
+            # d residual / d free angles: the x row of a qubit is -sum_k Im(v_k) A_k
+            # and its y row sum_k Re(v_k) A_k over its four vectors (`_ANGLE_MATRIX`)
+            _, v1, v2, v3, _, v5, v6, v7, _, v9, v10, v11 = v
+            a, b, c, d = v1 + v3, v5 + v7, v10 + v11, v9 + v11
+            step = _step([
+                [-v2.imag, -v3.imag, -a.imag, 0.0], [v2.real, v3.real, a.real, 0.0],
+                [-v6.imag, -v7.imag, 0.0, -b.imag], [v6.real, v7.real, 0.0, b.real],
+                [v11.imag, -v11.imag, -c.imag, -d.imag], [-v11.real, v11.real, c.real, d.real],
+            ], r)
+            # the full step, then (above SOLVER_TOL) the first halved one that lowers the residual
+            for k in range(_MAX_HALVINGS if rnorm >= SOLVER_TOL else 1):
+                cand = [xi + 0.5**k * si for xi, si in zip(x, step)]
+                vc = _vectors(lengths, cand)
+                rc = _sums(vc)
+                rcn = max(map(abs, rc))
+                if rcn < rnorm:
                     break
-                continue
-            if rnorm < SOLVER_TOL:
+            else:
                 break
-            cands = x + _LADDER * step
-            vcs = _vectors(lengths, cands)
-            rcs = _sums(vcs)
-            rcns = np.abs(rcs).max(axis=-1)
-            better = np.flatnonzero(rcns < rnorm)
-            if not better.size:
+            x, v, r, rnorm = cand, vc, rc, rcn
+            if not k and rnorm <= floor:
                 break
-            k = better[0]
-            x, v, r, rnorm = cands[k], vcs[k], rcs[k], rcns[k]
         if rnorm < SOLVER_TOL:
             out.append(x)
     return np.array(out).reshape(-1, 4)
@@ -306,30 +309,40 @@ def _roots(lengths: np.ndarray, quad: np.ndarray) -> np.ndarray:
     return roots[np.abs(np.log(np.abs(roots))) < UNIT_CIRCLE_TOL]
 
 
-def _starts(lengths: np.ndarray, theta: np.ndarray, quad: np.ndarray) -> np.ndarray:
+def _starts(lengths, theta, quad: np.ndarray) -> np.ndarray:
     """The free angles at each theta: phi_ac from each of E3's two roots c
     (E3 from `quad`; all the + roots, then the - ones), psi from qubit a's
     sum and phi_bc from qubit b's."""
-    a = np.exp(1j * theta)
-    q2, q1, q0 = quad[3:] @ a ** np.arange(3)[:, None]
-    root = np.sqrt(q1 * q1 - 4.0 * q2 * q0)
-    phi_ac = np.angle((np.array([root, -root]) - q1) / (2.0 * q2))
-    psi = np.angle(-(lengths[0] + lengths[1] * np.exp(1j * phi_ac) + lengths[2] * a)) - phi_ac
-    phi_bc = np.angle(-(lengths[4] + lengths[6] * a)) - np.angle(lengths[5] + lengths[7] * np.exp(1j * psi))
-    return np.array([[theta, theta], psi, phi_ac, phi_bc]).reshape(4, -1).T
+    l0, l1, l2, _, l4, l5, l6, l7 = map(float, lengths[:8])
+    e3 = quad[3:].tolist()
+    rows: list[list[float]] = [[], []]
+    for t in theta:
+        a = cmath.rect(1.0, t)
+        q2, q1, q0 = (k0 + k1 * a + k2 * (a * a) for k0, k1, k2 in e3)
+        root = cmath.sqrt(q1 * q1 - 4.0 * q2 * q0)
+        for out, sign in zip(rows, (1.0, -1.0)):
+            phi_ac = cmath.phase((sign * root - q1) / (2.0 * q2))
+            psi = cmath.phase(-(l0 + cmath.rect(l1, phi_ac) + cmath.rect(l2, t))) - phi_ac
+            phi_bc = cmath.phase(-(l4 + cmath.rect(l6, t))) - cmath.phase(l5 + cmath.rect(l7, psi))
+            out.append([t, psi, phi_ac, phi_bc])
+    return np.array(rows[0] + rows[1]).reshape(-1, 4)
 
 
-def _distinct(points: np.ndarray) -> np.ndarray:
+def _distance(p, q) -> float:
+    """The largest per-angle distance of two points, modulo 2 pi."""
+    return max(abs(_wrap(a - b)) for a, b in zip(p, q))
+
+
+def _distinct(points: list[list[float]]) -> list[list[float]]:
     """The wrapped points, then their conjugates (every angle negated), each
     kept when farther than DEDUP_RADIUS (per angle, modulo 2 pi) from every
     earlier kept one; a conjugate only when its point was kept."""
-    found = np.concatenate([points, _wrap(-points)])
-    near = (np.abs(_wrap(found[:, None] - found)).max(axis=-1) < DEDUP_RADIUS).tolist()
+    found = points + [[_wrap(-a) for a in p] for p in points]
     keep: list[int] = []
-    for i, row in enumerate(near):
-        if (i < len(points) or i - len(points) in keep) and not any(row[j] for j in keep):
+    for i, p in enumerate(found):
+        if (i < len(points) or i - len(points) in keep) and all(_distance(p, found[j]) >= DEDUP_RADIUS for j in keep):
             keep.append(i)
-    return found[keep]
+    return [found[i] for i in keep]
 
 
 def solve(lengths) -> list[AngleSet]:
@@ -343,32 +356,32 @@ def solve(lengths) -> list[AngleSet]:
     solver failure if feasibility said a state exists.  Non-finite lengths
     raise ValueError.
     """
-    lengths = np.asarray(lengths, dtype=float).ravel()
-    if lengths.size != 12:
+    array = np.asarray(lengths, dtype=float).ravel()
+    lengths = array.tolist()
+    if len(lengths) != 12:
         raise ValueError("expected twelve lengths")
-    if not np.isfinite(lengths).all():
+    if not all(map(math.isfinite, lengths)):
         raise ValueError("lengths must be finite")
-    if lengths.min() < -ZERO_LENGTH:
+    if min(lengths) < -ZERO_LENGTH:
         raise ValueError("lengths must be nonnegative")
-    if lengths.max() < ZERO_LENGTH:
+    if max(lengths) < ZERO_LENGTH:
         return [AngleSet(0.0, 0.0, 0.0, 0.0)]
 
-    lattice = _closing_lattice(lengths)
-    quad = _coefficients(lengths)
-    roots = _roots(lengths, quad)
+    lattice = _closing_lattice(array).tolist()
+    quad = _coefficients(array)
+    roots = _roots(array, quad).tolist()
     # the lower half's roots give the conjugate solutions (module docstring)
-    starts = _starts(lengths, np.angle(roots[roots.imag >= 0.0]), quad)
-    x = _newton(lengths, starts, START_TOL * lengths.max())
-    if len(lattice):
+    starts = _starts(lengths, [cmath.phase(a) for a in roots if a.imag >= 0.0], quad)
+    x = _newton(lengths, starts, START_TOL * max(lengths)).tolist()
+    if lattice:
         # a closing lattice point stands for the iterates near it (module docstring)
-        x = x[(np.abs(_wrap(x[:, None] - lattice)).max(axis=-1) >= SNAP_RADIUS).all(axis=-1)]
-    elif not len(x):
+        x = [p for p in x if all(_distance(p, q) >= SNAP_RADIUS for q in lattice)]
+    elif not x:
         # a near-double root split across the circle (module docstring)
-        x = _newton(lengths, _starts(lengths, np.angle(roots) + np.log(np.abs(roots)), quad))
-    sols = [AngleSet(*p) for p in _distinct(_wrap(np.concatenate([x, lattice]))).tolist()]
-    # ordered by the six named angles rounded to 1e-9, the first one first
-    six = np.round([s.as_tuple() for s in sols], 9).reshape(-1, 6)
-    return [sols[i] for i in np.lexsort(six.T[::-1])]
+        x = _newton(lengths, _starts(lengths, [cmath.phase(a) + math.log(abs(a)) for a in roots], quad)).tolist()
+    sols = [AngleSet(*p) for p in _distinct([[_wrap(a) for a in p] for p in x + lattice])]
+    # ordered by the six named angles rounded to 1e-9 as np.round rounds, the first one first
+    return sorted(sols, key=lambda s: [round(a * 1e9) for a in s.as_tuple()])
 
 
 def reconstruct(inv: InvariantSet3Q, angles: AngleSet, axes=None) -> DensityOperator:
@@ -382,14 +395,14 @@ def reconstruct(inv: InvariantSet3Q, angles: AngleSet, axes=None) -> DensityOper
     report, probs = _feasibility(inv, FEASIBILITY_SLACK)
     if not report.feasible:
         raise InfeasibleInvariantsError("; ".join(report.violations))
-    if not np.isfinite(angles.as_tuple()).all():
+    if not all(map(math.isfinite, angles.as_tuple())):
         raise ValueError(f"angles must be finite, got {angles.as_tuple()}")
     probs = expansion_probabilities(inv) if probs is None else probs
-    lengths = vector_lengths(probs)
-    res = np.abs(residual(lengths, angles.free())).max()
+    free = angles.free()
+    res = max(map(abs, _sums(_vectors(vector_lengths(probs).tolist(), free.tolist()))))
     if res > SUM_TOL:
         raise ValueError(f"angles do not close the vector sums (residual {res})")
-    amps = np.sqrt(np.clip(probs, 0.0, None)) * np.exp(1j * (_PHASE_MATRIX @ angles.free()))
+    amps = np.sqrt(np.clip(probs, 0.0, None)) * np.exp(1j * (_PHASE_MATRIX @ free))
     amps = amps / np.linalg.norm(amps)
     return pure_state_from_amplitudes(amps, axes=axes)
 

@@ -28,13 +28,10 @@ from msta.vectorsum import (
     _coefficients,
     _distinct,
     _in_range,
-    _jacobian,
     _newton,
     _roots,
     _starts,
     _step,
-    _sums,
-    _vectors,
     _wrap,
     reconstruct,
     residual,
@@ -503,12 +500,19 @@ def test_reconstruct_refuses_nan_angles():
             reconstruct(inv, angles)
 
 
-def test_jacobian_of_the_vectors_matches_loops(rng):
+def test_jacobian_of_the_vectors_matches_loops(rng, monkeypatch):
+    # the residual and Jacobian Gauss-Newton hands its first step, at the start
     lengths = rng.uniform(0.0, 1.0, size=12)
-    points = rng.uniform(-np.pi, np.pi, size=(20, 4))
-    jac = _jacobian(_vectors(lengths, points))
-    for x, got in zip(points, jac):
-        assert np.allclose(got, _sums_and_jacobian(lengths, x)[1], rtol=0.0, atol=1e-15)
+    seen = []
+    step = vectorsum._step
+    monkeypatch.setattr(vectorsum, "_step", lambda jac, r: seen.append((jac, r)) or step(jac, r))
+    for x in rng.uniform(-np.pi, np.pi, size=(20, 4)):
+        seen.clear()
+        _newton(lengths, x)
+        want_r, want_jac = _sums_and_jacobian(lengths, x)
+        assert np.allclose(seen[0][0], want_jac, rtol=0.0, atol=1e-15)
+        assert np.allclose(seen[0][1], want_r, rtol=0.0, atol=1e-15)
+        assert all(type(r) is float for r in seen[0][1])
 
 
 def test_svd_step_equals_pinv_step(rng):
@@ -516,7 +520,7 @@ def test_svd_step_equals_pinv_step(rng):
     # random stacks; the Jacobian at every {0, pi}^4 lattice point, where
     # every vector is real and J has rank at most 3; two equal columns
     stacks = [rng.standard_normal((k, 6, 4)) for k in (1, 4, 33)]
-    stacks.append(_jacobian(_vectors(lengths, _LATTICE)))
+    stacks.append(np.array([_sums_and_jacobian(lengths, x)[1] for x in _LATTICE]))
     equal_columns = rng.standard_normal((5, 6, 4))
     equal_columns[..., 3] = equal_columns[..., 1]
     stacks.append(equal_columns)
@@ -528,7 +532,8 @@ def test_svd_step_equals_pinv_step(rng):
     for jac in stacks:
         r = rng.standard_normal(jac.shape[:2])
         want = (np.linalg.pinv(jac, rtol=None) @ -r[..., None])[..., 0]
-        got = _step(jac, r)
+        # one matrix at a time, as nested lists of Python floats
+        got = np.array([_step(j.tolist(), ri.tolist()) for j, ri in zip(jac, r)])
         err = np.linalg.norm(got - want, axis=-1)
         assert (err <= 1e-13 * np.linalg.norm(want, axis=-1)).all()
     assert np.linalg.matrix_rank(stacks[3]).max() <= 3
@@ -700,7 +705,7 @@ def test_one_branch_solve_matches_two_branch_solve():
             # 2 rho / sigma_min(J) apart: the angles' own precision, which is
             # above 1e-8 where the lengths are ~1e-5 (near a product state)
             rho = max(np.abs(residual(lengths, s.free())).max() for s in (g, w))
-            sigma_min = np.linalg.svd(_jacobian(_vectors(lengths, w.free()[None]))[0], compute_uv=False)[-1]
+            sigma_min = np.linalg.svd(_sums_and_jacobian(lengths, w.free())[1], compute_uv=False)[-1]
             assert min(d) < 1e-8 or min(d) * sigma_min < 2.0 * rho
 
 
@@ -764,20 +769,42 @@ def test_newton_drops_starts_at_or_above_the_limit_before_iterating(rng, monkeyp
     starts = np.array([near, near + 0.5])
     first = np.abs(residual(lengths, starts)).max(axis=-1)
     assert first[0] < first[1]
+    # each step records the max-abs residual it starts from
     rows = []
     step = vectorsum._step
-    monkeypatch.setattr(vectorsum, "_step", lambda jac, r: rows.append(len(jac)) or step(jac, r))
+    monkeypatch.setattr(vectorsum, "_step", lambda jac, r: rows.append(max(map(abs, r))) or step(jac, r))
     # at the limit a start is dropped: nothing is iterated
     assert _newton(lengths, starts[:1], first[0]).shape == (0, 4)
     assert not rows
     # the same start converges without a limit
     x = _newton(lengths, starts[:1])
     assert len(x) == 1 and np.abs(residual(lengths, x)).max() < SOLVER_TOL
-    # of two starts only the one below the limit is iterated
+    # of two starts only the one below the limit is iterated: no step starts
+    # from the second's residual, and the first step from the first's
     rows.clear()
     x = _newton(lengths, starts, first[1])
-    assert rows and set(rows) == {1}
+    assert rows and max(rows) < first[1] and rows[0] == pytest.approx(first[0], rel=1e-12)
     assert len(x) == 1 and np.abs(residual(lengths, x)).max() < SOLVER_TOL
+
+
+def test_newton_iterates_do_not_depend_on_the_batch():
+    # a batch's angles as one matrix product rounded a row by the batch it
+    # sat in; now each converged iterate equals, bit for bit, the one its
+    # start gives alone
+    rng = np.random.default_rng(4010)
+    converged = 0
+    for _ in range(60):
+        lengths = _lengths_of(oracle.random_statevector(3, rng))
+        sols = np.array([s.free() for s in solve(lengths)])
+        k = int(rng.integers(2, 13))
+        near = sols[rng.integers(0, len(sols), k)] + rng.normal(0.0, 0.05, (k, 4))
+        starts = np.where(rng.random((k, 1)) < 0.7, near, rng.uniform(-np.pi, np.pi, (k, 4)))
+        for limit in (np.inf, START_TOL * lengths.max()):
+            batch = _newton(lengths, starts, limit)
+            alone = np.vstack([_newton(lengths, start, limit) for start in starts])
+            assert batch.tobytes() == alone.tobytes()
+            converged += len(batch)
+    assert converged > 200
 
 
 def test_iterates_near_a_closing_lattice_point_are_that_point():
@@ -910,7 +937,7 @@ def test_upper_half_starts_give_the_solutions_of_every_root(cases):
             # near |000> and W the angles are fixed only to about
             # 2 rho / sigma_min(J), rho the residual (see the one-branch test)
             rho = max(np.abs(residual(lengths, s.free())).max() for s in (g, w))
-            sigma_min = np.linalg.svd(_jacobian(_vectors(lengths, w.free()[None]))[0], compute_uv=False)[-1]
+            sigma_min = np.linalg.svd(_sums_and_jacobian(lengths, w.free())[1], compute_uv=False)[-1]
             assert min(d) < 1e-9 or min(d) * sigma_min < 2.0 * rho
 
 
@@ -1017,13 +1044,13 @@ def test_dedup_keeps_both_ends_of_a_chain():
     # goes, A and C stay, and so do both conjugates
     a = np.array([0.3, -1.2, 2.0, 0.7])
     step = np.array([0.0, 0.6 * DEDUP_RADIUS, 0.0, 0.0])
-    got = _distinct(_wrap(np.array([a, a + step, a + 2.0 * step])))
+    got = np.array(_distinct(_wrap(np.array([a, a + step, a + 2.0 * step])).tolist()))
     assert got.tobytes() == _conjugate_dedup(np.array([a, a + step, a + 2.0 * step])).tobytes()
     assert np.allclose(got, [a, a + 2.0 * step, -a, -a - 2.0 * step], rtol=0.0, atol=1e-15)
     # a chain through the conjugates: near the {0, pi} lattice a point and
     # its conjugate are near too
     b = np.array([np.pi, 0.0, np.pi, 0.0]) + 0.3 * DEDUP_RADIUS
-    got = _distinct(_wrap(np.array([b, b + 4.0 * step])))
+    got = np.array(_distinct(_wrap(np.array([b, b + 4.0 * step])).tolist()))
     assert got.tobytes() == _conjugate_dedup(np.array([b, b + 4.0 * step])).tobytes()
     assert len(got) == 3
 
@@ -1035,7 +1062,7 @@ def test_dedup_equals_the_greedy_passes_bit_for_bit(rng):
     for _ in range(300):
         centres = rng.choice([0.0, np.pi, -np.pi, 1.0], size=(2, 4)) + (rng.random((2, 1)) < 0.3) * rng.uniform(-3, 3, (2, 4))
         points = centres[rng.integers(0, 2, 8)] + rng.uniform(-1.2, 1.2, (8, 4)) * DEDUP_RADIUS
-        got, want = _distinct(_wrap(points)), _conjugate_dedup(points)
+        got, want = np.array(_distinct(_wrap(points).tolist())), _conjugate_dedup(points)
         assert got.tobytes() == want.tobytes()
         # the rule "drop a point near any earlier one" keeps fewer here
         both = _wrap(np.vstack([points, -points]))
@@ -1056,10 +1083,9 @@ def test_lattice_turns_are_exact_signs():
 def test_real_lattice_screen_keeps_the_complex_screens_points(rng):
     # the real sums are the complex sums' real parts bit for bit; their
     # imaginary parts stay far below SOLVER_TOL, so both keep the same points
-    turns = np.exp(1j * (_LATTICE @ _ANGLE_MATRIX.T))
     kept = 0
     for lengths in _one_branch_cases():
-        sums = _sums(lengths * turns)
+        sums = residual(lengths, _LATTICE)
         assert np.abs(sums[:, 1::2]).max() <= 1e-14 * lengths.max()
         want = _LATTICE[np.abs(sums).max(axis=-1) < SOLVER_TOL]
         got = _closing_lattice(lengths)
@@ -1070,7 +1096,7 @@ def test_real_lattice_screen_keeps_the_complex_screens_points(rng):
     for lengths in rng.uniform(0.0, 1.0, (200, 12)):
         turned = lengths * _LATTICE_TURNS
         halves = turned[:, ::2] + turned[:, 1::2]
-        assert (halves[:, ::2] + halves[:, 1::2]).tobytes() == _sums(lengths * turns)[:, ::2].tobytes()
+        assert (halves[:, ::2] + halves[:, 1::2]).tobytes() == residual(lengths, _LATTICE)[:, ::2].tobytes()
 
 
 def test_solve_factors_about_one_jacobian_per_start(monkeypatch):
