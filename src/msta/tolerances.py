@@ -172,6 +172,16 @@ START_TOL = 1e-4
 
 # -- CLI --------------------------------------------------------------------
 
+# The CLI's number cells come from an exact 12-digit integer mantissa for
+# |x| in [FIXED_FORMAT_MIN, FIXED_FORMAT_MAX): there y = |x| 10^(11 - E) < 2^40
+# takes a power of ten of at most 10^22, an exact double, so y is rounded
+# once, by at most half an ulp below 2^40, 2^-14 = 6.1e-5.  A y within
+# FIXED_FORMAT_WINDOW of a half may round to the wrong integer, and takes
+# the per-value path.
+FIXED_FORMAT_MIN = 1e-11
+FIXED_FORMAT_MAX = 1e11
+FIXED_FORMAT_WINDOW = 1e-4
+
 # region-scan pads the feasible box by a tenth of its extent, and by at
 # least a tenth of this, so that a box of zero width still spans a grid.
 SCAN_PAD_FLOOR = 1e-3

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msta import cli, invariants, oracle, tolerances
@@ -653,3 +653,118 @@ def test_region_scan_rows_write_through(tmp_path):
     written = next(line for line in out.read_text().splitlines() if ",A_seed," in line)
     assert float(written.split(",")[-1]) == _fmt(before + 1e-6)
     assert _fmt(before + 1e-6) != _fmt(before)
+
+
+# -- table-driven number cells ----------------------------------------------
+
+
+def _percent_cells(xs):
+    return [repr(float(f"{x:.12g}")) for x in np.asarray(xs, dtype=float).tolist()]
+
+
+def _cells_and_declined(monkeypatch, xs):
+    """`_number_cells` of a float column, and the values its table path
+    left to the per-value %-path."""
+    declined = []
+    percent = cli._percent_cell
+    monkeypatch.setattr(cli, "_percent_cell", lambda x: declined.append(float(x)) or percent(x))
+    return cli._number_cells(np.asarray(xs, dtype=float)), declined
+
+
+def test_fixed_cells_cover_every_layout(monkeypatch):
+    # one value per (E = -11..10, significant digits 1..12, sign), each a
+    # 12-digit decimal, so that none lies near a half
+    xs = [
+        sign * float(("123456789123"[: sig - 1] + "7").ljust(12, "0") + f"e{e - 11}")
+        for e in range(-11, 11)
+        for sig in range(1, 13)
+        for sign in (1.0, -1.0)
+    ]
+    cells, declined = _cells_and_declined(monkeypatch, xs)
+    assert cells == _percent_cells(xs)
+    assert len(set(cells)) == 528
+    assert declined == []
+
+
+@pytest.mark.parametrize("k", range(-12, 12))
+def test_fixed_cells_carry_into_the_exponent(monkeypatch, k):
+    # 9.9999999999995 10^k rounds up to 10^(k + 1) at 12 digits; its
+    # neighbours and 9.99999999999949 10^k round down
+    x = float(f"9.9999999999995e{k}")
+    xs = [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf), float(f"9.99999999999949e{k}"), 10.0**k]
+    xs += [-v for v in xs]
+    cells, declined = _cells_and_declined(monkeypatch, xs)
+    assert cells == _percent_cells(xs)
+    if -11 <= k <= 9:
+        assert declined == []
+    else:  # below 1e-11, or at 1e11 after the carry: no layout
+        assert declined
+
+
+@pytest.mark.parametrize("e", [-11, -7, -5, -4, -1, 0, 3, 10])
+def test_fixed_cells_decline_values_near_a_half(monkeypatch, e):
+    # mantissas just above 1e11, where a double is at most 2.2e-5 apart in
+    # units of the 12th digit: within 5e-5 of a half a value is declined,
+    # at 3e-4 and beyond it is not
+    near = [f"100000000012.{f}e{e - 11}" for f in ("5", "50005", "49995")]
+    clear = [f"100000000012.{f}e{e - 11}" for f in ("5003", "4997", "501", "499", "6", "1", "9")]
+    xs = [sign * float(s) for s in near + clear for sign in (1.0, -1.0)]
+    cells, declined = _cells_and_declined(monkeypatch, xs)
+    assert cells == _percent_cells(xs)
+    assert sorted(declined) == sorted(xs[: 2 * len(near)])
+
+
+def test_fixed_cells_at_the_domain_edges():
+    xs = []
+    for edge in (1e-11, 1e11):
+        down = up = edge
+        for _ in range(4):
+            down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+            xs += [down, up]
+        xs.append(edge)
+    xs += [-x for x in xs]
+    assert cli._number_cells(np.array(xs)) == _percent_cells(xs)
+
+
+def _seeded_column(rng, n):
+    """n floats: random bit patterns, signed log-uniform magnitudes over
+    1e-13..1e13, and values within 2e-4 of a 12-digit half."""
+    k = n // 3
+    bits = rng.integers(0, 2**64, k, dtype=np.uint64).view(float)
+    spread = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-13.0, 13.0, k)
+    m, e = rng.integers(10**11, 10**12, n - 2 * k), rng.integers(-11, 11, n - 2 * k)
+    halves = (m + 0.5 + rng.uniform(-2e-4, 2e-4, m.size)) * 10.0 ** (e - 11.0)
+    return np.concatenate([bits, spread, halves])
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(), max_size=20_000), st.integers(0, 20_000), st.integers(0, 2**32 - 1))
+def test_long_float_columns_equal_repr_of_12_digits(xs, n, seed):
+    # hypothesis draws short lists, so a seeded column fills the chunk up to
+    # n values, far past one formatting chunk where n is large
+    rng = np.random.default_rng(seed)
+    col = rng.permutation(np.concatenate([np.array(xs, dtype=float), _seeded_column(rng, max(0, n - len(xs)))]))
+    want = _percent_cells(col)
+    assert cli._number_cells(col) == want
+    assert cli._cells(col) == want
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+def test_byte_cells_equal_per_value_reference(dtype):
+    col = np.random.default_rng(8).permutation(np.arange(256, dtype=np.uint8).repeat(3)).view(dtype)
+    for part in (col, col[::5], col[:0]):
+        assert cli._cells(part) == list(map(str, part.tolist()))
+        assert cli._json_cells(part) == list(map(json.dumps, part.tolist()))
+
+
+def test_region_scan_emit_equals_csv_writer_of_per_value_cells(capsys):
+    # the README triple at grid 91: 8284 rows, across a chunk boundary
+    table = region_scan_rows(0.333, 0.333, 0.333, 91)
+    assert len(table) == 8284 > cli._CHUNK_ROWS
+    cli.emit(argparse.Namespace(format="csv", out=None), table)
+    columns = [col if isinstance(col, list) else col.tolist() for col in table.columns.values()]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    writer.writerows(zip(*([repr(_fmt(x)) if isinstance(x, float) else x for x in col] for col in columns)))
+    assert capsys.readouterr().out == buf.getvalue()
