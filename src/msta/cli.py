@@ -105,8 +105,9 @@ def _csv_field(s: str) -> str:
 
 def _cells(col, quote=_csv_field) -> list[str]:
     """A column's values as CSV fields: floats as repr(float(f"{x:.12g}")),
-    12 significant digits in Python's shortest repr; ints as str; strings
-    through ``quote``, by default quoted where RFC 4180 needs it.
+    12 significant digits in Python's shortest repr; ints as str and bools
+    as 0 or 1; strings through ``quote``, by default quoted where RFC 4180
+    needs it.
 
     Each distinct value is formatted once and its cell copied to every row
     that holds it; a column with no repeats is formatted as it is.  Numbers
@@ -116,7 +117,8 @@ def _cells(col, quote=_csv_field) -> list[str]:
         fields = {s: quote(s) for s in set(col)}
         return list(map(fields.__getitem__, col))
     if col.itemsize == 1:
-        return _byte_cells(col.dtype).take(col.view(np.uint8)).tolist()
+        # a bool takes int8's cells, 0 and 1: JSON has no True or False
+        return _byte_cells(np.dtype(np.int8) if col.dtype == bool else col.dtype).take(col.view(np.uint8)).tolist()
     keys, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
     if len(keys) == len(col):
         return _number_cells(col)
@@ -317,9 +319,8 @@ def cmd_invariants(args) -> tuple[Table, int]:
     out.update(zip(("I2", "I3", "I4", "I5", "I6"), sud))
     out["i6_minus_oracle"] = sud.i6 - tau2
     report = invariants.feasibility(inv, slack=tolerances.REPORT_SLACK)
-    out["feasible"] = report.feasible
-    out["B"] = invariants.B_function(inv)
-    solutions = vectorsum.solve(vectorsum.vector_lengths(invariants.expansion_probabilities(inv)))
+    out["feasible"], out["B"] = report.feasible, report.B
+    solutions = vectorsum.solve(vectorsum.vector_lengths(report.probabilities))
     fields = ("phi_ab", "phi_ab_prime", "phi_ac", "phi_ac_prime", "phi_bc", "phi_bc_prime")
     for i, sol in enumerate(solutions):
         out.update((f"angles[{i}].{field}", value) for field, value in zip(fields, sol.as_tuple()))
@@ -353,16 +354,6 @@ def _markers(va: float, vb: float, vc: float) -> list[tuple[str, float, float]]:
     return out
 
 
-def _scan_feasibility(inv: invariants.InvariantSet3Q):
-    """Per point of an array invariant set: whether its expansion
-    probabilities are >= 0, its B value, whether B <= 0 (both up to
-    FEASIBILITY_SLACK) and whether it is feasible, both holding."""
-    p_ok = invariants.expansion_probabilities(inv).min(axis=0) >= -tolerances.FEASIBILITY_SLACK
-    b_vals = invariants.B_function(inv)
-    b_ok = b_vals <= tolerances.FEASIBILITY_SLACK
-    return p_ok, b_vals, b_ok, p_ok & b_ok
-
-
 def region_scan_rows(va: float, vb: float, vc: float, grid: int) -> Table:
     """The scan as one table: grid x grid (vbar2, vbar3) points over the
     feasible bounding box, vbar2-major, then the marker points."""
@@ -370,7 +361,7 @@ def region_scan_rows(va: float, vb: float, vc: float, grid: int) -> Table:
     # coarse pass to find the feasible bounding box, seeded by the markers
     coarse = np.linspace(-1.0, 1.0, 41)
     c2, c3 = np.repeat(coarse, coarse.size), np.tile(coarse, coarse.size)
-    feasible = _scan_feasibility(invariants.InvariantSet3Q(va, vb, vc, c2, c3))[-1]
+    feasible = invariants.feasibility(invariants.InvariantSet3Q(va, vb, vc, c2, c3)).feasible
     pts = np.concatenate([[m2, m3], [c2[feasible], c3[feasible]]], axis=1)
     lo, hi = pts.min(axis=1), pts.max(axis=1)
     pad = 0.1 * np.maximum(hi - lo, tolerances.SCAN_PAD_FLOOR)
@@ -378,17 +369,20 @@ def region_scan_rows(va: float, vb: float, vc: float, grid: int) -> Table:
     v2 = np.concatenate([np.repeat(g2, grid), m2])
     v3 = np.concatenate([np.tile(g3, grid), m3])
     inv = invariants.InvariantSet3Q(va, vb, vc, v2, v3)
-    p_ok, b_vals, b_ok, feasible = _scan_feasibility(inv)
+    # I6 before the report: its arrays then reuse memory that the report's
+    # (8, N) probabilities would hold, where fresh pages cost time
+    i6 = invariants.sudbery(inv).i6
+    report = invariants.feasibility(inv)
     return Table(
         kind=["grid"] * grid**2 + ["marker"] * len(labels),
         label=[""] * grid**2 + list(labels),
         vbar2=v2,
         vbar3=v3,
-        p_ok=p_ok.view(np.int8),
-        B=b_vals,
-        B_ok=b_ok.view(np.int8),
-        feasible=feasible.view(np.int8),
-        I6=invariants.sudbery(inv).i6,
+        p_ok=report.p_ok.view(np.int8),
+        B=report.B,
+        B_ok=report.B_ok.view(np.int8),
+        feasible=report.feasible.view(np.int8),
+        I6=i6,
     )
 
 

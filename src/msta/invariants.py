@@ -45,8 +45,9 @@ class InvariantSet3Q:
     """The five local-unitary invariants (v_a, v_b, v_c, vbar2, vbar3).
 
     vbar2 and vbar3 may be arrays (of one shape, or one of them a float):
-    `expansion_probabilities`, `sudbery` and `B_function` then evaluate
-    every (vbar2, vbar3) point at once.  The Bloch lengths are floats.
+    `expansion_probabilities`, `sudbery`, `B_function` and `feasibility`
+    then evaluate every (vbar2, vbar3) point at once.  The Bloch lengths
+    are floats.
     """
 
     v_a: float
@@ -251,40 +252,58 @@ def F_function(inv: InvariantSet3Q) -> float:
     return (g - inv.vbar2 * inv.vbar3) ** 2 / (4096.0 * g**3) * B_function(inv)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
+class FeasibilityReport(NamedTuple):
+    """`feasibility`'s verdict, per point where vbar2 or vbar3 is an array.
+
+    `feasible` holds where the lengths lie in [0, 1], `p_ok` (every
+    expansion probability >= 0, or both vbars 0 with a vanishing Bloch
+    vector) and `B_ok` (B <= 0), each up to the slack.  `probabilities` are
+    `expansion_probabilities` (None where it cannot compute them, a Bloch
+    length below VANISHING_V); `violations` names each failure on float
+    vbars, and is empty on arrays.
+    """
+
+    feasible: bool | np.ndarray
+    p_ok: bool | np.ndarray
+    B: float | np.ndarray
+    B_ok: bool | np.ndarray
+    probabilities: np.ndarray | None
     violations: tuple[str, ...]
 
 
 def feasibility(inv: InvariantSet3Q, slack: float = FEASIBILITY_SLACK) -> FeasibilityReport:
-    """Existence test: probabilities nonnegative, lengths in [0, 1], B <= 0."""
-    return _feasibility(inv, slack)[0]
+    """Existence test: lengths in [0, 1], probabilities nonnegative, B <= 0.
 
-
-def _feasibility(inv: InvariantSet3Q, slack: float) -> tuple[FeasibilityReport, np.ndarray | None]:
-    """`feasibility` and the expansion probabilities it tested (None: uniform ones)."""
-    violations: list[str] = []
-    for name, v in zip("abc", inv.vs):
-        if not -slack <= v <= 1.0 + slack:
-            violations.append(f"v_{name} = {v} outside [0, 1]")
+    Float or array vbar2 and vbar3, as `expansion_probabilities`; a NaN
+    probability or B fails its gate.
+    """
     va, vb, vc = inv.vs
-    pair_floor = min(va * vb, va * vc, vb * vc)
-    if pair_floor < VANISHING_V:
+    violations = [f"v_{name} = {v} outside [0, 1]" for name, v in zip("abc", inv.vs) if not -slack <= v <= 1.0 + slack]
+    vanishing = min(va * vb, va * vc, vb * vc) < VANISHING_V
+    probs = None if vanishing and min(va, vb, vc) < VANISHING_V else expansion_probabilities(inv)
+    if vanishing:
         # vanishing vector: both correlation invariants must vanish with it
-        if abs(inv.vbar2) > slack or abs(inv.vbar3) > slack:
-            violations.append("nonzero vbar with a vanishing Bloch vector")
-        probs, tested = None, np.full(8, 0.125)
+        # (a NaN one passes this gate and fails B's)
+        p_ok = ~((np.abs(inv.vbar2) > slack) | (np.abs(inv.vbar3) > slack))
     else:
-        probs = tested = expansion_probabilities(inv)
-    # the gates below are negated so that a NaN fails them
-    bad = np.flatnonzero(~(tested >= -slack))
-    for idx in bad:
-        violations.append(f"p[{idx:03b}] = {tested[idx]} < 0")
+        # one point tests each of its eight probabilities, so that the
+        # messages can name them; a grid tests each point's least one, since
+        # an (8, N) array of flags made region-scan measurably slower
+        one = probs.ndim == 1
+        probs_ok = (probs if one else probs.min(axis=0)) >= -slack
+        p_ok = all(probs_ok.tolist()) if one else probs_ok
     b_val = B_function(inv)
-    if not b_val <= slack:
+    b_ok = b_val <= slack
+    feasible = p_ok & b_ok & (not violations)  # so far, violations name only lengths
+    if isinstance(feasible, np.ndarray):
+        return FeasibilityReport(feasible, p_ok, b_val, b_ok, probs, ())
+    if not p_ok and vanishing:
+        violations.append("nonzero vbar with a vanishing Bloch vector")
+    elif not p_ok:
+        violations += [f"p[{idx:03b}] = {probs[idx]} < 0" for idx in np.flatnonzero(~probs_ok)]
+    if not b_ok:
         violations.append(f"B = {b_val} > 0")
-    return FeasibilityReport(not violations, tuple(violations)), probs
+    return FeasibilityReport(bool(feasible), bool(p_ok), b_val, b_ok, probs, tuple(violations))
 
 
 def _amplitudes_on_basis(probs_by_index: dict[int, float]) -> np.ndarray:

@@ -62,8 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariants import (
-    InfeasibleInvariantsError, InvariantSet3Q, _amplitudes_on_basis, _feasibility, expansion_probabilities,
-    feasibility, named_point, negative_seed_probabilities, seed_probabilities,
+    InfeasibleInvariantsError, InvariantSet3Q, _amplitudes_on_basis, feasibility, named_point,
+    negative_seed_probabilities, seed_probabilities,
 )
 from .states import DensityOperator, pure_state_from_amplitudes
 from .tolerances import (
@@ -392,17 +392,18 @@ def reconstruct(inv: InvariantSet3Q, angles: AngleSet, axes=None) -> DensityOper
     pair's phase difference.  The result is pure by construction and
     reproduces the input invariants.
     """
-    report, probs = _feasibility(inv, FEASIBILITY_SLACK)
+    report = feasibility(inv)
     if not report.feasible:
         raise InfeasibleInvariantsError("; ".join(report.violations))
     if not all(map(math.isfinite, angles.as_tuple())):
         raise ValueError(f"angles must be finite, got {angles.as_tuple()}")
-    probs = expansion_probabilities(inv) if probs is None else probs
+    if report.probabilities is None:
+        raise ValueError("expansion probabilities require nonvanishing Bloch lengths")
     free = angles.free()
-    res = max(map(abs, _sums(_vectors(vector_lengths(probs).tolist(), free.tolist()))))
+    res = max(map(abs, _sums(_vectors(vector_lengths(report.probabilities).tolist(), free.tolist()))))
     if res > SUM_TOL:
         raise ValueError(f"angles do not close the vector sums (residual {res})")
-    amps = np.sqrt(np.clip(probs, 0.0, None)) * np.exp(1j * (_PHASE_MATRIX @ free))
+    amps = np.sqrt(np.clip(report.probabilities, 0.0, None)) * np.exp(1j * (_PHASE_MATRIX @ free))
     amps = amps / np.linalg.norm(amps)
     return pure_state_from_amplitudes(amps, axes=axes)
 
@@ -421,8 +422,7 @@ def special_state(kind: str, va: float, vb: float, vc: float) -> tuple[Invariant
     report = feasibility(inv, slack=REPORT_SLACK)
     if not report.feasible:
         raise InfeasibleInvariantsError("; ".join(report.violations))
-    lengths = vector_lengths(expansion_probabilities(inv))
-    solutions = solve(lengths)
+    solutions = solve(vector_lengths(report.probabilities))
     if not solutions:
         raise RuntimeError("vector-sum solver found no solution for a feasible point")
     return inv, reconstruct(inv, solutions[0])

@@ -581,13 +581,22 @@ def _reference_csv(rows):
     return buf.getvalue()
 
 
+def _reference_flags(inv):
+    """p_ok, B, B_ok and feasible of an array invariant set, from the
+    probabilities and B directly rather than through `invariants.feasibility`."""
+    p_ok = invariants.expansion_probabilities(inv).min(axis=0) >= -tolerances.FEASIBILITY_SLACK
+    b_vals = invariants.B_function(inv)
+    b_ok = b_vals <= tolerances.FEASIBILITY_SLACK
+    return p_ok, b_vals, b_ok, p_ok & b_ok
+
+
 def _reference_scan_rows(va, vb, vc, grid):
     """Region-scan rows as dicts, one grid row at a time: the row path the
     column table replaced, kept as the output reference."""
 
     def rows(kind, labels, v2, v3):
         inv = invariants.InvariantSet3Q(va, vb, vc, v2, v3)
-        p_ok, b_vals, b_ok, feasible = cli._scan_feasibility(inv)
+        p_ok, b_vals, b_ok, feasible = _reference_flags(inv)
         i6 = invariants.sudbery(inv).i6.tolist()
         cols = zip(labels, v2.tolist(), v3.tolist(), *(a.tolist() for a in (p_ok, b_vals, b_ok, feasible)), i6)
         return [
@@ -609,7 +618,7 @@ def _reference_scan_rows(va, vb, vc, grid):
     m2, m3 = np.array(m2), np.array(m3)
     coarse = np.linspace(-1.0, 1.0, 41)
     c2, c3 = np.repeat(coarse, coarse.size), np.tile(coarse, coarse.size)
-    feasible = cli._scan_feasibility(invariants.InvariantSet3Q(va, vb, vc, c2, c3))[-1]
+    feasible = _reference_flags(invariants.InvariantSet3Q(va, vb, vc, c2, c3))[-1]
     pts2 = np.concatenate([m2, c2[feasible]])
     pts3 = np.concatenate([m3, c3[feasible]])
     lo2, hi2, lo3, hi3 = pts2.min(), pts2.max(), pts3.min(), pts3.max()
@@ -755,6 +764,15 @@ def test_byte_cells_equal_per_value_reference(dtype):
     for part in (col, col[::5], col[:0]):
         assert cli._cells(part) == list(map(str, part.tolist()))
         assert cli._json_cells(part) == list(map(json.dumps, part.tolist()))
+
+
+def test_bool_column_is_written_as_0_and_1(capsys):
+    table = cli.Table(flag=np.array([True, False]), x=np.array([0.5, -1.0]))
+    cli.emit(argparse.Namespace(format="csv", out=None), table)
+    assert capsys.readouterr().out == "flag,x\n1,0.5\n0,-1.0\n"
+    cli.emit(argparse.Namespace(command="t", format="json", out=None), table)
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rows"] == [{"flag": 1, "x": 0.5}, {"flag": 0, "x": -1.0}]
 
 
 def test_region_scan_emit_equals_csv_writer_of_per_value_cells(capsys):

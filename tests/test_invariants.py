@@ -520,3 +520,47 @@ def test_feasibility_refuses_nan_invariants():
     # NaN probabilities and a NaN B used to pass their gates as feasible
     for vbar2, vbar3 in ((np.nan, 0.1), (0.1, np.nan)):
         assert not feasibility(InvariantSet3Q(0.5, 0.5, 0.5, vbar2, vbar3)).feasible
+
+
+def _feasibility_cases(rng):
+    """(lengths, vbar2 array, vbar3 array): random states' own points among
+    points near them, a coarse scan grid on three triples, NaN vbars, a
+    length just past 1, a triple whose v_a v_b vanishes and one with v_a = 0."""
+    grid = np.linspace(-1.0, 1.0, 41)
+    g2, g3 = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+    cases = []
+    while len(cases) < 10:
+        _, rho = random_pure_3q(rng)
+        try:
+            inv = invariants_3q(rho)
+        except ValueError:
+            continue
+        v2 = inv.vbar2 + np.concatenate([[0.0], rng.normal(0.0, 1e-3, 60)])
+        v3 = inv.vbar3 + np.concatenate([[0.0], rng.normal(0.0, 1e-3, 60)])
+        cases.append((inv.vs, v2, v3))
+    for vs in ((0.333, 0.333, 0.333), (0.5, 0.6, 0.7), (0.2, 0.3, 0.6), (1.0 + 1e-9, 0.5, 0.5)):
+        cases.append((vs, g2, g3))
+    nan = np.array([np.nan, 0.1, np.nan, 0.0])
+    cases.append(((0.5, 0.5, 0.5), nan, nan[::-1].copy()))
+    small = np.array([0.0, 5e-11, -5e-11, 2e-10, -2e-10, 1e-3, np.nan])
+    vanishing = (np.concatenate([g2, np.repeat(small, small.size)]), np.concatenate([g3, np.tile(small, small.size)]))
+    cases.append(((1e-6, 1e-6, 0.5), *vanishing))
+    cases.append(((0.0, 0.5, 0.5), *vanishing))  # no expansion probabilities
+    return cases
+
+
+def test_array_feasibility_equals_the_float_one_point_by_point(rng):
+    for vs, v2, v3 in _feasibility_cases(rng):
+        for slack in (1e-10, 1e-9):
+            report = feasibility(InvariantSet3Q(*vs, v2, v3), slack)
+            assert report.violations == ()
+            for n, (x2, x3) in enumerate(zip(v2.tolist(), v3.tolist())):
+                one = feasibility(InvariantSet3Q(*vs, x2, x3), slack)
+                got = (report.feasible[n], report.p_ok[n], report.B_ok[n])
+                assert got == (one.feasible, one.p_ok, one.B_ok), (vs, x2, x3, slack)
+                assert one.feasible == (not one.violations)
+                assert np.array_equal(report.B[n], one.B, equal_nan=True)
+                if one.probabilities is None:
+                    assert report.probabilities is None
+                else:
+                    assert np.array_equal(report.probabilities[:, n], one.probabilities, equal_nan=True)

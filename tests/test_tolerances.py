@@ -54,6 +54,19 @@ def test_no_import_inside_a_function():
     assert not found, "import at the top of the module instead of at: " + ", ".join(found)
 
 
+def test_existence_is_decided_in_invariants_only():
+    # the CLI reads `invariants.feasibility`'s report; a second copy of the
+    # rule there would drift from the library's
+    banned = {"expansion_probabilities", "B_function", "FEASIBILITY_SLACK"}
+    # names read (Name), attributes (invariants.B_function) and imports (alias)
+    found = [
+        f"cli.py:{node.lineno}: {name}"
+        for node in ast.walk(_tree("cli.py"))
+        for name in banned & {getattr(node, field, None) for field in ("id", "attr", "name")}
+    ]
+    assert not found, "read invariants.feasibility instead of: " + ", ".join(found)
+
+
 def _tree(name):
     return ast.parse((Path(msta.__file__).parent / name).read_text(encoding="utf-8"))
 

@@ -995,12 +995,16 @@ def test_reconstruct_is_bit_identical_to_computing_the_probabilities_twice(rng):
         _, _, inv = random_pure_invariants(rng)
         for s in solve(vector_lengths(expansion_probabilities(inv))):
             assert same_bits(reconstruct(inv, s).mv, _reconstruct_reference(inv, s).mv)
-    # Bloch lengths whose pairwise products vanish: feasibility tests
-    # uniform probabilities, and reconstruct computes the expansion's own
+    # Bloch lengths whose pairwise products vanish: feasibility tests that
+    # the vbars vanish, and its report still carries the expansion's own
+    # probabilities, which reconstruct uses
     va, vb, vc = 1e-6, 1e-6, 0.5
     inv = InvariantSet3Q(va, vb, vc, 0.0, 0.0)
     s = solve(vector_lengths(expansion_probabilities(inv)))[0]
     assert same_bits(reconstruct(inv, s).mv, _reconstruct_reference(inv, s).mv)
+    # a feasible point with v_a = 0 has no expansion to rebuild from
+    with pytest.raises(ValueError, match="nonvanishing Bloch lengths"):
+        reconstruct(InvariantSet3Q(0.0, vc, vc, 0.0, 0.0), s)
 
 
 def test_sets_that_tie_in_phi_ab_are_ordered_by_the_other_angles():
