@@ -17,6 +17,7 @@ import json
 import sys
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,15 +71,34 @@ def save_state(path: str, amps) -> None:
         json.dump(doc, f)
 
 
+class Repeated(NamedTuple):
+    """A column of few values (floats or strings): row i holds values[codes[i]]."""
+
+    values: np.ndarray | list
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        return Repeated(self.values, self.codes[i]) if isinstance(i, slice) else self.values[self.codes[i]]
+
+    def tolist(self) -> list:
+        return np.asarray(self.values, dtype=object)[self.codes].tolist()
+
+
 class Table:
-    """A command's output: column names with equal-length columns, numpy
-    arrays for float and int columns and lists for string columns.
+    """A command's output: one or more named columns of equal length, numpy
+    arrays for numbers, lists of strings, or `Repeated` for few values.
 
     Iterating yields one mapping per row that reads and writes through to
-    the columns, so `row["I6"] += 1e-6` changes what `emit` writes.
-    """
+    the columns, so `row["I6"] += 1e-6` changes what `emit` writes; writing
+    to a `Repeated` column raises TypeError (it would change all rows alike)."""
 
     def __init__(self, **columns):
+        lengths = {name: len(col) for name, col in columns.items()}
+        if len(set(lengths.values())) != 1:
+            raise ValueError(f"a Table needs one or more columns of equal length, got {lengths}")
         self.columns = columns
 
     def __len__(self) -> int:
@@ -107,23 +127,18 @@ def _cells(col, quote=_csv_field) -> list[str]:
     """A column's values as CSV fields: floats as repr(float(f"{x:.12g}")),
     12 significant digits in Python's shortest repr; ints as str and bools
     as 0 or 1; strings through ``quote``, by default quoted where RFC 4180
-    needs it.
-
-    Each distinct value is formatted once and its cell copied to every row
-    that holds it; a column with no repeats is formatted as it is.  Numbers
-    are keyed by their bit pattern, not by value, so -0.0 and 0.0 stay apart
-    (as do NaN payloads, which format alike).  1-byte columns read `_byte_cells`."""
+    needs it.  Each value is formatted, but a `Repeated` column's values
+    only once, fanned out to the rows by its codes: the table's builder
+    states repetition, nothing sorts to find it.  1-byte columns read
+    `_byte_cells`."""
+    if isinstance(col, Repeated):
+        return np.array(_cells(col.values, quote), dtype=object)[col.codes].tolist()
     if isinstance(col, list):
-        fields = {s: quote(s) for s in set(col)}
-        return list(map(fields.__getitem__, col))
+        return list(map(quote, col))
     if col.itemsize == 1:
         # a bool takes int8's cells, 0 and 1: JSON has no True or False
         return _byte_cells(np.dtype(np.int8) if col.dtype == bool else col.dtype).take(col.view(np.uint8)).tolist()
-    keys, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-    if len(keys) == len(col):
-        return _number_cells(col)
-    cells = np.array(_number_cells(keys.view(col.dtype)), dtype=object)
-    return cells[inverse].tolist()
+    return _number_cells(col)
 
 
 @lru_cache(maxsize=None)
@@ -196,8 +211,8 @@ def _fixed_cells(col: np.ndarray) -> list[str]:
     m[m == 1e12] = 1e11
     ok &= (m >= 1e11) & (m < 1e12) & (e >= -11) & (e <= 10)
     m[~ok], e[~ok] = 1e11, 0
-    hi, rest = np.divmod(m, 1e8)
-    hi, mid, lo = (g.astype(np.intp) for g in (hi, *np.divmod(rest, 1e4)))
+    hi, rest = np.divmod(m.astype(np.int64), 10**8)  # m is an exact integer
+    mid, lo = np.divmod(rest, 10**4)
     sig = 12 - zeros[lo] - (lo == 0) * (zeros[mid] + (mid == 0) * zeros[hi])
     rows = np.empty((len(col), len(_CELL_ROW) // 4), np.uint32)
     rows[:, 0], rows[:, 1], rows[:, 2] = words[hi], words[mid], words[lo]
@@ -226,10 +241,10 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _json_cells(col) -> list[str]:
     """A column's values as JSON text: the CSV field of each number read
     back, as json.dumps writes it, and strings through json.dumps."""
-    cells = _cells(col, json.dumps)
-    if not isinstance(col, list) and not np.isfinite(col).all():
-        cells = [_JSON_NONFINITE.get(c, c) for c in cells]
-    return cells
+    values = col.values if isinstance(col, Repeated) else col
+    if isinstance(values, list) or np.isfinite(values).all():
+        return _cells(col, json.dumps)
+    return [_JSON_NONFINITE.get(c, c) for c in _cells(col, json.dumps)]
 
 
 # rows formatted at a time
@@ -260,9 +275,7 @@ def emit(args, table: Table) -> None:
 
     The JSON document is {"command", "params", "rows"}; params are the
     subcommand's own arguments in declaration order, and rows hold the CSV
-    row values as objects.  Rows are written _CHUNK_ROWS at a time, and in
-    each chunk a column's distinct values are formatted once (`_cells`).
-    """
+    row values as objects.  Rows are formatted _CHUNK_ROWS at a time."""
     if args.format == "json":
         params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out", "format")}
         chunks = _json_chunks(args.command, params, table)
@@ -373,11 +386,13 @@ def region_scan_rows(va: float, vb: float, vc: float, grid: int) -> Table:
     # (8, N) probabilities would hold, where fresh pages cost time
     i6 = invariants.sudbery(inv).i6
     report = invariants.feasibility(inv)
+    # after the report, off its memory peak: each axis value once, coded by grid index
+    n, marks = grid**2, grid + np.arange(len(labels))
     return Table(
-        kind=["grid"] * grid**2 + ["marker"] * len(labels),
-        label=[""] * grid**2 + list(labels),
-        vbar2=v2,
-        vbar3=v3,
+        kind=Repeated(["grid", "marker"], np.repeat([0, 1], [n, len(labels)])),
+        label=Repeated(["", *labels], np.concatenate([np.zeros(n, np.intp), 1 + np.arange(len(labels))])),
+        vbar2=Repeated(np.concatenate([g2, m2]), np.concatenate([np.arange(n) // grid, marks])),
+        vbar3=Repeated(np.concatenate([g3, m3]), np.concatenate([np.arange(n) % grid, marks])),
         p_ok=report.p_ok.view(np.int8),
         B=report.B,
         B_ok=report.B_ok.view(np.int8),

@@ -786,3 +786,76 @@ def test_region_scan_emit_equals_csv_writer_of_per_value_cells(capsys):
     writer.writerow(table.columns)
     writer.writerows(zip(*([repr(_fmt(x)) if isinstance(x, float) else x for x in col] for col in columns)))
     assert capsys.readouterr().out == buf.getvalue()
+
+
+# -- repeated columns ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_rejects_columns_of_different_lengths(capsys, monkeypatch, fmt):
+    # a short column once wrote a CSV short of rows and half a JSON document
+    with pytest.raises(ValueError, match="equal length"):
+        cli.Table(a=np.arange(3), b=np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match="one or more"):
+        cli.Table()
+
+    def short_column(args):
+        return cli.Table(term=["XX", "YY", "ZZ"], re=np.array([0.5, 1.5])), cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_bell", short_column)
+    code = main(["bell", "--which", "phi+", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert "equal length" in err
+
+
+def test_repeated_column_is_read_only():
+    table = region_scan_rows(1 / 3, 1 / 3, 1 / 3, 5)
+    before = {name: col.tolist() for name, col in table.columns.items()}
+    seed = next(r for r in table if r["label"] == "A_seed")
+    grid_row = next(iter(table))
+    for row, name, value in ((seed, "vbar2", 0.0), (seed, "label", "x"), (grid_row, "kind", "marker")):
+        with pytest.raises(TypeError):
+            row[name] = value
+    assert {name: col.tolist() for name, col in table.columns.items()} == before
+
+
+# -0.0 apart from 0.0, NaN, infinities, and strings that CSV quotes or JSON escapes
+_REPEATED_FLOATS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1 / 3, 1e16, -2.5e-7])
+_REPEATED_STRINGS = ["", "a,b", 'say "hi"', "100%", "%s", "line\nbreak", "é—", "grid"]
+
+
+def test_repeated_cells_equal_the_per_row_expansion(capsys):
+    rng = np.random.default_rng(30)
+    n = 2 * cli._CHUNK_ROWS + 100  # codes cross two chunk boundaries
+    x = cli.Repeated(_REPEATED_FLOATS, rng.integers(0, len(_REPEATED_FLOATS), n))
+    s = cli.Repeated(_REPEATED_STRINGS, rng.integers(0, len(_REPEATED_STRINGS), n))
+    assert len(x) == len(s) == n
+    xs, ss = x.tolist(), s.tolist()
+    assert all(type(v) is float for v in xs) and ss == [_REPEATED_STRINGS[c] for c in s.codes]
+    assert cli._cells(x) == [repr(_fmt(v)) for v in xs]
+    assert cli._json_cells(x) == [json.dumps(_fmt(v)) for v in xs]
+    assert cli._cells(s) == list(map(cli._csv_field, ss))
+    assert cli._json_cells(s) == list(map(json.dumps, ss))
+    assert cli._cells(x[100:9000]) == cli._cells(np.array(xs[100:9000]))
+    table = cli.Table(label=s, x=x, k=np.arange(n))
+    rows = [{"label": a, "x": _fmt(b), "k": k} for k, (a, b) in enumerate(zip(ss, xs))]
+    cli.emit(argparse.Namespace(format="csv", out=None), table)
+    assert capsys.readouterr().out == _reference_csv(rows)
+    cli.emit(argparse.Namespace(command="t", format="json", out=None), table)
+    assert capsys.readouterr().out == json.dumps({"command": "t", "params": {}, "rows": rows}) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_region_scan_emit_never_sorts(capsys, monkeypatch, fmt):
+    # repetition is stated by region_scan_rows, not found by np.unique
+    table = region_scan_rows(0.333, 0.333, 0.333, 91)
+    cli.emit(argparse.Namespace(command="region-scan", format=fmt, out=None), table)
+    want = capsys.readouterr().out
+
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", unique)
+    cli.emit(argparse.Namespace(command="region-scan", format=fmt, out=None), table)
+    assert capsys.readouterr().out == want
