@@ -371,32 +371,32 @@ def region_scan_rows(va: float, vb: float, vc: float, grid: int) -> Table:
     """The scan as one table: grid x grid (vbar2, vbar3) points over the
     feasible bounding box, vbar2-major, then the marker points."""
     labels, m2, m3 = zip(*_markers(va, vb, vc))
-    # coarse pass to find the feasible bounding box, seeded by the markers
+    # coarse pass to find the feasible bounding box, seeded by the markers;
+    # each pass runs on its two axes, (n, 1) against (n,), so the terms in
+    # one vbar run once per axis value and only the mixed sums per point
     coarse = np.linspace(-1.0, 1.0, 41)
-    c2, c3 = np.repeat(coarse, coarse.size), np.tile(coarse, coarse.size)
-    feasible = invariants.feasibility(invariants.InvariantSet3Q(va, vb, vc, c2, c3)).feasible
-    pts = np.concatenate([[m2, m3], [c2[feasible], c3[feasible]]], axis=1)
+    feasible = invariants.feasibility(invariants.InvariantSet3Q(va, vb, vc, coarse[:, None], coarse)).feasible
+    pts = np.concatenate([[m2, m3], coarse[np.argwhere(feasible).T]], axis=1)
     lo, hi = pts.min(axis=1), pts.max(axis=1)
     pad = 0.1 * np.maximum(hi - lo, tolerances.SCAN_PAD_FLOOR)
     g2, g3 = (np.linspace(a, b, grid) for a, b in zip(lo - pad, hi + pad))
-    v2 = np.concatenate([np.repeat(g2, grid), m2])
-    v3 = np.concatenate([np.tile(g3, grid), m3])
-    inv = invariants.InvariantSet3Q(va, vb, vc, v2, v3)
-    # I6 before the report: its arrays then reuse memory that the report's
-    # (8, N) probabilities would hold, where fresh pages cost time
-    i6 = invariants.sudbery(inv).i6
-    report = invariants.feasibility(inv)
-    # after the report, off its memory peak: each axis value once, coded by grid index
+    parts = []
+    for v2, v3 in ((g2[:, None], g3), (np.array(m2), np.array(m3))):
+        inv = invariants.InvariantSet3Q(va, vb, vc, v2, v3)
+        report = invariants.feasibility(inv)
+        parts.append([report.p_ok, report.B, report.B_ok, report.feasible, invariants.sudbery(inv).i6])
+    # the grid's (grid, grid) arrays flatten vbar2-major, the markers follow
+    p_ok, b, b_ok, feasible, i6 = (np.concatenate([g.ravel(), m]) for g, m in zip(*parts))
     n, marks = grid**2, grid + np.arange(len(labels))
     return Table(
         kind=Repeated(["grid", "marker"], np.repeat([0, 1], [n, len(labels)])),
         label=Repeated(["", *labels], np.concatenate([np.zeros(n, np.intp), 1 + np.arange(len(labels))])),
         vbar2=Repeated(np.concatenate([g2, m2]), np.concatenate([np.arange(n) // grid, marks])),
         vbar3=Repeated(np.concatenate([g3, m3]), np.concatenate([np.arange(n) % grid, marks])),
-        p_ok=report.p_ok.view(np.int8),
-        B=report.B,
-        B_ok=report.B_ok.view(np.int8),
-        feasible=report.feasible.view(np.int8),
+        p_ok=p_ok.view(np.int8),
+        B=b,
+        B_ok=b_ok.view(np.int8),
+        feasible=feasible.view(np.int8),
         I6=i6,
     )
 

@@ -44,10 +44,11 @@ class InfeasibleInvariantsError(ValueError):
 class InvariantSet3Q:
     """The five local-unitary invariants (v_a, v_b, v_c, vbar2, vbar3).
 
-    vbar2 and vbar3 may be arrays (of one shape, or one of them a float):
+    vbar2 and vbar3 may be arrays of any two broadcastable shapes (a
+    column of vbar2 against a row of vbar3 spans a grid):
     `expansion_probabilities`, `sudbery`, `B_function` and `feasibility`
-    then evaluate every (vbar2, vbar3) point at once.  The Bloch lengths
-    are floats.
+    then evaluate every (vbar2, vbar3) point at once, each with the bits
+    it has alone as two floats.  The Bloch lengths are floats.
     """
 
     v_a: float
@@ -143,8 +144,8 @@ def expansion_probabilities(inv: InvariantSet3Q) -> np.ndarray:
     """The eight probabilities p[ijk], indexed by sign bits (0 = +, qubit a
     most significant); sums to one identically.
 
-    Shape (8,) for float vbar2 and vbar3, (8,) + their shape for arrays.
-    Floats take Python arithmetic in the array form's order, bit for bit.
+    Shape (8,) + the broadcast shape of vbar2 and vbar3, (8,) for floats,
+    which take Python arithmetic in the array form's order, bit for bit.
     """
     va, vb, vc = inv.vs
     if min(va, vb, vc) < VANISHING_V:
@@ -220,7 +221,8 @@ def three_tangle_oracle(amps) -> float:
 
 
 def B_function(inv: InvariantSet3Q) -> float:
-    """Boundary cubic in vbar3; pure states exist only where B <= 0."""
+    """Boundary cubic in vbar3; pure states exist only where B <= 0.  Float
+    vbars, or arrays of broadcastable shapes with each point's float bits."""
     a, b, g = inv.alpha, inv.beta, inv.gamma
     v2, v3 = inv.vbar2, inv.vbar3
     # np.float_power and Python's float ** k both call libm's pow, where
@@ -274,7 +276,8 @@ class FeasibilityReport(NamedTuple):
 def feasibility(inv: InvariantSet3Q, slack: float = FEASIBILITY_SLACK) -> FeasibilityReport:
     """Existence test: lengths in [0, 1], probabilities nonnegative, B <= 0.
 
-    Float or array vbar2 and vbar3, as `expansion_probabilities`; a NaN
+    Float vbar2 and vbar3, or arrays of broadcastable shapes with each
+    point's float verdict and bits, as `expansion_probabilities`; a NaN
     probability or B fails its gate.
     """
     va, vb, vc = inv.vs

@@ -67,8 +67,8 @@ PAIR_TOL = 1e-9
 # Feasibility of exactly given invariants: p >= 0, B <= 0 and the lengths
 # in [0, 1] may fail by this much, rounding of the closed forms.
 FEASIBILITY_SLACK = 1e-10
-# Feasibility of invariants measured from a state or placed at a special
-# point, which carry more rounding than the closed forms alone.
+# Feasibility of invariants measured from a state, which carry more
+# rounding than the closed forms alone.
 REPORT_SLACK = 1e-9
 # The existence conditions of the named invariant points (seed, negative
 # seed, maximum and zero 3-tangle, the two-vector limit) may fail by this.

@@ -62,12 +62,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariants import (
-    InfeasibleInvariantsError, InvariantSet3Q, _amplitudes_on_basis, feasibility, named_point,
-    negative_seed_probabilities, seed_probabilities,
+    FeasibilityReport, InfeasibleInvariantsError, InvariantSet3Q, _amplitudes_on_basis, feasibility,
+    named_point, negative_seed_probabilities, seed_probabilities,
 )
 from .states import DensityOperator, pure_state_from_amplitudes
 from .tolerances import (
-    DEDUP_RADIUS, ELIMINANT_TRIM, FEASIBILITY_SLACK, PROB_FLOOR, REPORT_SLACK, SNAP_RADIUS,
+    DEDUP_RADIUS, ELIMINANT_TRIM, FEASIBILITY_SLACK, PROB_FLOOR, SNAP_RADIUS,
     SOLVER_TOL, START_TOL, SUM_FLOOR, SUM_TOL, UNIT_CIRCLE_TOL, ZERO_LENGTH,
 )
 
@@ -392,9 +392,17 @@ def reconstruct(inv: InvariantSet3Q, angles: AngleSet, axes=None) -> DensityOper
     pair's phase difference.  The result is pure by construction and
     reproduces the input invariants.
     """
+    return _assemble(_feasible_report(inv), angles, axes)
+
+
+def _feasible_report(inv: InvariantSet3Q) -> FeasibilityReport:
     report = feasibility(inv)
     if not report.feasible:
         raise InfeasibleInvariantsError("; ".join(report.violations))
+    return report
+
+
+def _assemble(report: FeasibilityReport, angles: AngleSet, axes=None) -> DensityOperator:
     if not all(map(math.isfinite, angles.as_tuple())):
         raise ValueError(f"angles must be finite, got {angles.as_tuple()}")
     if report.probabilities is None:
@@ -419,10 +427,9 @@ def special_state(kind: str, va: float, vb: float, vc: float) -> tuple[Invariant
     if kind in ("seed", "negative_seed"):
         probs = (seed_probabilities if kind == "seed" else negative_seed_probabilities)(va, vb, vc)
         return inv, pure_state_from_amplitudes(_amplitudes_on_basis(probs))
-    report = feasibility(inv, slack=REPORT_SLACK)
-    if not report.feasible:
-        raise InfeasibleInvariantsError("; ".join(report.violations))
+    # one report at FEASIBILITY_SLACK decides, the slack `vector_lengths` takes
+    report = _feasible_report(inv)
     solutions = solve(vector_lengths(report.probabilities))
     if not solutions:
         raise RuntimeError("vector-sum solver found no solution for a feasible point")
-    return inv, reconstruct(inv, solutions[0])
+    return inv, _assemble(report, solutions[0])

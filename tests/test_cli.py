@@ -859,3 +859,49 @@ def test_region_scan_emit_never_sorts(capsys, monkeypatch, fmt):
     monkeypatch.setattr(np, "unique", unique)
     cli.emit(argparse.Namespace(command="region-scan", format=fmt, out=None), table)
     assert capsys.readouterr().out == want
+
+
+# -- region-scan against its references -----------------------------------
+
+
+@pytest.mark.parametrize("vs", [(0.333, 0.333, 0.333), (0.45, 0.7, 0.72)])  # three markers, then two
+@pytest.mark.parametrize("grid", [2, 3, 201])
+def test_region_scan_values_equal_the_float_path_bit_for_bit(vs, grid):
+    # whatever shapes the scan evaluates, each row holds the bits that the
+    # existence rule and I6 give its (vbar2, vbar3) as two Python floats
+    table = region_scan_rows(*vs, grid)
+    n = grid * grid
+    labels = table.columns["label"].tolist()[n:]
+    assert labels == ["A_seed", "B_min_tangle", "C_max_tangle"][: len(labels)]
+    assert len(labels) == (3 if vs[0] == 0.333 else 2)
+    picks = range(n) if n < 100 else np.random.default_rng(grid).choice(n, 300, replace=False).tolist()
+    rows = list(table)
+    for i in [*picks, *range(n, len(table))]:
+        row = rows[i]
+        inv = invariants.InvariantSet3Q(*vs, float(row["vbar2"]), float(row["vbar3"]))
+        report = invariants.feasibility(inv)
+        assert type(report.B) is float
+        want = (int(report.p_ok), report.B, int(report.B_ok), int(report.feasible), invariants.sudbery(inv).i6)
+        got = (int(row["p_ok"]), row["B"], int(row["B_ok"]), int(row["feasible"]), row["I6"])
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (i, got, want)
+
+
+@pytest.mark.parametrize("vs, grid", [(("0.333", "0.333", "0.333"), 201), (("0.45", "0.7", "0.72"), 57)])
+def test_region_scan_files_equal_the_reference_writers(tmp_path, vs, grid):
+    # CI's byte checks of --out: the CSV against the stdlib csv writer fed
+    # repr(float('%.12g' % x)) per float, the JSON against json.dump of rows
+    # built through .tolist(), each float as float('%.12g' % x)
+    argv = ["region-scan", "--va", vs[0], "--vb", vs[1], "--vc", vs[2], "--grid", str(grid)]
+    assert main([*argv, "--out", str(tmp_path / "scan.csv")]) == 0
+    assert main([*argv, "--format", "json", "--out", str(tmp_path / "scan.json")]) == 0
+    va, vb, vc = map(float, vs)
+    t = region_scan_rows(va, vb, vc, grid)
+    cols = [c if isinstance(c, list) else c.tolist() for c in t.columns.values()]
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(t.columns)
+    w.writerows(zip(*([repr(float("%.12g" % x)) if isinstance(x, float) else x for x in c] for c in cols)))
+    assert (tmp_path / "scan.csv").read_bytes() == buf.getvalue().encode()
+    rows = [dict(zip(t.columns, r)) for r in zip(*([float("%.12g" % x) if isinstance(x, float) else x for x in c] for c in cols))]
+    doc = {"command": "region-scan", "params": {"va": va, "vb": vb, "vc": vc, "grid": grid}, "rows": rows}
+    assert (tmp_path / "scan.json").read_bytes() == json.dumps(doc).encode()

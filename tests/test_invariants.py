@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msta import oracle, states
+from msta import oracle, states, vectorsum
 from msta.algebra import Multivector
 from msta.invariants import (
     InfeasibleInvariantsError,
@@ -399,6 +399,18 @@ def test_special_state_zero_tangle():
     assert abs(sudbery(inv).i6) < 1e-12
     got = invariants_3q(rho)
     assert abs(sudbery(got).i6) < 1e-8
+
+
+def test_special_state_decides_at_one_slack(monkeypatch):
+    # past the maximum-3-tangle point of (0.6, 0.6, 0.6), where three
+    # probabilities vanish: the least is -5.2e-10 and B is rounding, so a
+    # report at 1e-9 passed it on to vector_lengths, which raised a ValueError
+    point = (0.36 + 5e-10, 0.1296 + 6e-10)
+    monkeypatch.setattr(vectorsum, "named_point", lambda kind, va, vb, vc: point)
+    report = feasibility(InvariantSet3Q(0.6, 0.6, 0.6, *point))
+    assert -6e-10 < report.probabilities.min() < -5e-10 and report.B_ok
+    with pytest.raises(InfeasibleInvariantsError, match=r"p\[001\] = -5\.2\d*e-10 < 0"):
+        special_state("max_tangle", 0.6, 0.6, 0.6)
 
 
 def test_zero_tangle_matches_negative_seed_on_boundary():
