@@ -89,7 +89,8 @@ class Repeated(NamedTuple):
 
 class Table:
     """A command's output: one or more named columns of equal length, numpy
-    arrays for numbers, lists of strings, or `Repeated` for few values.
+    arrays for numbers, lists of strings, or `Repeated` for few values (a
+    code that names none of its values raises ValueError).
 
     Iterating yields one mapping per row that reads and writes through to
     the columns, so `row["I6"] += 1e-6` changes what `emit` writes; writing
@@ -99,6 +100,9 @@ class Table:
         lengths = {name: len(col) for name, col in columns.items()}
         if len(set(lengths.values())) != 1:
             raise ValueError(f"a Table needs one or more columns of equal length, got {lengths}")
+        for name, col in columns.items():
+            if isinstance(col, Repeated) and len(col) and not (0 <= col.codes.min() and col.codes.max() < len(col.values)):
+                raise ValueError(f"column {name}: Repeated codes must lie in 0..{len(col.values) - 1}")
         self.columns = columns
 
     def __len__(self) -> int:
@@ -119,45 +123,54 @@ class _Row:
         self.columns[name][self.i] = value
 
 
-def _csv_field(s: str) -> str:
+def _csv_field(v) -> str:
+    """A value as a CSV field: a number by repr, a string quoted where RFC 4180 needs it."""
+    s = v if isinstance(v, str) else repr(v)
     return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
 
 
-def _cells(col, quote=_csv_field) -> list[str]:
-    """A column's values as CSV fields: floats as repr(float(f"{x:.12g}")),
-    12 significant digits in Python's shortest repr; ints as str and bools
-    as 0 or 1; strings through ``quote``, by default quoted where RFC 4180
-    needs it.  Each value is formatted, but a `Repeated` column's values
-    only once, fanned out to the rows by its codes: the table's builder
-    states repetition, nothing sorts to find it.  1-byte columns read
-    `_byte_cells`."""
+def _cells(col, quote=_csv_field) -> np.ndarray:
+    """A column's cells as a (rows, width) uint8 block, each cell's UTF-8
+    left-aligned and padded with `_PAD`: floats as repr(float(f"{x:.12g}")),
+    bools as 0 or 1, ints and strings through ``quote`` (`_csv_field`, or
+    json.dumps for JSON).  A `Repeated` column's values are formatted once
+    and their rows taken by its codes: the table's builder states
+    repetition, nothing sorts to find it.  1-byte columns read `_byte_cells`."""
     if isinstance(col, Repeated):
-        return np.array(_cells(col.values, quote), dtype=object)[col.codes].tolist()
+        return _cells(col.values, quote).take(col.codes, 0)
     if isinstance(col, list):
-        return list(map(quote, col))
+        return _text_cells(map(quote, col))
     if col.itemsize == 1:
         # a bool takes int8's cells, 0 and 1: JSON has no True or False
-        return _byte_cells(np.dtype(np.int8) if col.dtype == bool else col.dtype).take(col.view(np.uint8)).tolist()
-    return _number_cells(col)
+        return _byte_cells(np.dtype(np.int8) if col.dtype == bool else col.dtype).take(col.view(np.uint8), 0)
+    return _number_cells(col, quote)
+
+
+def _text_cells(cells) -> np.ndarray:
+    """The block of some strings, each encoded once and padded to the longest."""
+    cells = [c.encode() for c in cells]
+    width = max(map(len, cells), default=0)
+    return np.frombuffer(b"".join(c.ljust(width, _PAD) for c in cells), np.uint8).reshape(len(cells), width)
 
 
 @lru_cache(maxsize=None)
 def _byte_cells(dtype: np.dtype) -> np.ndarray:
-    """The cells of a 1-byte dtype's 256 values, indexed by the byte."""
-    return np.array(_number_cells(np.arange(256, dtype=np.uint8).view(dtype)), dtype=object)
+    """The block of a 1-byte dtype's 256 values, indexed by the byte."""
+    return _number_cells(np.arange(256, dtype=np.uint8).view(dtype))
 
 
-def _number_cells(col: np.ndarray) -> list[str]:
+def _number_cells(col: np.ndarray, quote=_csv_field) -> np.ndarray:
     """`_cells` of a numeric column, every value formatted: floats by `_fixed_cells`."""
     if col.dtype.kind != "f":
-        return list(map(str, col.tolist()))
-    return _fixed_cells(col)
+        return _text_cells(map(quote, col.tolist()))
+    return _fixed_cells(col, quote)
 
 
-# a cell's characters index this row: 12 mantissa digits, then constants,
-# then spaces that pad each cell to _CELL_WIDTH and part it from the next
-_CELL_ROW = "ABCDEFGHIJKL0123456789.-e   "
-_CELL_WIDTH = 19  # "-d.ddddddddddde-NN" and "-0.000dddddddddddd", and a space
+# a block pads its cells with 0xFF, no byte of any UTF-8 text; a float cell's
+# characters index _CELL_ROW: 12 mantissa digits, constants, then the pad
+_PAD = b"\xff"
+_CELL_ROW = "ABCDEFGHIJKL0123456789.-e" + 3 * _PAD.decode("latin-1")
+_CELL_WIDTH = 19  # "-d.ddddddddddde-NN", "-0.000dddddddddddd"; the per-value "-d.ddddddddddde-NNN"
 
 
 @lru_cache(maxsize=None)
@@ -178,16 +191,16 @@ def _fixed_tables():
                 body = "0." + "0" * (-e - 1) + digits[:sig]
             else:
                 body = digits[: e + 1] + "." + digits[e + 1 : max(sig, e + 2)]
-            cells += [(sign + body).ljust(_CELL_WIDTH) for sign in ("", "-")]
+            cells += [(sign + body).ljust(_CELL_WIDTH, _CELL_ROW[-1]) for sign in ("", "-")]
     # each character becomes the code point of its index in _CELL_ROW
     indices = "".join(cells).translate({ord(c): _CELL_ROW.index(c) for c in _CELL_ROW})
     layouts = np.frombuffer(indices.encode("latin-1"), np.uint8).reshape(-1, _CELL_WIDTH).astype(np.intp)
     return chars.view(np.uint32).ravel(), zeros, layouts, np.array([float(10**k) for k in range(23)])
 
 
-def _fixed_cells(col: np.ndarray) -> list[str]:
-    """repr(float(f"{x:.12g}")) of each value of a float64 column, from its
-    exact 12-digit mantissa M = rint(|x| 10^(11 - E)), E = floor(log10 |x|).
+def _fixed_cells(col: np.ndarray, quote=_csv_field) -> np.ndarray:
+    """The block of repr(float(f"{x:.12g}")) of each value of a float64 column,
+    from its exact 12-digit mantissa M = rint(|x| 10^(11 - E)), E = floor(log10 |x|).
 
     On `tolerances.FIXED_FORMAT_MIN` <= |x| < FIXED_FORMAT_MAX the product
     is rounded once, so M is correctly rounded unless it lies near a half.
@@ -195,7 +208,7 @@ def _fixed_cells(col: np.ndarray) -> list[str]:
     of 10^12 carries into E.  Each cell is one gather from its row of
     digits and constants through the layout of its (E, digits, sign).
     Values outside that domain, or near a half, take the per-value
-    %-path."""
+    %-path, spelled by ``quote`` (json.dumps writes NaN and Infinity)."""
     words, zeros, layouts, pow10 = _fixed_tables()
     a = np.abs(col)
     ok = (a >= tolerances.FIXED_FORMAT_MIN) & (a < tolerances.FIXED_FORMAT_MAX)
@@ -216,58 +229,39 @@ def _fixed_cells(col: np.ndarray) -> list[str]:
     sig = 12 - zeros[lo] - (lo == 0) * (zeros[mid] + (mid == 0) * zeros[hi])
     rows = np.empty((len(col), len(_CELL_ROW) // 4), np.uint32)
     rows[:, 0], rows[:, 1], rows[:, 2] = words[hi], words[mid], words[lo]
-    rows[:, 3:] = np.frombuffer(_CELL_ROW[12:].encode(), np.uint32)
+    rows[:, 3:] = np.frombuffer(_CELL_ROW[12:].encode("latin-1"), np.uint32)
     flat, key = rows.view(np.uint8).ravel(), ((e + 11) * 12 + sig - 1) * 2 + np.signbit(col)
     del a, y, m, rest, e, hi, mid, lo, sig  # the gather reads none: less peak memory
-    out = []
-    for start in range(0, len(col), 1024):  # bounds the gather index, 152 bytes a row
-        index = layouts.take(key[start : start + 1024], 0)
-        index += len(_CELL_ROW) * np.arange(start, start + len(index))[:, None]
-        out += flat[index].tobytes().decode("ascii").split()
+    cells = flat[layouts.take(key, 0) + len(_CELL_ROW) * np.arange(len(col))[:, None]]
     for i in np.flatnonzero(~ok).tolist():
-        out[i] = _percent_cell(col[i])
-    return out
+        cells[i] = np.frombuffer(quote(_percent_cell(col[i])).encode().ljust(_CELL_WIDTH, _PAD), np.uint8)
+    return cells
 
 
-def _percent_cell(x: float) -> str:
-    """The per-value path of `_fixed_cells`, for the values it declines."""
-    return repr(float("%.12g" % x))
-
-
-# json.dumps' spelling of the non-finite floats Python's repr writes
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_cells(col) -> list[str]:
-    """A column's values as JSON text: the CSV field of each number read
-    back, as json.dumps writes it, and strings through json.dumps."""
-    values = col.values if isinstance(col, Repeated) else col
-    if isinstance(values, list) or np.isfinite(values).all():
-        return _cells(col, json.dumps)
-    return [_JSON_NONFINITE.get(c, c) for c in _cells(col, json.dumps)]
+def _percent_cell(x: float) -> float:
+    """The per-value path of `_fixed_cells`: x at 12 significant digits."""
+    return float("%.12g" % x)
 
 
 # rows formatted at a time
 _CHUNK_ROWS = 8192
 
 
-def _csv_chunks(table: Table):
-    yield ",".join(map(_csv_field, table.columns)) + "\n"
+def _rows(table: Table, quote, seps: list[str], between: str = ""):
+    """The rows as UTF-8, _CHUNK_ROWS at a time: seps[0], the first cell,
+    seps[1], ..., the last cell, seps[-1], and ``between`` before each row but
+    the first.  A chunk's column blocks (`_cells`) and its separators, as
+    constant columns, fill one buffer, and then its pad bytes are dropped."""
+    seps = [np.frombuffer(s.encode(), np.uint8) for s in (between + seps[0], *seps[1:])]
     for start in range(0, len(table), _CHUNK_ROWS):
-        cells = [_cells(col[start : start + _CHUNK_ROWS]) for col in table.columns.values()]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-def _json_chunks(command: str, params: dict, table: Table):
-    """The text of json.dumps({"command", "params", "rows"}), with rows
-    holding the CSV row values as objects, written from the cells."""
-    yield '{"command": %s, "params": %s, "rows": [' % (json.dumps(command), json.dumps(params))
-    row = "{%s}" % ", ".join(json.dumps(name).replace("%", "%%") + ": %s" for name in table.columns)
-    for start in range(0, len(table), _CHUNK_ROWS):
-        cells = [_json_cells(col[start : start + _CHUNK_ROWS]) for col in table.columns.values()]
-        text = ", ".join([row] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
-        yield ", " + text if start else text
-    yield "]}"
+        blocks = [_cells(col[start : start + _CHUNK_ROWS], quote) for col in table.columns.values()]
+        parts = [seps[0], *chain.from_iterable(zip(blocks, seps[1:]))]
+        ends = np.cumsum([part.shape[-1] for part in parts]).tolist()
+        buf = np.empty((len(blocks[0]), ends[-1]), np.uint8)
+        for part, end in zip(parts, ends):
+            buf[:, end - part.shape[-1] : end] = part
+        text = buf.tobytes().translate(None, _PAD)
+        yield text if start else text[len(between) :]
 
 
 def emit(args, table: Table) -> None:
@@ -275,19 +269,24 @@ def emit(args, table: Table) -> None:
 
     The JSON document is {"command", "params", "rows"}; params are the
     subcommand's own arguments in declaration order, and rows hold the CSV
-    row values as objects.  Rows are formatted _CHUNK_ROWS at a time."""
+    row values as objects.  Both formats write their rows by `_rows`, with
+    their own separators and quoting."""
     if args.format == "json":
         params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out", "format")}
-        chunks = _json_chunks(args.command, params, table)
+        head = '{"command": %s, "params": %s, "rows": [' % (json.dumps(args.command), json.dumps(params))
+        keys = [json.dumps(name) + ": " for name in table.columns]
+        rows = _rows(table, json.dumps, ["{" + keys[0], *(", " + k for k in keys[1:]), "}"], ", ")
+        chunks = chain([head.encode()], rows, [b"]}"])
     else:
-        chunks = _csv_chunks(table)
+        head = ",".join(map(_csv_field, table.columns)) + "\n"
+        chunks = chain([head.encode()], _rows(table, _csv_field, ["", *[","] * (len(table.columns) - 1), "\n"]))
     if not args.out:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
         if args.format == "json":
             sys.stdout.write("\n")
         return
     try:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with open(args.out, "wb") as f:
             f.writelines(chunks)
     except OSError as e:
         raise CliError(f"cannot write {args.out}: {e}", EXIT_IO) from e

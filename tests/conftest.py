@@ -24,3 +24,9 @@ def fresh_copy(a):
 def same_bits(a, b):
     """Equal qubit counts, keys and coefficient bytes."""
     return a.n_qubits == b.n_qubits and np.array_equal(a._keys, b._keys) and a._coeffs.tobytes() == b._coeffs.tobytes()
+
+
+def block_rows(block):
+    """The cells of a `msta.cli` cell block as strings, one per row, the
+    0xFF pad bytes dropped."""
+    return [row.tobytes().translate(None, b"\xff").decode() for row in block]

@@ -3,6 +3,10 @@ import csv
 import decimal
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from hypothesis import strategies as st
 
 from msta import cli, invariants, oracle, tolerances
 from msta.cli import main, region_scan_rows, save_state
+
+from conftest import block_rows
 
 
 def run_cli(capsys, *argv):
@@ -463,13 +469,13 @@ FORMAT_EDGES = [0.0, -0.0, 1.0, 1e-5, 123456789012.0, 1e12, 1.5e13, 1e16, 1e17, 
 
 @pytest.mark.parametrize("x", FORMAT_EDGES)
 def test_float_cells_edges(x):
-    assert cli._cells(np.array([x, -x, 0.5])) == [repr(float(f"{v:.12g}")) for v in (x, -x, 0.5)]
+    assert block_rows(cli._cells(np.array([x, -x, 0.5]))) == [repr(float(f"{v:.12g}")) for v in (x, -x, 0.5)]
 
 
 @given(st.lists(st.floats(), max_size=40))
 def test_float_cells_equal_repr_of_12_digits(xs):
     # one column chunk, element for element against the per-value reference
-    assert cli._cells(np.array(xs, dtype=float)) == [repr(float(f"{x:.12g}")) for x in xs]
+    assert block_rows(cli._cells(np.array(xs, dtype=float))) == [repr(float(f"{x:.12g}")) for x in xs]
 
 
 def _reference_values(col):
@@ -504,8 +510,8 @@ def test_repeated_number_cells_equal_per_value_reference(col):
     # each distinct value is formatted once; every cell must still equal
     # its own value's formatting, -0.0 and 0.0 apart
     values = _reference_values(col)
-    assert cli._cells(col) == list(map(repr, values))
-    assert cli._json_cells(col) == list(map(json.dumps, values))
+    assert block_rows(cli._cells(col)) == list(map(repr, values))
+    assert block_rows(cli._cells(col, json.dumps)) == list(map(json.dumps, values))
 
 
 @given(
@@ -517,7 +523,7 @@ def test_repeated_number_cells_equal_per_value_reference(col):
 def test_cells_with_duplicates_equal_per_value_reference(xs, ks):
     # drawn from a small pool, so most values repeat
     for col in (np.array(xs, dtype=float), np.array(ks, dtype=np.int64)):
-        assert cli._cells(col) == list(map(repr, _reference_values(col)))
+        assert block_rows(cli._cells(col)) == list(map(repr, _reference_values(col)))
 
 
 @pytest.mark.parametrize(
@@ -531,7 +537,7 @@ def test_cells_with_duplicates_equal_per_value_reference(xs, ks):
     ],
 )
 def test_distinct_and_repeated_cells_equal_number_cells(col):
-    assert cli._cells(col) == cli._number_cells(col)
+    assert block_rows(cli._cells(col)) == block_rows(cli._number_cells(col))
 
 
 def test_emit_across_chunks_equals_per_row_reference(capsys):
@@ -563,7 +569,7 @@ def test_json_rows_equal_cells_read_back(capsys):
     table = cli.Table(label=labels, x=xs, k=np.arange(len(xs)) - 3)
     args = argparse.Namespace(command="t", format="json", out=None, va=0.5)
     cli.emit(args, table)
-    rows = [{"label": s, "x": float(c), "k": int(k) - 3} for s, c, k in zip(labels, cli._cells(xs), range(len(xs)))]
+    rows = [{"label": s, "x": float(c), "k": int(k) - 3} for s, c, k in zip(labels, block_rows(cli._cells(xs)), range(len(xs)))]
     assert capsys.readouterr().out == json.dumps({"command": "t", "params": {"va": 0.5}, "rows": rows}) + "\n"
     cli.emit(args, cli.Table(x=np.empty(0)))
     assert capsys.readouterr().out == json.dumps({"command": "t", "params": {"va": 0.5}, "rows": []}) + "\n"
@@ -677,7 +683,7 @@ def _cells_and_declined(monkeypatch, xs):
     declined = []
     percent = cli._percent_cell
     monkeypatch.setattr(cli, "_percent_cell", lambda x: declined.append(float(x)) or percent(x))
-    return cli._number_cells(np.asarray(xs, dtype=float)), declined
+    return block_rows(cli._number_cells(np.asarray(xs, dtype=float))), declined
 
 
 def test_fixed_cells_cover_every_layout(monkeypatch):
@@ -732,7 +738,7 @@ def test_fixed_cells_at_the_domain_edges():
             xs += [down, up]
         xs.append(edge)
     xs += [-x for x in xs]
-    assert cli._number_cells(np.array(xs)) == _percent_cells(xs)
+    assert block_rows(cli._number_cells(np.array(xs))) == _percent_cells(xs)
 
 
 def _seeded_column(rng, n):
@@ -754,16 +760,16 @@ def test_long_float_columns_equal_repr_of_12_digits(xs, n, seed):
     rng = np.random.default_rng(seed)
     col = rng.permutation(np.concatenate([np.array(xs, dtype=float), _seeded_column(rng, max(0, n - len(xs)))]))
     want = _percent_cells(col)
-    assert cli._number_cells(col) == want
-    assert cli._cells(col) == want
+    assert block_rows(cli._number_cells(col)) == want
+    assert block_rows(cli._cells(col)) == want
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
 def test_byte_cells_equal_per_value_reference(dtype):
     col = np.random.default_rng(8).permutation(np.arange(256, dtype=np.uint8).repeat(3)).view(dtype)
     for part in (col, col[::5], col[:0]):
-        assert cli._cells(part) == list(map(str, part.tolist()))
-        assert cli._json_cells(part) == list(map(json.dumps, part.tolist()))
+        assert block_rows(cli._cells(part)) == list(map(str, part.tolist()))
+        assert block_rows(cli._cells(part, json.dumps)) == list(map(json.dumps, part.tolist()))
 
 
 def test_bool_column_is_written_as_0_and_1(capsys):
@@ -833,17 +839,51 @@ def test_repeated_cells_equal_the_per_row_expansion(capsys):
     assert len(x) == len(s) == n
     xs, ss = x.tolist(), s.tolist()
     assert all(type(v) is float for v in xs) and ss == [_REPEATED_STRINGS[c] for c in s.codes]
-    assert cli._cells(x) == [repr(_fmt(v)) for v in xs]
-    assert cli._json_cells(x) == [json.dumps(_fmt(v)) for v in xs]
-    assert cli._cells(s) == list(map(cli._csv_field, ss))
-    assert cli._json_cells(s) == list(map(json.dumps, ss))
-    assert cli._cells(x[100:9000]) == cli._cells(np.array(xs[100:9000]))
+    assert block_rows(cli._cells(x)) == [repr(_fmt(v)) for v in xs]
+    assert block_rows(cli._cells(x, json.dumps)) == [json.dumps(_fmt(v)) for v in xs]
+    assert block_rows(cli._cells(s)) == list(map(cli._csv_field, ss))
+    assert block_rows(cli._cells(s, json.dumps)) == list(map(json.dumps, ss))
+    assert block_rows(cli._cells(x[100:9000])) == block_rows(cli._cells(np.array(xs[100:9000])))
     table = cli.Table(label=s, x=x, k=np.arange(n))
     rows = [{"label": a, "x": _fmt(b), "k": k} for k, (a, b) in enumerate(zip(ss, xs))]
     cli.emit(argparse.Namespace(format="csv", out=None), table)
     assert capsys.readouterr().out == _reference_csv(rows)
     cli.emit(argparse.Namespace(command="t", format="json", out=None), table)
     assert capsys.readouterr().out == json.dumps({"command": "t", "params": {}, "rows": rows}) + "\n"
+
+
+@pytest.mark.parametrize("code", [-1, 3])
+def test_repeated_codes_outside_the_values_raise(code):
+    # numpy indexing would wrap -1 to the last value and write it silently
+    codes = np.array([0, 1, code, 2])
+    for values in (np.array([0.5, 1.5, 2.5]), ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="codes"):
+            cli.Table(x=cli.Repeated(values, codes), k=np.arange(4))
+
+
+# strings that CSV quotes or JSON escapes, control characters, and 2-, 3-
+# and 4-byte UTF-8: none may lose or gain a byte to the 0xFF pad
+_PAD_STRINGS = ["", "a,b", 'say "hi"', "line\nbreak", "\x00", "\x7f", "\u00e9\u2014", "\U0001f600"]
+
+
+def test_pad_byte_never_reaches_the_output(capsys, tmp_path):
+    n = 2 * len(_PAD_STRINGS)
+    text = _PAD_STRINGS * 2
+    repeated = cli.Repeated(_PAD_STRINGS[::-1], np.arange(n) * 3 % len(_PAD_STRINGS))
+    k = np.resize(np.array([-(2**63), 2**63 - 1, 0, -1], dtype=np.int64), n)
+    x = np.resize(np.array([np.nan, np.inf, -np.inf, -0.0, 0.5]), n)
+    table = cli.Table(text=text, repeated=repeated, k=k, x=x)
+    rows = [list(r) for r in zip(text, repeated.tolist(), k.tolist(), map(_fmt, x.tolist()))]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    writer.writerows(rows)
+    doc = json.dumps({"command": "t", "params": {}, "rows": [dict(zip(table.columns, r)) for r in rows]})
+    for fmt, want in (("csv", buf.getvalue()), ("json", doc)):
+        cli.emit(argparse.Namespace(command="t", format=fmt, out=None), table)
+        assert capsys.readouterr().out == want + "\n" * (fmt == "json")
+        cli.emit(argparse.Namespace(command="t", format=fmt, out=str(tmp_path / fmt)), table)
+        assert (tmp_path / fmt).read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -905,3 +945,36 @@ def test_region_scan_files_equal_the_reference_writers(tmp_path, vs, grid):
     rows = [dict(zip(t.columns, r)) for r in zip(*([float("%.12g" % x) if isinstance(x, float) else x for x in c] for c in cols))]
     doc = {"command": "region-scan", "params": {"va": va, "vb": vb, "vc": vc, "grid": grid}, "rows": rows}
     assert (tmp_path / "scan.json").read_bytes() == json.dumps(doc).encode()
+
+
+def test_vanishing_scan_has_one_feasible_seed(capsys):
+    # CI's vanish.csv: v_a v_b = 1e-12 falls below VANISHING_V, the
+    # existence rule's vanishing-vector branch
+    code, out = run_cli(capsys, "region-scan", "--va", "1e-6", "--vb", "1e-6", "--vc", "0.5", "--grid", "41")
+    assert code == 0
+    seed = [r for r in rows_from_csv(out) if r["label"] == "A_seed"]
+    assert len(seed) == 1 and seed[0]["feasible"] == "1", seed
+
+
+@pytest.mark.parametrize("vs, grid", [(("0.333", "0.333", "0.333"), 201), (("1e-6", "1e-6", "0.5"), 41)])
+def test_region_scan_feasible_is_p_ok_and_b_ok(capsys, vs, grid):
+    # CI's check on the README scan and the vanishing scan: the flags of
+    # one rule, invariants.feasibility, on every row
+    argv = ["region-scan", "--va", vs[0], "--vb", vs[1], "--vc", vs[2], "--grid", str(grid)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    bad = [r for r in rows_from_csv(out) if r["feasible"] != str(int(r["p_ok"] == r["B_ok"] == "1"))]
+    assert not bad, bad[:3]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_region_scan_stdout_equals_the_out_file(tmp_path, fmt):
+    # the README scan in its own process: stdout carries the bytes of
+    # --out, and a JSON document on stdout ends with a newline
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "msta.cli", "region-scan", "--va", "0.333", "--vb", "0.333", "--vc", "0.333"]
+    argv += ["--grid", "201", "--format", fmt]
+    out = subprocess.run(argv, capture_output=True, check=True, env=env).stdout
+    subprocess.run([*argv, "--out", str(tmp_path / "scan")], check=True, env=env)
+    assert out == (tmp_path / "scan").read_bytes() + b"\n" * (fmt == "json")
