@@ -63,25 +63,14 @@ def load_state(path: str) -> np.ndarray:
         raise CliError(f"state file {path}: {e}", EXIT_VALIDATION) from e
 
 
-def save_state(path: str, amps) -> None:
-    amps = np.asarray(amps, dtype=complex).ravel()
-    n = amps.size.bit_length() - 1
-    doc = {"n_qubits": n, "amplitudes": [[float(a.real), float(a.imag)] for a in amps]}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
-
-
 class Repeated(NamedTuple):
-    """A column of few values (floats or strings): row i holds values[codes[i]]."""
+    """A column of few values (numbers or strings): row i holds values[codes[i]]."""
 
     values: np.ndarray | list
     codes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __getitem__(self, i):
-        return Repeated(self.values, self.codes[i]) if isinstance(i, slice) else self.values[self.codes[i]]
 
     def tolist(self) -> list:
         return np.asarray(self.values, dtype=object)[self.codes].tolist()
@@ -117,7 +106,8 @@ class _Row:
         self.columns, self.i = columns, i
 
     def __getitem__(self, name: str):
-        return self.columns[name][self.i]
+        col = self.columns[name]
+        return col.values[col.codes[self.i]] if isinstance(col, Repeated) else col[self.i]
 
     def __setitem__(self, name: str, value) -> None:
         self.columns[name][self.i] = value
@@ -131,19 +121,15 @@ def _csv_field(v) -> str:
 
 def _cells(col, quote=_csv_field) -> np.ndarray:
     """A column's cells as a (rows, width) uint8 block, each cell's UTF-8
-    left-aligned and padded with `_PAD`: floats as repr(float(f"{x:.12g}")),
-    bools as 0 or 1, ints and strings through ``quote`` (`_csv_field`, or
-    json.dumps for JSON).  A `Repeated` column's values are formatted once
-    and their rows taken by its codes: the table's builder states
-    repetition, nothing sorts to find it.  1-byte columns read `_byte_cells`."""
-    if isinstance(col, Repeated):
-        return _cells(col.values, quote).take(col.codes, 0)
+    left-aligned and padded with `_PAD`: floats as repr(float(f"{x:.12g}"))
+    by `_fixed_cells`, bools as 0 or 1, ints and strings through ``quote``
+    (`_csv_field`, or json.dumps for JSON)."""
     if isinstance(col, list):
         return _text_cells(map(quote, col))
-    if col.itemsize == 1:
-        # a bool takes int8's cells, 0 and 1: JSON has no True or False
-        return _byte_cells(np.dtype(np.int8) if col.dtype == bool else col.dtype).take(col.view(np.uint8), 0)
-    return _number_cells(col, quote)
+    if col.dtype.kind == "f":
+        return _fixed_cells(col, quote)
+    # a bool is written as 0 or 1: JSON has no True or False
+    return _text_cells(map(quote, (col.view(np.int8) if col.dtype == bool else col).tolist()))
 
 
 def _text_cells(cells) -> np.ndarray:
@@ -151,19 +137,6 @@ def _text_cells(cells) -> np.ndarray:
     cells = [c.encode() for c in cells]
     width = max(map(len, cells), default=0)
     return np.frombuffer(b"".join(c.ljust(width, _PAD) for c in cells), np.uint8).reshape(len(cells), width)
-
-
-@lru_cache(maxsize=None)
-def _byte_cells(dtype: np.dtype) -> np.ndarray:
-    """The block of a 1-byte dtype's 256 values, indexed by the byte."""
-    return _number_cells(np.arange(256, dtype=np.uint8).view(dtype))
-
-
-def _number_cells(col: np.ndarray, quote=_csv_field) -> np.ndarray:
-    """`_cells` of a numeric column, every value formatted: floats by `_fixed_cells`."""
-    if col.dtype.kind != "f":
-        return _text_cells(map(quote, col.tolist()))
-    return _fixed_cells(col, quote)
 
 
 # a block pads its cells with 0xFF, no byte of any UTF-8 text; a float cell's
@@ -251,10 +224,15 @@ def _rows(table: Table, quote, seps: list[str], between: str = ""):
     """The rows as UTF-8, _CHUNK_ROWS at a time: seps[0], the first cell,
     seps[1], ..., the last cell, seps[-1], and ``between`` before each row but
     the first.  A chunk's column blocks (`_cells`) and its separators, as
-    constant columns, fill one buffer, and then its pad bytes are dropped."""
+    constant columns, fill one buffer, and then its pad bytes are dropped.
+    A `Repeated` column's values are formatted once per table, and each
+    chunk takes their block's rows by its codes: the table's builder states
+    repetition, nothing sorts to find it."""
     seps = [np.frombuffer(s.encode(), np.uint8) for s in (between + seps[0], *seps[1:])]
+    columns = [Repeated(_cells(c.values, quote), c.codes) if isinstance(c, Repeated) else c for c in table.columns.values()]
     for start in range(0, len(table), _CHUNK_ROWS):
-        blocks = [_cells(col[start : start + _CHUNK_ROWS], quote) for col in table.columns.values()]
+        rows = slice(start, start + _CHUNK_ROWS)
+        blocks = [c.values.take(c.codes[rows], 0) if isinstance(c, Repeated) else _cells(c[rows], quote) for c in columns]
         parts = [seps[0], *chain.from_iterable(zip(blocks, seps[1:]))]
         ends = np.cumsum([part.shape[-1] for part in parts]).tolist()
         buf = np.empty((len(blocks[0]), ends[-1]), np.uint8)
@@ -387,15 +365,17 @@ def region_scan_rows(va: float, vb: float, vc: float, grid: int) -> Table:
     # the grid's (grid, grid) arrays flatten vbar2-major, the markers follow
     p_ok, b, b_ok, feasible, i6 = (np.concatenate([g.ravel(), m]) for g, m in zip(*parts))
     n, marks = grid**2, grid + np.arange(len(labels))
+    # each flag is its own code into the values 0 and 1
+    p_ok, b_ok, feasible = (Repeated(np.arange(2), ok.view(np.uint8)) for ok in (p_ok, b_ok, feasible))
     return Table(
         kind=Repeated(["grid", "marker"], np.repeat([0, 1], [n, len(labels)])),
         label=Repeated(["", *labels], np.concatenate([np.zeros(n, np.intp), 1 + np.arange(len(labels))])),
         vbar2=Repeated(np.concatenate([g2, m2]), np.concatenate([np.arange(n) // grid, marks])),
         vbar3=Repeated(np.concatenate([g3, m3]), np.concatenate([np.arange(n) % grid, marks])),
-        p_ok=p_ok.view(np.int8),
+        p_ok=p_ok,
         B=b,
-        B_ok=b_ok.view(np.int8),
-        feasible=feasible.view(np.int8),
+        B_ok=b_ok,
+        feasible=feasible,
         I6=i6,
     )
 

@@ -149,9 +149,6 @@ class AngleSet:
         ac, bc = self.phi_ac, self.phi_bc
         return self.phi_ab, self.phi_ab_prime, ac, _in_range(ac + shift), bc, _in_range(bc + shift)
 
-    def negated(self) -> "AngleSet":
-        return AngleSet(*(-self.free()))
-
 
 def vector_lengths(probs) -> np.ndarray:
     """Lengths of the twelve vectors from the eight expansion probabilities:

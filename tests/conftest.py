@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from msta.algebra import Multivector
 from msta.oracle import random_multivector
+from msta.vectorsum import AngleSet
 
 
 @pytest.fixture
@@ -30,3 +33,24 @@ def block_rows(block):
     """The cells of a `msta.cli` cell block as strings, one per row, the
     0xFF pad bytes dropped."""
     return [row.tobytes().translate(None, b"\xff").decode() for row in block]
+
+
+def table_rows(table):
+    """The rows of a `msta.cli.Table` as dicts of Python values, read
+    through each column's tolist()."""
+    cols = [c if isinstance(c, list) else c.tolist() for c in table.columns.values()]
+    return [dict(zip(table.columns, row)) for row in zip(*cols)]
+
+
+def save_state(path, amps):
+    """Write amplitudes as a state file that `msta.cli.load_state` reads."""
+    amps = np.asarray(amps, dtype=complex).ravel()
+    n = amps.size.bit_length() - 1
+    doc = {"n_qubits": n, "amplitudes": [[float(a.real), float(a.imag)] for a in amps]}
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
+
+
+def negated(s):
+    """The conjugate of an angle set: every angle negated."""
+    return AngleSet(*(-s.free()))

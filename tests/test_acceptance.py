@@ -43,6 +43,8 @@ from msta.states import (
 )
 from msta.vectorsum import reconstruct, residual, solve, special_state, vector_lengths
 
+from conftest import negated, table_rows
+
 
 def report(num, ok, detail):
     print(f"\nACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -254,7 +256,7 @@ def test_criterion_7_solver_round_trip():
             continue
         for s in sols:
             worst_conj = max(
-                worst_conj, np.abs(residual(lengths, s.negated().free())).max()
+                worst_conj, np.abs(residual(lengths, negated(s).free())).max()
             )
         rec = reconstruct(inv, sols[0])
         got = invariants_3q(rec)
@@ -329,7 +331,7 @@ def test_criterion_8_region_scan():
     region_ok = True
     details = []
     for v in (0.1, 1.0 / 3.0, 2.0 / 3.0):
-        rows = region_scan_rows(v, v, v, grid)
+        rows = table_rows(region_scan_rows(v, v, v, grid))
         grid_rows = [r for r in rows if r["kind"] == "grid"]
         feasible = np.array([bool(r["feasible"]) for r in grid_rows]).reshape(grid, grid)
         n_feasible = int(feasible.sum())

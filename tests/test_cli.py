@@ -3,7 +3,9 @@ import csv
 import decimal
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msta import cli, invariants, oracle, tolerances
-from msta.cli import main, region_scan_rows, save_state
+from msta.cli import main, region_scan_rows
 
-from conftest import block_rows
+from conftest import block_rows, save_state, table_rows
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +177,33 @@ def test_chsh_singlet(capsys, singlet_file):
     assert abs(vals["chsh_max"] - 2.828427) < 1e-5
 
 
+def test_chsh_singlet_prints_no_negative_zero(capsys, tmp_path):
+    # CI's singlet.json and its grep for a -0.0 cell
+    s = 2 ** -0.5
+    path = tmp_path / "singlet.json"
+    path.write_text(json.dumps({"n_qubits": 2, "amplitudes": [[0, 0], [s, 0], [-s, 0], [0, 0]]}))
+    code, out = run_cli(capsys, "chsh", "--state", str(path))
+    assert code == 0
+    assert not re.search(r"-0\.0(,|$)", out, re.MULTILINE), out
+
+
+def test_chsh_of_a_pure_state_is_its_closed_maximum(capsys, tmp_path):
+    # CI's generic2.json: chsh_max within 1e-10 of 2 sqrt(1 + C^2), C the
+    # concurrence row of invariants on the same file
+    a = [0.3 + 0.2j, -0.5 + 0.1j, 0.4, 0.2 - 0.6j]
+    s = sum(abs(z) ** 2 for z in a) ** 0.5
+    doc = {"n_qubits": 2, "amplitudes": [[complex(z).real / s, complex(z).imag / s] for z in a]}
+    path = tmp_path / "generic2.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "invariants", "--state", str(path))
+    assert code == 0
+    c = values_of(rows_from_csv(out))["concurrence"]
+    code, out = run_cli(capsys, "chsh", "--state", str(path))
+    assert code == 0
+    gap = values_of(rows_from_csv(out))["chsh_max"] - 2 * math.sqrt(1 + c**2)
+    assert abs(gap) <= 1e-10, gap
+
+
 def test_bell_expansion(capsys):
     code, out = run_cli(capsys, "bell", "--which", "phi+")
     assert code == 0
@@ -307,10 +336,10 @@ def test_region_scan_markers_and_shape(capsys):
 def test_region_scan_marker_b_switches_at_third():
     # below v = 1/3 the minimum-tangle marker is the negative seed,
     # above it the zero-3-tangle point
-    rows_lo = region_scan_rows(0.1, 0.1, 0.1, 3)
+    rows_lo = table_rows(region_scan_rows(0.1, 0.1, 0.1, 3))
     b_lo = [r for r in rows_lo if r["label"] == "B_min_tangle"][0]
     assert abs(float(b_lo["vbar2"]) + 0.1**3) < 1e-12
-    rows_hi = region_scan_rows(2 / 3, 2 / 3, 2 / 3, 3)
+    rows_hi = table_rows(region_scan_rows(2 / 3, 2 / 3, 2 / 3, 3))
     b_hi = [r for r in rows_hi if r["label"] == "B_min_tangle"][0]
     assert float(b_hi["vbar2"]) != pytest.approx(-((2 / 3) ** 3))
     assert abs(float(b_hi["I6"])) < 1e-9
@@ -351,7 +380,7 @@ def test_region_scan_feasible_points_are_solvable():
     from msta.vectorsum import solve, vector_lengths
 
     for vs in ((1 / 3, 1 / 3, 1 / 3), (0.25, 0.4, 0.55)):
-        rows = region_scan_rows(*vs, grid=9)
+        rows = table_rows(region_scan_rows(*vs, grid=9))
         n_checked = 0
         for r in rows:
             if r["kind"] != "grid" or not r["feasible"]:
@@ -537,7 +566,7 @@ def test_cells_with_duplicates_equal_per_value_reference(xs, ks):
     ],
 )
 def test_distinct_and_repeated_cells_equal_number_cells(col):
-    assert block_rows(cli._cells(col)) == block_rows(cli._number_cells(col))
+    assert block_rows(cli._cells(col)) == list(map(repr, _reference_values(col)))
 
 
 def test_emit_across_chunks_equals_per_row_reference(capsys):
@@ -678,12 +707,12 @@ def _percent_cells(xs):
 
 
 def _cells_and_declined(monkeypatch, xs):
-    """`_number_cells` of a float column, and the values its table path
-    left to the per-value %-path."""
+    """`_cells` of a float column, and the values its table path left to
+    the per-value %-path."""
     declined = []
     percent = cli._percent_cell
     monkeypatch.setattr(cli, "_percent_cell", lambda x: declined.append(float(x)) or percent(x))
-    return block_rows(cli._number_cells(np.asarray(xs, dtype=float))), declined
+    return block_rows(cli._cells(np.asarray(xs, dtype=float))), declined
 
 
 def test_fixed_cells_cover_every_layout(monkeypatch):
@@ -738,7 +767,7 @@ def test_fixed_cells_at_the_domain_edges():
             xs += [down, up]
         xs.append(edge)
     xs += [-x for x in xs]
-    assert block_rows(cli._number_cells(np.array(xs))) == _percent_cells(xs)
+    assert block_rows(cli._cells(np.array(xs))) == _percent_cells(xs)
 
 
 def _seeded_column(rng, n):
@@ -759,9 +788,7 @@ def test_long_float_columns_equal_repr_of_12_digits(xs, n, seed):
     # n values, far past one formatting chunk where n is large
     rng = np.random.default_rng(seed)
     col = rng.permutation(np.concatenate([np.array(xs, dtype=float), _seeded_column(rng, max(0, n - len(xs)))]))
-    want = _percent_cells(col)
-    assert block_rows(cli._number_cells(col)) == want
-    assert block_rows(cli._cells(col)) == want
+    assert block_rows(cli._cells(col)) == _percent_cells(col)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
@@ -839,11 +866,11 @@ def test_repeated_cells_equal_the_per_row_expansion(capsys):
     assert len(x) == len(s) == n
     xs, ss = x.tolist(), s.tolist()
     assert all(type(v) is float for v in xs) and ss == [_REPEATED_STRINGS[c] for c in s.codes]
-    assert block_rows(cli._cells(x)) == [repr(_fmt(v)) for v in xs]
-    assert block_rows(cli._cells(x, json.dumps)) == [json.dumps(_fmt(v)) for v in xs]
-    assert block_rows(cli._cells(s)) == list(map(cli._csv_field, ss))
-    assert block_rows(cli._cells(s, json.dumps)) == list(map(json.dumps, ss))
-    assert block_rows(cli._cells(x[100:9000])) == block_rows(cli._cells(np.array(xs[100:9000])))
+    # the values' block, formatted once, taken row by row by the codes
+    assert block_rows(cli._cells(x.values).take(x.codes, 0)) == [repr(_fmt(v)) for v in xs]
+    assert block_rows(cli._cells(x.values, json.dumps).take(x.codes, 0)) == [json.dumps(_fmt(v)) for v in xs]
+    assert block_rows(cli._cells(s.values).take(s.codes, 0)) == list(map(cli._csv_field, ss))
+    assert block_rows(cli._cells(s.values, json.dumps).take(s.codes, 0)) == list(map(json.dumps, ss))
     table = cli.Table(label=s, x=x, k=np.arange(n))
     rows = [{"label": a, "x": _fmt(b), "k": k} for k, (a, b) in enumerate(zip(ss, xs))]
     cli.emit(argparse.Namespace(format="csv", out=None), table)
@@ -901,6 +928,23 @@ def test_region_scan_emit_never_sorts(capsys, monkeypatch, fmt):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_repeated_values_are_formatted_once_per_emit(tmp_path, monkeypatch, fmt):
+    # the README scan spans five chunks: vbar2's and vbar3's values reach
+    # _fixed_cells once per emit, B and I6 once per chunk
+    table = region_scan_rows(0.333, 0.333, 0.333, 201)
+    chunks = -(-len(table) // cli._CHUNK_ROWS)
+    assert chunks == 5
+    calls = []
+    fixed = cli._fixed_cells
+    monkeypatch.setattr(cli, "_fixed_cells", lambda col, *args: calls.append(col) or fixed(col, *args))
+    cli.emit(argparse.Namespace(command="region-scan", format=fmt, out=str(tmp_path / "scan")), table)
+    for name in ("vbar2", "vbar3"):
+        values = table.columns[name].values
+        assert sum(len(col) == len(values) and np.array_equal(col, values) for col in calls) == 1, name
+    assert len(calls) == 2 + 2 * chunks
+
+
 # -- region-scan against its references -----------------------------------
 
 
@@ -915,7 +959,7 @@ def test_region_scan_values_equal_the_float_path_bit_for_bit(vs, grid):
     assert labels == ["A_seed", "B_min_tangle", "C_max_tangle"][: len(labels)]
     assert len(labels) == (3 if vs[0] == 0.333 else 2)
     picks = range(n) if n < 100 else np.random.default_rng(grid).choice(n, 300, replace=False).tolist()
-    rows = list(table)
+    rows = table_rows(table)
     for i in [*picks, *range(n, len(table))]:
         row = rows[i]
         inv = invariants.InvariantSet3Q(*vs, float(row["vbar2"]), float(row["vbar3"]))
