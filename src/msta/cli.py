@@ -167,7 +167,9 @@ def _fixed_tables():
             cells += [(sign + body).ljust(_CELL_WIDTH, _CELL_ROW[-1]) for sign in ("", "-")]
     # each character becomes the code point of its index in _CELL_ROW
     indices = "".join(cells).translate({ord(c): _CELL_ROW.index(c) for c in _CELL_ROW})
-    layouts = np.frombuffer(indices.encode("latin-1"), np.uint8).reshape(-1, _CELL_WIDTH).astype(np.intp)
+    # uint8: a chunk's layout rows take an eighth of intp's bytes, and adding
+    # the intp row offsets gives the gather intp indices, which it needs no cast for
+    layouts = np.frombuffer(indices.encode("latin-1"), np.uint8).reshape(-1, _CELL_WIDTH)
     return chars.view(np.uint32).ravel(), zeros, layouts, np.array([float(10**k) for k in range(23)])
 
 

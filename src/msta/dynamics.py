@@ -117,10 +117,12 @@ def evolve(rho0: DensityOperator, hmv: Multivector, t: float) -> DensityOperator
     0.025-0.04 ms against 0.06-0.07 ms for the first step (timeit medians,
     2-vCPU Xeon guest, numpy 2.4.6, one BLAS thread).  On this route the
     result also holds a bound on its purity defect: rho0's bound
-    (`DensityOperator._defect_bound`, one dense square the first time,
-    then kept on rho0) plus one rounding allowance.  So a trajectory
-    squares its start once, each step adds one float, and `is_pure` on a
-    result is one comparison.  Above the cut nothing is kept or carried, U
+    (`DensityOperator._defect_bound`) plus one rounding allowance.  A start
+    from `pure_state_from_amplitudes`, `product_state` or `bloch_state`
+    holds its bound from construction; any other start is measured by one
+    dense square the first time and keeps the result.  So a trajectory
+    squares its start at most once, each step adds one float, and
+    `is_pure` on a result is one comparison.  Above the cut nothing is kept or carried, U
     comes from the series and the conjugation is ``u * rho * u.reverse()``.
     Raises ValueError as `exp_i` does, and on a qubit count mismatch.
     """

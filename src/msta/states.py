@@ -27,8 +27,8 @@ import numpy as np
 
 from .algebra import Multivector, _dense_coeffs, _from_dense, _kept, _magnitudes, _to_dense, _x_mask, exp_i
 from .tolerances import (
-    AXIS_TOL, HERMITIAN_TOL, IDENTITY_TOL, NEGLIGIBLE_WEIGHT, NORM_TOL, PRUNE_EPS, PURE_TOL, TRACE_TOL,
-    UNIT_TOL, purity_defect_allowance,
+    _UNIT_ROUNDOFF, AXIS_TOL, HERMITIAN_TOL, IDENTITY_TOL, NEGLIGIBLE_WEIGHT, NORM_TOL, PRUNE_EPS, PURE_TOL,
+    TRACE_TOL, UNIT_TOL, purity_defect_allowance,
 )
 
 
@@ -74,9 +74,12 @@ class DensityOperator:
     Immutable, like its multivector: setting or deleting an attribute
     raises AttributeError, so the constructor's checks cannot be bypassed.
     The one value a state keeps besides its terms is ``_defect``, a float
-    bounding every Pauli coefficient of rho rho - rho, or None: measured
-    once by `_defect_bound`, or written on a conjugated state by
-    `_conjugated`.  Copies and pickles drop it.
+    bounding every Pauli coefficient of rho rho - rho, or None: written at
+    construction by `pure_state_from_amplitudes`, `product_state` and
+    `bloch_state` (`_certified`), written on a conjugated state by
+    `_conjugated`, or else measured once by `_defect_bound`.  A state built
+    from bare terms, ``DensityOperator(mv)``, holds None.  Copies and
+    pickles drop it.
     """
 
     __slots__ = ("mv", "_defect")
@@ -120,12 +123,13 @@ class DensityOperator:
         keeps, read off the unpruned coefficient vector without building a
         multivector.  Raises ValueError if a coefficient is not finite.
 
-        A state that `_conjugated` built, as `dynamics.evolve` does on its
-        dense route, holds a bound on that defect (``_defect``), its start's
-        bound plus a rounding allowance per step.  When the bound is at most
-        ``tol`` the state is pure without the dense pass; otherwise, or with
-        no bound, the pass decides, so the verdict is always the pass's.
-        The pass keeps no bound of its own."""
+        A state may hold a bound on that defect (``_defect``): the
+        constructors of pure states write one (`_certified`), and
+        `_conjugated`, as `dynamics.evolve` uses on its dense route, its
+        start's bound plus a rounding allowance per step.  When the bound is
+        at most ``tol`` the state is pure without the dense pass; otherwise,
+        or with no bound, the pass decides, so the verdict is always the
+        pass's.  The pass keeps no bound of its own."""
         bound = self._defect
         if bound is not None and bound <= tol:
             return True
@@ -161,7 +165,7 @@ class DensityOperator:
         """The state U rho U^H for the 2^n x 2^n unitary matrix ``u``: two
         matmuls on rho's matrix and one `_from_dense`.  The result holds
         this state's `_defect_bound` plus one `_defect_allowance`, so a
-        chain of conjugations squares its start once."""
+        chain of conjugations squares its start at most once."""
         rho = DensityOperator(_from_dense(u @ _to_dense(self.mv) @ u.conj().T))
         object.__setattr__(rho, "_defect", self._defect_bound() + self._defect_allowance())
         return rho
@@ -190,6 +194,43 @@ class DensityOperator:
 
     def __repr__(self) -> str:
         return f"DensityOperator(n={self.n_qubits}, {len(self.mv)} terms)"
+
+
+def _certified(mv: Multivector, excess: float) -> DensityOperator:
+    """The state of ``mv``, just built by rounding an exactly Hermitian
+    rho_0 with Tr(rho_0^2) <= (1 + e)^2 and |rho_0^2 - rho_0| <= e |rho_0|
+    for e = ``excess``.  It holds, as ``_defect``, an a-priori bound on the
+    root-sum-square of the Pauli coefficients of rho rho - rho that
+    `is_pure`'s exact pass computes, so `is_pure` settles it with one
+    comparison.  O(1): no pass over the amplitudes or the terms.
+
+    Derivation, in the notation of `tolerances.purity_defect_allowance`:
+    |X| = ||X||_F / sqrt(d), d = 2^n, the root-sum-square of X's Pauli
+    coefficients.  |rho_0| = sqrt(Tr(rho_0^2) / d) <= (1 + e) / sqrt(d), so
+    the normalisation term is |rho_0^2 - rho_0| <= e (1 + e) / sqrt(d).  The
+    built state is rho = rho_0 + D, and
+
+        rho^2 - rho = (rho_0^2 - rho_0) + rho_0 D + D rho_0 + D^2 - D,
+
+    so |rho^2 - rho| <= e (1 + e) / sqrt(d) + 3 (1 + e) |D| to first order
+    in D, as ||rho_0||_2 <= sqrt(Tr(rho_0^2)) <= 1 + e.  D holds the
+    rounding of one product per matrix entry or coefficient (the outer
+    product psi psi^H, about sqrt(5) u; or a Kronecker product's n - 1
+    products, (n - 1) u), of at most one transform to coefficients (d u)
+    and the prune (d PRUNE_EPS).  That is within the d PRUNE_EPS + 8 d^2 u
+    that `purity_defect_allowance` grants one conjugation step, whose
+    doubling also covers the exact pass's own rounding.  Scaling the
+    allowance by Tr(rho_0^2) <= (1 + e)^2, as its derivation asks, the
+    bound is e (1 + e) / sqrt(d) + (1 + e)^2 purity_defect_allowance(n).
+
+    For a pure state the allowance dominates: 5.8e-13 at n = 3 and 3.6e-10
+    at n = 8, under PURE_TOL; from n = 9 it exceeds PURE_TOL and the exact
+    pass decides."""
+    rho = DensityOperator(mv)
+    n = mv.n_qubits
+    bound = excess * (1.0 + excess) / math.sqrt(1 << n) + (1.0 + excess) ** 2 * purity_defect_allowance(n)
+    object.__setattr__(rho, "_defect", bound)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -250,12 +291,17 @@ def _kron_mv(factors: Sequence[np.ndarray]) -> Multivector:
 
 
 def bloch_state(n) -> DensityOperator:
-    """Single-qubit (1 + n . sigma)/2 for |n| <= 1."""
+    """Single-qubit (1 + n . sigma)/2 for |n| <= 1, certified (`_certified`)
+    with e = |1 - |n|^2| / 2 + 4 u: f = (1 + n . sigma)/2 squares to f plus
+    (|n|^2 - 1)/4, against |f| = sqrt(1 + |n|^2) / 2, and Tr(f^2) =
+    (1 + |n|^2)/2; the computed |n|^2 is off by at most 5 u.  A mixed state's
+    bound exceeds every tolerance, and the exact pass decides."""
     v = np.asarray(n, dtype=float).reshape(3)
+    r = float(np.linalg.norm(v))
     # written so that a NaN length fails too
-    if not np.linalg.norm(v) <= 1.0 + UNIT_TOL:
+    if not r <= 1.0 + UNIT_TOL:
         raise ValueError("Bloch vector must lie inside the unit ball")
-    return DensityOperator(_kron_mv([_bloch_factor(v)]))
+    return _certified(_kron_mv([_bloch_factor(v)]), abs(1.0 - r * r) / 2.0 + 4.0 * _UNIT_ROUNDOFF)
 
 
 def _product_state_mv(ps: ProductState) -> Multivector:
@@ -269,8 +315,13 @@ def product_state(ps: ProductState) -> DensityOperator:
     (`_kron_mv`), bit for bit the chain of multivector products it
     replaces: a 2-qubit state with random axes takes 19-25 us, against
     186-235 us for the chain (timeit, best of 5, three alternating runs,
-    2-vCPU Xeon guest)."""
-    return DensityOperator(_product_state_mv(ps))
+    2-vCPU Xeon guest).
+
+    Certified (`_certified`) with e = n UNIT_TOL: each factor f squares to
+    f plus (|v|^2 - 1)/4, at most 0.51 UNIT_TOL for a unit axis v, against
+    |f| >= 0.707, and the Kronecker product compounds these ratios to under
+    n UNIT_TOL; Tr(rho_0^2) = prod (1 + |v_q|^2)/2 <= (1 + n UNIT_TOL)^2."""
+    return _certified(_product_state_mv(ps), ps.n_qubits * UNIT_TOL)
 
 
 @dataclass(frozen=True)
@@ -409,13 +460,26 @@ def pure_state_from_amplitudes(amps, axes=None) -> DensityOperator:
     route) 0.045 ms, 0.19 ms and 0.26 s.  With custom axes, 0.13, 0.17 and
     0.33 ms at n = 2, 3 and 6 (same host under load, medians of three runs
     of best-of-five timeit), of which `frame_for` takes 17 us per qubit.
+
+    The state is pure by construction: for the computed amplitudes psi,
+    rho_0 = psi psi^H has rho_0^2 - rho_0 = (||psi||^2 - 1) rho_0 and
+    Tr(rho_0^2) = ||psi||^4.  So it is certified (`_certified`) with e a
+    bound on | ||psi||^2 - 1 |, a priori, from no pass over psi.  Dividing
+    by the computed norm leaves at most 2 (d + 4) u: the norm carries the
+    rounding of a sum of 2d squares and of a square root, at most (d + 2) u,
+    and each quotient u.  Each frame unitary adds at most 4 UNIT_TOL + 64 u:
+    its columns are orthogonal to within 1.5 | |axis|^2 - 1 | <= 3 UNIT_TOL,
+    as `_unit3` passes axes within UNIT_TOL of unit length, and its entries
+    and the 2 x 2 matmul round by a few u.
     """
-    psi, _, checked = _checked_amplitudes(amps, axes)
+    psi, n, checked = _checked_amplitudes(amps, axes)
+    excess = 2.0 * (psi.size + 4) * _UNIT_ROUNDOFF
     if axes is not None:
         # each pass applies U_q to the leading qubit and moves that qubit last
         for ax in checked:
             psi = (_frame_unitary(ax) @ psi.reshape(2, -1)).T.ravel()
-    return DensityOperator(_from_dense(psi[:, None] * psi.conj()))
+        excess += n * (4.0 * UNIT_TOL + 64.0 * _UNIT_ROUNDOFF)
+    return _certified(_from_dense(psi[:, None] * psi.conj()), excess)
 
 
 def pure_state_from_spheres(amps, axes=None) -> DensityOperator:

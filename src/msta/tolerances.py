@@ -97,7 +97,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 def purity_defect_allowance(n: int) -> float:
     """What one dense step on an n-qubit state of Tr(rho^2) <= 1 may add to
     the root-sum-square of the Pauli coefficients of rho^2 - rho: one
-    `dynamics.evolve` conjugation, or the measurement of that norm.
+    `dynamics.evolve` conjugation, the measurement of that norm, or the
+    rounding of one construction (`states._certified`).
 
     Derivation.  Write |X| = ||X||_F / sqrt(d), d = 2^n, for the
     root-sum-square of X's Pauli coefficients: it bounds each coefficient,

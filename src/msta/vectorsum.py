@@ -92,6 +92,8 @@ _ANGLE_MATRIX = _PHASE_MATRIX[_PAIRS[:, 1]] - _PHASE_MATRIX[_PAIRS[:, 0]]
 # the turns e^{i angle} of the twelve vectors at each lattice point: the
 # real parts, exactly +-1
 _LATTICE_TURNS = np.exp(1j * (_LATTICE @ _ANGLE_MATRIX.T)).real
+# the same turns as Python floats, for `_closing_lattice`
+_LATTICE_SIGNS = _LATTICE_TURNS.tolist()
 # the eliminant's sample points, the 16th roots of unity (more than its
 # degree); the matrix taking a polynomial from its values there to its
 # coefficients, lowest first; and [1, a, a^2] at the samples, as floats
@@ -260,12 +262,23 @@ def _newton(lengths, starts, limit: float = math.inf) -> np.ndarray:
     return np.array(out).reshape(-1, 4)
 
 
-def _closing_lattice(lengths: np.ndarray) -> np.ndarray:
-    """The lattice points whose real sums, added in the pairwise order of
-    numpy's complex sum (its real parts bit for bit), close below SOLVER_TOL."""
-    turned = lengths * _LATTICE_TURNS
-    halves = turned[:, ::2] + turned[:, 1::2]
-    return _LATTICE[np.abs(halves[:, ::2] + halves[:, 1::2]).max(axis=-1) < SOLVER_TOL]
+def _closing_lattice(lengths) -> np.ndarray:
+    """The rows of `_LATTICE` whose real sums close below SOLVER_TOL, on
+    Python floats: each qubit's sum of its four turned lengths t_k = +-l_k
+    (exact) is added as (t0 + t1) + (t2 + t3), the pairwise order of numpy's
+    complex sum, so it is its real part bit for bit.  Each qubit screens
+    only the points the ones before it kept."""
+    kept = range(len(_LATTICE))
+    for i in (0, 4, 8):
+        l0, l1, l2, l3 = lengths[i : i + 4]
+        kept = [
+            k for k in kept
+            if abs((_LATTICE_SIGNS[k][i] * l0 + _LATTICE_SIGNS[k][i + 1] * l1)
+                   + (_LATTICE_SIGNS[k][i + 2] * l2 + _LATTICE_SIGNS[k][i + 3] * l3)) < SOLVER_TOL
+        ]
+        if not kept:
+            return _LATTICE[:0]
+    return _LATTICE[kept]
 
 
 def _coefficients(lengths: np.ndarray) -> np.ndarray:
@@ -364,7 +377,7 @@ def solve(lengths) -> list[AngleSet]:
     if max(lengths) < ZERO_LENGTH:
         return [AngleSet(0.0, 0.0, 0.0, 0.0)]
 
-    lattice = _closing_lattice(array).tolist()
+    lattice = _closing_lattice(lengths).tolist()
     quad = _coefficients(array)
     roots = _roots(array, quad).tolist()
     # the lower half's roots give the conjugate solutions (module docstring)

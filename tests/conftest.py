@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from msta import states
 from msta.algebra import Multivector
 from msta.oracle import random_multivector
 from msta.vectorsum import AngleSet
@@ -16,6 +17,18 @@ def rng():
 def random_hermitian_mv(n, rng, max_terms=6):
     a = random_multivector(n, rng, max_terms)
     return a + a.reverse()
+
+
+@pytest.fixture
+def dense_squares(monkeypatch):
+    """A list that grows by one entry per dense square of a state: "pass"
+    for `is_pure`'s exact pass (its `_dense_coeffs` of rho rho - rho) and
+    "measure" for `_defect_bound`'s (its `DensityOperator.matrix`)."""
+    squares = []
+    coeffs, matrix = states._dense_coeffs, states.DensityOperator.matrix
+    monkeypatch.setattr(states, "_dense_coeffs", lambda m: squares.append("pass") or coeffs(m))
+    monkeypatch.setattr(states.DensityOperator, "matrix", lambda rho: squares.append("measure") or matrix(rho))
+    return squares
 
 
 def fresh_copy(a):

@@ -1022,3 +1022,91 @@ def test_region_scan_stdout_equals_the_out_file(tmp_path, fmt):
     out = subprocess.run(argv, capture_output=True, check=True, env=env).stdout
     subprocess.run([*argv, "--out", str(tmp_path / "scan")], check=True, env=env)
     assert out == (tmp_path / "scan").read_bytes() + b"\n" * (fmt == "json")
+
+
+def ci_state(tmp_path, name):
+    """CI's 3-qubit state files, written as its inline commands write them."""
+    if name == "generic3":
+        a = [0.2 + 0.1j, 0.3, -0.1 + 0.25j, 0.4, 0.15 - 0.2j, 0.35, 0.3 + 0.1j, -0.25]
+        s = sum(abs(z) ** 2 for z in a) ** 0.5
+        amps = [[complex(z).real / s, complex(z).imag / s] for z in a]
+    else:
+        a = [0.2, -0.35, 0.3, 0.45, -0.25, 0.4, 0.15, -0.3]
+        s = sum(x * x for x in a) ** 0.5
+        amps = [[x / s, 0] for x in a]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"n_qubits": 3, "amplitudes": amps}))
+    return str(path)
+
+
+def csv_dict(out):
+    """CI's reading of a two-column table: dict(csv.reader(...))."""
+    return dict(csv.reader(io.StringIO(out)))
+
+
+def test_generic3_has_the_pinned_conjugate_pair(capsys, tmp_path):
+    # CI's generic3.json: feasible with exactly two solutions, the second the
+    # negation of the first (modulo 2 pi, within 1e-9), both equal to the
+    # pinned angles within 1e-9
+    code, out = run_cli(capsys, "invariants", "--state", ci_state(tmp_path, "generic3"))
+    assert code == 0
+    rows = csv_dict(out)
+    assert float(rows["feasible"]) == 1.0, rows["feasible"]
+    sols = sorted({k.split(".")[0] for k in rows if k.startswith("angles[")})
+    assert sols == ["angles[0]", "angles[1]"], sols
+    names = [k.split(".", 1)[1] for k in rows if k.startswith("angles[0].")]
+    assert len(names) == 6, names
+
+    def off(x):
+        return abs((x + math.pi) % (2 * math.pi) - math.pi)
+
+    bad = [n for n in names if not off(float(rows["angles[0]." + n]) + float(rows["angles[1]." + n])) <= 1e-9]
+    assert not bad, bad
+    want = (-3.119483966193844, -1.8775459770761032, -3.135070117637298, -1.8931321285195573, -3.1339233219085747, -1.891985332790834)
+    pinned = ("phi_ab", "phi_ab_prime", "phi_ac", "phi_ac_prime", "phi_bc", "phi_bc_prime")
+    bad = [
+        (i, n, rows["angles[%d].%s" % (i, n)], w)
+        for i, sign in ((0, 1.0), (1, -1.0))
+        for n, w in zip(pinned, want)
+        if not off(float(rows["angles[%d].%s" % (i, n)]) - sign * w) <= 1e-9
+    ]
+    assert not bad, bad
+
+
+def test_real3_prints_one_lattice_solution(capsys, tmp_path):
+    # CI's real3.json: feasible with one solution, every angle printed as
+    # 0.0 or 3.14159265359
+    code, out = run_cli(capsys, "invariants", "--state", ci_state(tmp_path, "real3"))
+    assert code == 0
+    rows = csv_dict(out)
+    assert float(rows["feasible"]) == 1.0 and "angles[0].phi_ab" in rows, sorted(rows)
+    sols = {k.split(".")[0] for k in rows if k.startswith("angles[")}
+    assert sols == {"angles[0]"}, sols
+    bad = {k: v for k, v in rows.items() if k.startswith("angles[") and v not in ("0.0", "3.14159265359")}
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("name", ["generic3", "real3"])
+def test_invariants_output_does_not_depend_on_the_hash_seed(capsys, tmp_path, name):
+    # CI repeats both 3-qubit runs under PYTHONHASHSEED 0 and 1 and compares
+    # the bytes; here against the in-process run
+    path = ci_state(tmp_path, name)
+    code, out = run_cli(capsys, "invariants", "--state", path)
+    assert code == 0
+    src = str(Path(cli.__file__).parents[1])
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "msta.cli", "invariants", "--state", path]
+        assert subprocess.run(argv, capture_output=True, check=True, env=env).stdout == out.encode()
+
+
+def test_invariants_on_a_state_file_makes_no_dense_square(capsys, tmp_path, dense_squares):
+    # the state built from the file's amplitudes is certified pure, so the
+    # purity gates of invariants_2q and invariants_3q read its bound
+    path = tmp_path / "generic2.json"
+    save_state(path, oracle.random_statevector(2, np.random.default_rng(5)))
+    for state in (ci_state(tmp_path, "generic3"), ci_state(tmp_path, "real3"), str(path)):
+        code, _ = run_cli(capsys, "invariants", "--state", state)
+        assert code == 0
+    assert dense_squares == []

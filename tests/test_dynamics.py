@@ -210,7 +210,8 @@ def test_evolve_carries_a_bound_on_the_purity_defect(rng):
 
 def test_evolve_writes_the_bound_and_squares_its_start_once(rng, monkeypatch):
     hmv = hamiltonian(random_h(rng))
-    rho0 = states.pure_state_from_amplitudes(oracle.random_statevector(2, rng))
+    # an uncertified start: the constructor's own bound would spare the square
+    rho0 = states.DensityOperator(states.pure_state_from_amplitudes(oracle.random_statevector(2, rng)).mv)
     # `_defect_bound` takes the matrix for its square through
     # `DensityOperator.matrix`; `_conjugated` reads rho0's through `_to_dense`
     matrix = states.DensityOperator.matrix
@@ -234,7 +235,7 @@ def test_evolve_writes_the_bound_and_squares_its_start_once(rng, monkeypatch):
 
 
 def test_no_bound_is_carried_above_four_qubits(rng):
-    rho0 = states.pure_state_from_amplitudes(oracle.random_statevector(5, rng))
+    rho0 = states.DensityOperator(states.pure_state_from_amplitudes(oracle.random_statevector(5, rng)).mv)
     rho = evolve(rho0, random_hermitian_mv(5, rng), 0.7)
     assert rho._defect is None and rho0._defect is None
     assert rho.is_pure() and rho._defect is None

@@ -1,11 +1,12 @@
 import copy
+import math
 import pickle
 
 import numpy as np
 import pytest
 
-from msta import dynamics, oracle, states
-from msta.algebra import Multivector, _from_dense, _to_dense, allclose
+from msta import dynamics, entanglement, oracle, states
+from msta.algebra import Multivector, _dense_coeffs, _from_dense, _to_dense, allclose
 from msta.states import (
     DensityOperator,
     ProductState,
@@ -24,7 +25,7 @@ from msta.states import (
     sphere_state,
     w_state,
 )
-from msta.tolerances import PURE_TOL
+from msta.tolerances import INVARIANT_PURE_TOL, PURE_TOL
 
 from conftest import random_hermitian_mv, same_bits
 
@@ -232,6 +233,75 @@ def test_is_pure_matches_the_pruned_dense_defect(rng):
     huge = DensityOperator(Multivector(2, {"II": 0.25, "XZ": 1e200}))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         huge.is_pure()
+
+
+def random_axis(rng):
+    v = rng.standard_normal(3)
+    return tuple((v / np.linalg.norm(v)).tolist())
+
+
+def certified_draws(rng, sizes=range(1, 9)):
+    """States their constructors certify: amplitudes on the default axes,
+    on random unit axes and with half of them zeroed, and product states on
+    random axes."""
+    for n in sizes:
+        for _ in range(3):
+            psi = oracle.random_statevector(n, rng)
+            axes = [random_axis(rng) for _ in range(n)]
+            half = psi.copy()
+            half[rng.permutation(psi.size)[: psi.size // 2]] = 0.0
+            yield pure_state_from_amplitudes(psi)
+            yield pure_state_from_amplitudes(psi, axes)
+            yield pure_state_from_amplitudes(half / np.linalg.norm(half))
+            yield product_state(ProductState(tuple(axes), tuple(int(s) for s in rng.choice([-1, 1], n))))
+
+
+def test_constructed_states_bound_their_exact_defect(rng):
+    # the bound a constructor writes is at least the largest coefficient of
+    # rho rho - rho that `is_pure`'s exact pass computes, and at least the
+    # root-sum-square `_defect_bound` measures on an uncertified copy; up to
+    # n = 8 it settles `is_pure` at PURE_TOL.  Bloch states inside the ball
+    # are mixed, and their bound holds too
+    pure = [*certified_draws(rng), bloch_state(random_axis(rng))]
+    mixed = [bloch_state(r * np.array(random_axis(rng))) for r in (1.0 - 1e-12, 0.999, 0.5, 0.0)]
+    for rho in pure + mixed:
+        twin = DensityOperator(rho.mv)
+        assert type(rho._defect) is float and twin._defect is None
+        m = _to_dense(rho.mv)
+        largest = float(np.abs(_dense_coeffs(m @ m - m)).max())
+        m = twin.matrix()
+        rss = float(np.linalg.norm(m @ m - m)) / math.sqrt(len(m))
+        assert rho._defect >= largest and rho._defect >= rss, (rho.n_qubits, rho._defect, largest, rss)
+    assert max(rho._defect for rho in pure) <= PURE_TOL
+
+
+def test_certified_and_uncertified_states_get_one_verdict(rng):
+    # the bound settles `is_pure` only where the exact pass agrees: at n = 9
+    # it exceeds PURE_TOL and the pass decides, and a mixed Bloch state's
+    # bound exceeds both tolerances
+    blochs = [bloch_state(r * np.array(random_axis(rng))) for r in (1.0, 1.0 - 1e-12, 0.999999, 0.5)]
+    verdicts = []
+    for rho in [*certified_draws(rng, (1, 2, 3, 4, 9)), *blochs]:
+        twin = DensityOperator(rho.mv)
+        for tol in (PURE_TOL, INVARIANT_PURE_TOL):
+            verdicts.append(rho.is_pure(tol))
+            assert verdicts[-1] == twin.is_pure(tol), (rho.n_qubits, tol, rho._defect)
+    assert verdicts[-4:] == [False] * 4 and verdicts.count(True) == len(verdicts) - 4
+
+
+def test_constructed_states_are_not_squared(rng, dense_squares):
+    # a constructed start settles the entanglement measures' gate and
+    # carries its bound into `evolve` without a dense square; a bare copy
+    # is squared once
+    rho = pure_state_from_amplitudes(oracle.random_statevector(2, rng))
+    hmv = random_hermitian_mv(2, rng)
+    entanglement.entanglement_entropy(rho)
+    entanglement.entanglement_entropy(product_state(c("01")))
+    dynamics.evolve(rho, hmv, 0.3)
+    assert dense_squares == []
+    entanglement.entanglement_entropy(DensityOperator(rho.mv))
+    dynamics.evolve(DensityOperator(rho.mv), hmv, 0.3)
+    assert dense_squares == ["pass", "measure"]
 
 
 def test_z_order_flips_y():

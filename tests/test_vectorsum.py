@@ -36,6 +36,7 @@ from msta.vectorsum import (
     reconstruct,
     residual,
     solve,
+    special_state,
     vector_lengths,
 )
 from conftest import negated, same_bits
@@ -1005,6 +1006,23 @@ def test_reconstruct_is_bit_identical_to_computing_the_probabilities_twice(rng):
     # a feasible point with v_a = 0 has no expansion to rebuild from
     with pytest.raises(ValueError, match="nonvanishing Bloch lengths"):
         reconstruct(InvariantSet3Q(0.0, vc, vc, 0.0, 0.0), s)
+
+
+def test_the_round_trip_squares_only_its_input(rng, dense_squares):
+    # reconstruct's state is certified pure by its constructor, so the
+    # gate of invariants_3q reads the bound; the oracle-built input is
+    # squared once, by the gate's exact pass
+    for _ in range(20):
+        _, rho, inv = random_pure_invariants(rng)
+        assert dense_squares == ["pass"]
+        for s in solve(vector_lengths(expansion_probabilities(inv))):
+            invariants_3q(reconstruct(inv, s))
+        assert dense_squares == ["pass"]
+        dense_squares.clear()
+    # so are special_state's, from four probabilities or through the solver
+    for kind, v in (("seed", 0.6), ("negative_seed", 1 / 3), ("max_tangle", 0.5)):
+        invariants_3q(special_state(kind, v, v, v)[1])
+    assert dense_squares == []
 
 
 def test_sets_that_tie_in_phi_ab_are_ordered_by_the_other_angles():
