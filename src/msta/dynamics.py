@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _SPECTRAL_EXP_QUBITS, Multivector, _dense_exp_i, exp_i
+from .algebra import _SPECTRAL_EXP_QUBITS, Multivector, _dense_conjugate, _to_dense, exp_i
 from .states import (
     DensityOperator, ProductState, ProjectorSphere, _unit3, bloch_state, frame_for, projector_sphere,
 )
@@ -108,27 +108,35 @@ def evolve(rho0: DensityOperator, hmv: Multivector, t: float) -> DensityOperator
     """rho(t) = exp(-iota H t) rho(0) exp(iota H t).
 
     The route follows the qubit count, as `exp_i`'s does.  On at most
-    `_SPECTRAL_EXP_QUBITS` (4) qubits U stays the matrix of `exp_i`'s
-    spectral route and the result is ``rho0._conjugated(U)``: two 2^n x 2^n
-    matmuls on rho0's matrix and one `_from_dense`.  ``hmv`` keeps its
-    eigendecomposition and ``rho0.mv`` its matrix after the first call, so
-    a trajectory pays for them once, and each later step on the same pair
-    is one phase vector, the matmuls and `_from_dense`: at n = 2 about
-    0.025-0.04 ms against 0.06-0.07 ms for the first step (timeit medians,
-    2-vCPU Xeon guest, numpy 2.4.6, one BLAS thread).  On this route the
-    result also holds a bound on its purity defect: rho0's bound
-    (`DensityOperator._defect_bound`) plus one rounding allowance.  A start
-    from `pure_state_from_amplitudes`, `product_state` or `bloch_state`
-    holds its bound from construction; any other start is measured by one
-    dense square the first time and keeps the result.  So a trajectory
-    squares its start at most once, each step adds one float, and
-    `is_pure` on a result is one comparison.  Above the cut nothing is kept or carried, U
+    `_SPECTRAL_EXP_QUBITS` (4) qubits, with H = V diag(w) V^H, the step is
+    V (E o R) V^H for R = V^H rho0 V and E_jk = e^{-i t (w_j - w_k)}: one
+    phase vector, R with the phases folded into V's columns (two 2^n x 2^n
+    matmuls on rho0's matrix), and one product of vec(E o R) with the
+    Pauli coefficients of the eigen-dyads v_j v_k^H
+    (`algebra._dense_conjugate`).  ``hmv`` keeps its eigendecomposition and
+    those coefficients (`algebra._propagator`, a 4^n x 4^n matrix: 4 KB at
+    n = 2, 64 KB at n = 3, 1 MB at n = 4) and ``rho0.mv`` its matrix after
+    the first call, so a trajectory pays for them once.  At n = 2 a later
+    step takes about 0.021-0.025 ms against 0.030-0.031 ms through the
+    matrix conjugation and `_from_dense` it replaced, and the first step on
+    a generator, which also builds the propagator, about 0.063 against
+    0.056 ms (timeit, 2-vCPU Xeon guest, numpy 2.4.6, one BLAS thread); at
+    n = 4 the 256 x 256 product makes a step slower, about 0.048-0.058
+    against 0.038-0.041 ms, and the first step takes 1.3-2.5 ms.  On this
+    route the result also holds a bound on its purity defect: rho0's bound
+    (`DensityOperator._defect_bound`) plus one rounding allowance
+    (`DensityOperator._stepped`).  A start from
+    `pure_state_from_amplitudes`, `product_state` or `bloch_state` holds
+    its bound from construction; any other start is measured by one dense
+    square the first time and keeps the result.  So a trajectory squares
+    its start at most once, each step adds one float, and `is_pure` on a
+    result is one comparison.  Above the cut nothing is kept or carried, U
     comes from the series and the conjugation is ``u * rho * u.reverse()``.
     Raises ValueError as `exp_i` does, and on a qubit count mismatch.
     """
     hmv._require_same_n(rho0.mv)
     if hmv.n_qubits <= _SPECTRAL_EXP_QUBITS:
-        return rho0._conjugated(_dense_exp_i(hmv, t))
+        return rho0._stepped(_dense_conjugate(hmv, _to_dense(rho0.mv), t))
     u = exp_i(hmv, t)
     return DensityOperator(u * rho0.mv * u.reverse())
 

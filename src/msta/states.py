@@ -25,7 +25,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, _dense_coeffs, _from_dense, _kept, _magnitudes, _to_dense, _x_mask, exp_i
+from .algebra import (
+    Multivector, _dense_coeffs, _from_dense, _kept, _magnitudes, _qubit_index, _to_dense, _x_mask, exp_i,
+)
 from .tolerances import (
     _UNIT_ROUNDOFF, AXIS_TOL, HERMITIAN_TOL, IDENTITY_TOL, NEGLIGIBLE_WEIGHT, NORM_TOL, PRUNE_EPS, PURE_TOL,
     TRACE_TOL, UNIT_TOL, purity_defect_allowance,
@@ -60,7 +62,10 @@ def frame_for(axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def bloch_slice(t: np.ndarray, qubit: int) -> np.ndarray:
     """Qubit ``qubit``'s reduced Bloch vector in a correlation tensor: its
-    (x, y, z) entries with every other qubit's index at 1."""
+    (x, y, z) entries with every other qubit's index at 1.  Raises
+    ValueError unless ``qubit`` is an integer in 0..ndim-1; a bool or a
+    float is no index."""
+    qubit = _qubit_index(qubit)
     if not 0 <= qubit < t.ndim:
         raise ValueError(f"qubit {qubit} out of range for n={t.ndim}")
     idx = [0] * t.ndim
@@ -76,10 +81,10 @@ class DensityOperator:
     The one value a state keeps besides its terms is ``_defect``, a float
     bounding every Pauli coefficient of rho rho - rho, or None: written at
     construction by `pure_state_from_amplitudes`, `product_state` and
-    `bloch_state` (`_certified`), written on a conjugated state by
-    `_conjugated`, or else measured once by `_defect_bound`.  A state built
-    from bare terms, ``DensityOperator(mv)``, holds None.  Copies and
-    pickles drop it.
+    `bloch_state` (`_certified`), written on each step of
+    `dynamics.evolve`'s dense route by `_stepped`, or else measured once by
+    `_defect_bound`.  A state built from bare terms,
+    ``DensityOperator(mv)``, holds None.  Copies and pickles drop it.
     """
 
     __slots__ = ("mv", "_defect")
@@ -124,12 +129,12 @@ class DensityOperator:
         multivector.  Raises ValueError if a coefficient is not finite.
 
         A state may hold a bound on that defect (``_defect``): the
-        constructors of pure states write one (`_certified`), and
-        `_conjugated`, as `dynamics.evolve` uses on its dense route, its
-        start's bound plus a rounding allowance per step.  When the bound is
-        at most ``tol`` the state is pure without the dense pass; otherwise,
-        or with no bound, the pass decides, so the verdict is always the
-        pass's.  The pass keeps no bound of its own."""
+        constructors of pure states write one (`_certified`), and each step
+        of `dynamics.evolve`'s dense route its start's bound plus a rounding
+        allowance (`_stepped`).  When the bound is at most ``tol`` the state
+        is pure without the dense pass; otherwise, or with no bound, the
+        pass decides, so the verdict is always the pass's.  The pass keeps
+        no bound of its own."""
         bound = self._defect
         if bound is not None and bound <= tol:
             return True
@@ -161,12 +166,12 @@ class DensityOperator:
         c = self.mv._coeffs
         return purity_defect_allowance(self.n_qubits) * max(1.0, (1 << self.n_qubits) * float(np.vdot(c, c).real))
 
-    def _conjugated(self, u: np.ndarray) -> "DensityOperator":
-        """The state U rho U^H for the 2^n x 2^n unitary matrix ``u``: two
-        matmuls on rho's matrix and one `_from_dense`.  The result holds
-        this state's `_defect_bound` plus one `_defect_allowance`, so a
-        chain of conjugations squares its start at most once."""
-        rho = DensityOperator(_from_dense(u @ _to_dense(self.mv) @ u.conj().T))
+    def _stepped(self, mv: Multivector) -> "DensityOperator":
+        """The state of ``mv``, which one dense unitary step made from this
+        state (`dynamics.evolve`).  It holds this state's `_defect_bound`
+        plus one `_defect_allowance`, so a chain of steps squares its start
+        at most once."""
+        rho = DensityOperator(mv)
         object.__setattr__(rho, "_defect", self._defect_bound() + self._defect_allowance())
         return rho
 
@@ -218,7 +223,7 @@ def _certified(mv: Multivector, excess: float) -> DensityOperator:
     product psi psi^H, about sqrt(5) u; or a Kronecker product's n - 1
     products, (n - 1) u), of at most one transform to coefficients (d u)
     and the prune (d PRUNE_EPS).  That is within the d PRUNE_EPS + 8 d^2 u
-    that `purity_defect_allowance` grants one conjugation step, whose
+    that `purity_defect_allowance` grants one evolve step, whose
     doubling also covers the exact pass's own rounding.  Scaling the
     allowance by Tr(rho_0^2) <= (1 + e)^2, as its derivation asks, the
     bound is e (1 + e) / sqrt(d) + (1 + e)^2 purity_defect_allowance(n).

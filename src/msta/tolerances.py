@@ -97,8 +97,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 def purity_defect_allowance(n: int) -> float:
     """What one dense step on an n-qubit state of Tr(rho^2) <= 1 may add to
     the root-sum-square of the Pauli coefficients of rho^2 - rho: one
-    `dynamics.evolve` conjugation, the measurement of that norm, or the
-    rounding of one construction (`states._certified`).
+    `dynamics.evolve` step, the measurement of that norm, or the rounding
+    of one construction (`states._certified`).
 
     Derivation.  Write |X| = ||X||_F / sqrt(d), d = 2^n, for the
     root-sum-square of X's Pauli coefficients: it bounds each coefficient,
@@ -109,24 +109,43 @@ def purity_defect_allowance(n: int) -> float:
         rho'^2 - rho' = W (rho^2 - rho) W^H + (W rho W^H D + D W rho W^H + D^2 - D)
 
     and |rho'^2 - rho'| <= |rho^2 - rho| + 3 |D| to first order in D.  With
-    u the unit roundoff, |D| collects:
+    u the unit roundoff, an evolve step (`algebra._dense_conjugate`) forms
+    R = Y^H M Y from rho's matrix M and Y = V diag(e^{i t w}), V the
+    eigenvectors of H = V diag(w) V^H, and returns P vec(R), P the Pauli
+    coefficients of the eigen-dyads v_j v_k^H; exactly, that is
+    Z^H M Z with Z = Y V^H.  |D| collects:
 
     - the prune of at most d^2 coefficients, each at most PRUNE_EPS:
       d PRUNE_EPS;
-    - the transforms to the matrix of rho and back to coefficients, sums
-      of d terms of +-1 weight per entry: 2 d u;
-    - the two complex matmuls U rho U^H: 2 (d + 2) u;
-    - U's departure from W, at most ||U^H U - I||_2: `eigh`'s eigenvectors
-      are orthonormal to a small multiple of d u (LAPACK's backward-error
-      bound), and forming U = V e V^H adds (d + 2) u per entry, so together
-      at most d^2 u in the 2-norm; this moves rho by 2 d^2 u |rho|, and
-      |rho| <= 1 / sqrt(d), so by at most 2 d^1.5 u.
+    - the transform to the matrix M, sums of d terms of +-1 weight per
+      entry: d u;
+    - the two complex matmuls of R: 2 (d + 2) u;
+    - Z's departure from an exactly unitary W: `eigh`'s eigenvectors are
+      orthonormal to a small multiple of d u (LAPACK's backward-error
+      bound), and each phase has modulus 1 to within u and enters Y as one
+      complex product; its argument's rounding, of order |t w| u, is a
+      diagonal unitary and moves W, not D.  So ||Z^H Z - I||_2 <= d^2 u,
+      which moves rho by 2 d^2 u |rho|, and |rho| <= 1 / sqrt(d), so by at
+      most 2 d^1.5 u;
+    - P's own rounding, one complex product and a transform of d terms
+      per entry: ||dP||_F <= (d + 2) u ||P||_F.  P = Q / sqrt(d) with Q
+      unitary, so ||P||_F = sqrt(d), and ||vec(R)||_2 = sqrt(d) |rho|;
+      this moves the result by at most (d + 2) d u |rho| <= (d + 2)
+      sqrt(d) u;
+    - P's sums, d^2 products per coefficient: at most
+      d^2 u ||P||_F ||vec(R)||_2 = d^3 u |rho| <= d^2.5 u.
 
-    These sum to at most d PRUNE_EPS + 8 d^2 u for d >= 2.  The rounding
-    term is doubled, to 16 d^2 u, to cover the second-order terms and the
-    measurement: the dense square rho rho - rho of the defect itself and the
-    transform of its coefficients, about 4 d u.  A state of Tr(rho^2) > 1
-    scales every term by at most Tr(rho^2).
+    With the phases per pair e^{-i t (w_j - w_k)} instead, the rounding of
+    t (w_j - w_k), of order |t| norm1(H) u, is no unitary and would belong
+    to D, unbounded in t.  For d = 2, 4, 8 and 16 the rounding terms sum
+    to 27, 76, 283 and 1276 u, under 8 d^2 u = 32, 128, 512 and 2048 u, so
+    |D| <= d PRUNE_EPS + 8 d^2 u.  The rounding term is doubled, to
+    16 d^2 u, to cover the second-order terms and the measurement: the
+    dense square rho rho - rho of the defect itself and the transform of
+    its coefficients, about 4 d u.  A state of Tr(rho^2) > 1 scales every
+    term by at most Tr(rho^2).  Above d = 16 `dynamics.evolve` carries no
+    bound; the constructors' rounding (`states._certified`) and the
+    measurement stay within d PRUNE_EPS + 8 d^2 u at any d.
     """
     d = float(1 << n)
     return 3.0 * (d * PRUNE_EPS + 16.0 * d * d * _UNIT_ROUNDOFF)

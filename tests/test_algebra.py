@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msta import oracle
+from msta import dynamics, oracle, states
 from msta.algebra import (
     Multivector,
     PauliString,
     _dense_exp_i,
     _key_of,
     _merge_terms,
+    _propagator,
     _sum_by_slot,
     _to_dense,
     allclose,
@@ -318,18 +319,19 @@ def test_memoized_dense_matrix_is_read_only_and_fresh(rng):
 
 
 def test_multivectors_are_immutable_and_copy_without_kept_values(rng):
-    # the kept matrix and spectrum trust the terms never to change
+    # the kept matrix, spectrum and propagator trust the terms never to change
     a = random_hermitian_mv(2, rng)
     m = _to_dense(a)
-    for name in ("n_qubits", "_keys", "_coeffs", "_dense", "_spectrum", "other"):
+    p = _propagator(a)
+    for name in ("n_qubits", "_keys", "_coeffs", "_dense", "_spectrum", "_propagator", "other"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(a, name, None)
         with pytest.raises(AttributeError, match="immutable"):
             delattr(a, name)
-    assert a._dense is m
+    assert a._dense is m and a._propagator is p and not p.flags.writeable
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert same_bits(b, a) and b == a
-        assert b._dense is None and b._spectrum is None
+        assert b._dense is None and b._spectrum is None and b._propagator is None
         assert not (b._keys.flags.writeable or b._coeffs.flags.writeable)
         with pytest.raises(AttributeError, match="immutable"):
             b._coeffs = a._coeffs
@@ -340,7 +342,9 @@ def test_nothing_is_memoized_above_four_qubits(rng):
     m = _to_dense(h)
     assert h._dense is None and m.flags.writeable
     exp_i(h, 0.4)
-    assert h._dense is None and h._spectrum is None
+    rho0 = states.pure_state_from_amplitudes(oracle.random_statevector(5, rng))
+    dynamics.evolve(rho0, h, 0.4)
+    assert h._dense is None and h._spectrum is None and h._propagator is None
 
 
 def test_rotors_are_unitary(rng):

@@ -190,15 +190,11 @@ def test_chsh_singlet_prints_no_negative_zero(capsys, tmp_path):
 def test_chsh_of_a_pure_state_is_its_closed_maximum(capsys, tmp_path):
     # CI's generic2.json: chsh_max within 1e-10 of 2 sqrt(1 + C^2), C the
     # concurrence row of invariants on the same file
-    a = [0.3 + 0.2j, -0.5 + 0.1j, 0.4, 0.2 - 0.6j]
-    s = sum(abs(z) ** 2 for z in a) ** 0.5
-    doc = {"n_qubits": 2, "amplitudes": [[complex(z).real / s, complex(z).imag / s] for z in a]}
-    path = tmp_path / "generic2.json"
-    path.write_text(json.dumps(doc))
-    code, out = run_cli(capsys, "invariants", "--state", str(path))
+    path = ci_state(tmp_path, "generic2")
+    code, out = run_cli(capsys, "invariants", "--state", path)
     assert code == 0
     c = values_of(rows_from_csv(out))["concurrence"]
-    code, out = run_cli(capsys, "chsh", "--state", str(path))
+    code, out = run_cli(capsys, "chsh", "--state", path)
     assert code == 0
     gap = values_of(rows_from_csv(out))["chsh_max"] - 2 * math.sqrt(1 + c**2)
     assert abs(gap) <= 1e-10, gap
@@ -1025,17 +1021,22 @@ def test_region_scan_stdout_equals_the_out_file(tmp_path, fmt):
 
 
 def ci_state(tmp_path, name):
-    """CI's 3-qubit state files, written as its inline commands write them."""
-    if name == "generic3":
-        a = [0.2 + 0.1j, 0.3, -0.1 + 0.25j, 0.4, 0.15 - 0.2j, 0.35, 0.3 + 0.1j, -0.25]
-        s = sum(abs(z) ** 2 for z in a) ** 0.5
-        amps = [[complex(z).real / s, complex(z).imag / s] for z in a]
-    else:
+    """CI's state files, written as its inline commands write them."""
+    if name == "00":
+        amps = [[1, 0], [0, 0], [0, 0], [0, 0]]
+    elif name == "real3":
         a = [0.2, -0.35, 0.3, 0.45, -0.25, 0.4, 0.15, -0.3]
         s = sum(x * x for x in a) ** 0.5
         amps = [[x / s, 0] for x in a]
+    else:
+        a = {
+            "generic3": [0.2 + 0.1j, 0.3, -0.1 + 0.25j, 0.4, 0.15 - 0.2j, 0.35, 0.3 + 0.1j, -0.25],
+            "generic2": [0.3 + 0.2j, -0.5 + 0.1j, 0.4, 0.2 - 0.6j],
+        }[name]
+        s = sum(abs(z) ** 2 for z in a) ** 0.5
+        amps = [[complex(z).real / s, complex(z).imag / s] for z in a]
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps({"n_qubits": 3, "amplitudes": amps}))
+    path.write_text(json.dumps({"n_qubits": len(amps).bit_length() - 1, "amplitudes": amps}))
     return str(path)
 
 
@@ -1110,3 +1111,46 @@ def test_invariants_on_a_state_file_makes_no_dense_square(capsys, tmp_path, dens
         code, _ = run_cli(capsys, "invariants", "--state", state)
         assert code == 0
     assert dense_squares == []
+
+
+# CI's two 2000-step runs: 00.json, a product start where the entropy's
+# 1 - v cancels to rounding, and generic2.json with all five couplings
+CI_EVOLVE_RUNS = {
+    "00": ["--omega-x", "1.3", "--omega-y", "0.5"],
+    "generic2": ["--omega-x", "1.3", "--omega-y", "0.5", "--omega-z", "-0.7", "--beta-a", "0.4", "--beta-b", "-0.9"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CI_EVOLVE_RUNS))
+def test_evolve_2000_steps_stay_pure(capsys, tmp_path, name):
+    # exactly 2000 rows, every purity within 1e-12 of 1 and every entropy
+    # in [0, 1]
+    code, out = run_cli(capsys, "evolve", "--state", ci_state(tmp_path, name), *CI_EVOLVE_RUNS[name], "--steps", "2000")
+    assert code == 0
+    rows = rows_from_csv(out)
+    assert len(rows) == 2000, len(rows)
+    bad = [r for r in rows if not (abs(float(r["purity"]) - 1.0) <= 1e-12 and 0.0 <= float(r["entropy"]) <= 1.0)]
+    assert not bad, bad[:3]
+
+
+def test_evolve_json_params(capsys, tmp_path, monkeypatch):
+    # CI's --steps 3 --format json on 00.json, named as CI names it: the
+    # command, then every param in order
+    monkeypatch.chdir(tmp_path)
+    ci_state(tmp_path, "00")
+    code, out = run_cli(capsys, "evolve", "--state", "00.json", "--omega-x", "1.3", "--steps", "3", "--format", "json")
+    assert code == 0
+    d = json.loads(out)
+    assert d["command"] == "evolve", d
+    want = [
+        ("state", "00.json"),
+        ("omega_x", 1.3),
+        ("omega_y", 0.0),
+        ("omega_z", 0.0),
+        ("beta_a", 0.0),
+        ("beta_b", 0.0),
+        ("t0", 0.0),
+        ("t1", 6.283185307179586),
+        ("steps", 3),
+    ]
+    assert list(d["params"].items()) == want, d["params"]

@@ -552,6 +552,13 @@ def test_bloch_slices_of_the_correlation_tensor():
     for bad in (-1, 2):
         with pytest.raises(ValueError):
             bloch_slice(t, bad)
+    # True used to read qubit 1 and 1.0 to raise TypeError from the indexing
+    for bad in (True, False, np.True_, 1.0, np.float64(0.0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            bloch_slice(t, bad)
+        with pytest.raises(ValueError, match="not an integer"):
+            entanglement.entanglement_entropy(bell("phi+"), cut=bad)
+    assert np.array_equal(bloch_slice(t, np.int64(1)), bloch_slice(t, 1))
 
 
 def test_nan_axes_are_refused():
