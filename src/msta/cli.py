@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics, entanglement, invariants, oracle, states, tolerances, vectorsum
-from .algebra import exp_i
+from .algebra import MAX_QUBITS, exp_i
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -39,8 +39,9 @@ class CliError(Exception):
 def load_state(path: str) -> np.ndarray:
     """Read a JSON state file {n_qubits, amplitudes: [[re, im], ...]}.
 
-    Amplitudes are row-major in the computational basis with qubit a as
-    the most significant bit.
+    n_qubits is an integer in 1..MAX_QUBITS; amplitudes are pairs of ints or
+    floats (not bools) within the float range, row-major in the computational
+    basis, qubit a the most significant bit.  Other keys are ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -48,9 +49,13 @@ def load_state(path: str) -> np.ndarray:
     except (OSError, json.JSONDecodeError) as e:
         raise CliError(f"cannot read state file {path}: {e}", EXIT_IO) from e
     try:
-        n = int(doc["n_qubits"])
-        amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-    except (KeyError, TypeError, ValueError) as e:
+        n, pairs = doc["n_qubits"], doc["amplitudes"]
+        if type(n) is not int or not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {n!r}")
+        if not all(type(x) in (int, float) for pair in pairs for x in pair):
+            raise ValueError("each amplitude must be a pair [re, im] of numbers")
+        amps = np.array([complex(re, im) for re, im in pairs])
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CliError(f"malformed state file {path}: {e}", EXIT_VALIDATION) from e
     if amps.size != 1 << n:
         raise CliError(

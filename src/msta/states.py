@@ -450,41 +450,47 @@ def _frame_unitary(axis) -> np.ndarray:
     return u / (abs(a) ** 2 + abs(b) ** 2) ** 0.5
 
 
-def pure_state_from_amplitudes(amps, axes=None) -> DensityOperator:
-    """Density operator of sum_i alpha_i |i> (qubit 0's bit the most
-    significant), bit 0 of qubit q being spin up along ``axes[q]``.
-
-    Custom axes take the amplitudes to (U_0 (x) ... (x) U_{n-1}) psi with
-    U_q from `_frame_unitary`, one 2 x 2 matmul per qubit and never the
-    2^n x 2^n Kronecker product; the default z axes skip this.  The Pauli
-    coefficients of |psi><psi| then come from the dense core's
-    table-driven Walsh-Hadamard transform.  Equal to
-    `pure_state_from_spheres`.  Measured up to n = 10 (2-vCPU Xeon guest,
-    one BLAS thread, medians of three runs): 0.05, 0.11 and 55 ms at n = 4,
-    6 and 10, and the full-density product ``rho.mv * rho.mv`` (matrix
-    route) 0.045 ms, 0.19 ms and 0.26 s.  With custom axes, 0.13, 0.17 and
-    0.33 ms at n = 2, 3 and 6 (same host under load, medians of three runs
-    of best-of-five timeit), of which `frame_for` takes 17 us per qubit.
-
-    The state is pure by construction: for the computed amplitudes psi,
-    rho_0 = psi psi^H has rho_0^2 - rho_0 = (||psi||^2 - 1) rho_0 and
-    Tr(rho_0^2) = ||psi||^4.  So it is certified (`_certified`) with e a
-    bound on | ||psi||^2 - 1 |, a priori, from no pass over psi.  Dividing
-    by the computed norm leaves at most 2 (d + 4) u: the norm carries the
-    rounding of a sum of 2d squares and of a square root, at most (d + 2) u,
-    and each quotient u.  Each frame unitary adds at most 4 UNIT_TOL + 64 u:
-    its columns are orthogonal to within 1.5 | |axis|^2 - 1 | <= 3 UNIT_TOL,
-    as `_unit3` passes axes within UNIT_TOL of unit length, and its entries
-    and the 2 x 2 matmul round by a few u.
+def _normalised_state(psi: np.ndarray, axes=None) -> DensityOperator:
+    """The pure state of psi = a / N^, d = 2^n amplitudes a divided once by
+    their norm N^ as `np.linalg.norm` rounds it (`_checked_amplitudes`,
+    `vectorsum.reconstruct`), turned to unit ``axes`` (one per qubit; None
+    keeps z) by U_0 (x) ... (x) U_{n-1} of `_frame_unitary`, one 2 x 2
+    matmul per qubit, then the dense core's Walsh-Hadamard transform.
+    Certified (`_certified`) a priori: rho_0 = psi psi^H has rho_0^2 -
+    rho_0 = (||psi||^2 - 1) rho_0 and Tr(rho_0^2) = ||psi||^4, so e bounds
+    | ||psi||^2 - 1 |.  With N = ||a||, numpy sums the squares of a's 2d
+    parts by two dot products and an addition, N^2 (1 + eta), |eta| <=
+    (d + 1) u, and the root rounds once: N^ = N (1 + eps), |eps| <= (d + 3)
+    u / 2.  Each part of a / N^ rounds by at most u, so ||psi||^2 = (1 +
+    delta)^2 / (1 + eps)^2, |delta| <= u, is within (d + 5) u of 1 to first
+    order, whatever N is; e = 2 (d + 4) u leaves (d + 3) u for higher
+    orders, 24 u = 2.7e-15 for `reconstruct`'s eight amplitudes.  A frame
+    unitary adds 4 UNIT_TOL + 64 u: its columns are orthogonal to within
+    1.5 | |axis|^2 - 1 | <= 3 UNIT_TOL, its entries and matmul round by a few u.
     """
-    psi, n, checked = _checked_amplitudes(amps, axes)
     excess = 2.0 * (psi.size + 4) * _UNIT_ROUNDOFF
     if axes is not None:
+        if len(axes) != psi.size.bit_length() - 1:
+            raise ValueError(f"{len(axes)} axes given for {psi.size.bit_length() - 1} qubits")
         # each pass applies U_q to the leading qubit and moves that qubit last
-        for ax in checked:
+        for ax in axes:
             psi = (_frame_unitary(ax) @ psi.reshape(2, -1)).T.ravel()
-        excess += n * (4.0 * UNIT_TOL + 64.0 * _UNIT_ROUNDOFF)
+        excess += len(axes) * (4.0 * UNIT_TOL + 64.0 * _UNIT_ROUNDOFF)
     return _certified(_from_dense(psi[:, None] * psi.conj()), excess)
+
+
+def pure_state_from_amplitudes(amps, axes=None) -> DensityOperator:
+    """Density operator of sum_i alpha_i |i> (qubit 0's bit the most
+    significant), bit 0 of qubit q being spin up along ``axes[q]``: the
+    amplitudes checked and divided by their norm once (`_checked_amplitudes`),
+    then built by `_normalised_state`, certified pure with the e = 2 (d + 4) u
+    (plus 4 UNIT_TOL + 64 u per custom axis) it derives.  Equal to
+    `pure_state_from_spheres`.  On the z axes 0.05, 0.05, 0.11 and 55 ms at
+    n = 3, 4, 6 and 10 (11 us of n = 3 the checks); with custom axes 0.13,
+    0.17 and 0.33 ms at n = 2, 3 and 6 (2-vCPU Xeon guest, one BLAS thread).
+    """
+    psi, _, checked = _checked_amplitudes(amps, axes)
+    return _normalised_state(psi, None if axes is None else checked)
 
 
 def pure_state_from_spheres(amps, axes=None) -> DensityOperator:

@@ -1032,6 +1032,7 @@ def ci_state(tmp_path, name):
         a = {
             "generic3": [0.2 + 0.1j, 0.3, -0.1 + 0.25j, 0.4, 0.15 - 0.2j, 0.35, 0.3 + 0.1j, -0.25],
             "generic2": [0.3 + 0.2j, -0.5 + 0.1j, 0.4, 0.2 - 0.6j],
+            "near00": [1, 1e-7 * (0.3 + 0.4j), 1e-7 * (-0.5 + 0.2j), 1e-7 * (0.6 - 0.1j)],
         }[name]
         s = sum(abs(z) ** 2 for z in a) ** 0.5
         amps = [[complex(z).real / s, complex(z).imag / s] for z in a]
@@ -1072,6 +1073,61 @@ def test_generic3_has_the_pinned_conjugate_pair(capsys, tmp_path):
         if not off(float(rows["angles[%d].%s" % (i, n)]) - sign * w) <= 1e-9
     ]
     assert not bad, bad
+
+
+def test_generic2_rows_are_v_concurrence_and_entropy(capsys, tmp_path):
+    # CI's generic2.json: rows v, concurrence and entropy, v^2 + C^2 within
+    # 1e-10 of 1 and the entropy in [0, 1]
+    code, out = run_cli(capsys, "invariants", "--state", ci_state(tmp_path, "generic2"))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    names = [r[0] for r in rows]
+    assert names == ["v", "concurrence", "entropy"], names
+    v, c, s = (float(r[1]) for r in rows)
+    assert abs(v * v + c * c - 1.0) <= 1e-10, v * v + c * c - 1.0
+    assert 0.0 <= s <= 1.0, s
+
+
+def test_near00_concurrence_is_twice_the_amplitude_determinant(capsys, tmp_path):
+    # CI's near00.json, 1e-7 from |00>: the concurrence within 1e-9 relative
+    # of 2 |psi00 psi11 - psi01 psi10| from the file's amplitudes
+    path = ci_state(tmp_path, "near00")
+    code, out = run_cli(capsys, "invariants", "--state", path)
+    assert code == 0
+    p = [complex(re, im) for re, im in json.loads(Path(path).read_text())["amplitudes"]]
+    want = 2 * abs(p[0] * p[3] - p[1] * p[2])
+    got = float(dict(list(csv.reader(io.StringIO(out)))[1:])["concurrence"])
+    assert abs(got - want) <= 1e-9 * want, (got, want)
+
+
+def test_verify_at_the_ci_seed_exits_0(capsys):
+    # CI's msta verify --seed 42 --samples 50
+    code, _ = run_cli(capsys, "verify", "--seed", "42", "--samples", "50")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # an integer beyond the float range was an OverflowError traceback, exit 1
+        ('{"n_qubits": 1, "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 400), "int too large to convert to float"),
+        # read as 2 qubits
+        ('{"n_qubits": 2.7, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "n_qubits must be an integer in 1..12, got 2.7"),
+        # read as the amplitudes 1 and 0
+        ('{"n_qubits": 1, "amplitudes": [[true, 0], [false, 0]]}', "each amplitude must be a pair [re, im] of numbers"),
+        # failed with the bare "negative shift count"
+        ('{"n_qubits": -1, "amplitudes": [[1, 0]]}', "n_qubits must be an integer in 1..12, got -1"),
+    ],
+    ids=["integer_beyond_float_range", "fractional_n_qubits", "bool_amplitudes", "negative_n_qubits"],
+)
+def test_malformed_state_file_exits_2_with_one_error_line(capsys, tmp_path, text, message):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    for command in ("invariants", "chsh", "evolve"):
+        code = main([command, "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: malformed state file {path}: {message}\n"
 
 
 def test_real3_prints_one_lattice_solution(capsys, tmp_path):

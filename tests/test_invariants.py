@@ -34,6 +34,7 @@ from msta.states import (
     sphere_state,
     w_state,
 )
+from msta.tolerances import DEGENERATE_V, INVARIANT_PURE_TOL, PAIR_TOL
 from msta.vectorsum import special_state, vector_lengths
 
 
@@ -98,6 +99,74 @@ def test_invariants_equal_the_scalar_part_products(rng):
         got = np.array([inv.v_a, inv.v_b, inv.v_c, inv.vbar2, inv.vbar3])
         want = np.array(lens + [np.mean(pairs), vbar3])
         assert np.abs(got - want).max() < 1e-12
+
+
+def _invariants_3q_reference(rho):
+    """`invariants_3q` on numpy arrays, as it was: the correlation tensor,
+    np.linalg.norm, va @ V_ab @ vb and einsum, with the same checks."""
+    if rho.n_qubits != 3:
+        raise ValueError("expected a three-qubit state")
+    if not rho.is_pure(INVARIANT_PURE_TOL):
+        raise ValueError("invariant extraction requires a pure state")
+    t = rho.correlation_tensor()
+    va, vb, vc = t[1:, 0, 0], t[0, 1:, 0], t[0, 0, 1:]
+    lens = [float(np.linalg.norm(v)) for v in (va, vb, vc)]
+    if min(lens) <= DEGENERATE_V:
+        raise ValueError("vanishing reduced Bloch vector: use degenerate_limit for this state")
+    pair_scalars = [float(va @ t[1:, 1:, 0] @ vb), float(va @ t[1:, 0, 1:] @ vc), float(vb @ t[0, 1:, 1:] @ vc)]
+    spread = max(pair_scalars) - min(pair_scalars)
+    if spread > PAIR_TOL:
+        raise ValueError(f"pairwise invariants disagree by {spread}")
+    vbar3 = float(np.einsum("ijk,i,j,k", t[1:, 1:, 1:], va, vb, vc))
+    return InvariantSet3Q(lens[0], lens[1], lens[2], sum(pair_scalars) / 3.0, vbar3)
+
+
+def _parity_states():
+    """1000 seeded 3-qubit states: 400 random complex, 200 with real
+    amplitudes, and 50 at each of 10^-1..10^-4 from |000> and from W."""
+    rng = np.random.default_rng(3636)
+    states_ = [oracle.random_statevector(3, rng) for _ in range(400)]
+    states_ += [rng.standard_normal(8).astype(complex) for _ in range(200)]
+    zero, w = np.zeros((2, 8), dtype=complex)
+    zero[0] = 1.0
+    w[[1, 2, 4]] = 3**-0.5
+    for base in (zero, w):
+        for k in range(1, 5):
+            states_ += [base + 10.0**-k * oracle.random_statevector(3, rng) for _ in range(50)]
+    return [psi / np.linalg.norm(psi) for psi in states_]
+
+
+def test_invariants_3q_equals_the_array_form_within_four_ulp():
+    states_ = _parity_states()
+    assert len(states_) == 1000
+    worst = 0.0
+    for psi in states_:
+        rho = pure_state_from_amplitudes(psi)
+        got, want = invariants_3q(rho), _invariants_3q_reference(rho)
+        # the lengths are numpy's norms bit for bit
+        assert got.vs == want.vs
+        worst = max(worst, abs(got.vbar2 - want.vbar2), abs(got.vbar3 - want.vbar3))
+    assert worst <= 4.0 * np.finfo(float).eps
+
+
+def test_invariants_3q_refuses_what_the_array_form_refuses(rng):
+    mixed = DensityOperator(0.5 * (pure_state_from_amplitudes(oracle.random_statevector(3, rng)).mv + ghz().mv))
+    # a pure state with one pair correlation moved by 2e-9 past the other two
+    rho = pure_state_from_amplitudes(oracle.random_statevector(3, rng))
+    t = rho.correlation_tensor()
+    va, vb = t[1:, 0, 0], t[0, 1:, 0]
+    shifted = DensityOperator(rho.mv + Multivector(3, {"XXI": 2e-9 / (8.0 * va[0] * vb[0])}))
+    for state in (ghz(), mixed, bell("phi+"), shifted):
+        with pytest.raises(ValueError) as want:
+            _invariants_3q_reference(state)
+        with pytest.raises(ValueError) as got:
+            invariants_3q(state)
+        # the spread is a difference of pair scalars, each within a few ulp
+        text, _, number = str(got.value).partition(" by ")
+        want_text, _, want_number = str(want.value).partition(" by ")
+        assert text == want_text and bool(number) == bool(want_number)
+        assert not number or abs(float(number) - float(want_number)) <= 4.0 * np.finfo(float).eps
+    assert text == "pairwise invariants disagree"
 
 
 def test_invariants_2q_rejects_mixed():

@@ -1,4 +1,6 @@
+import cmath
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -991,18 +993,44 @@ def _reconstruct_reference(inv, angles):
     return pure_state_from_amplitudes(amps / np.linalg.norm(amps))
 
 
+def _amplitudes_statement(inv, angles):
+    """`reconstruct`'s amplitudes, stated apart from it: sqrt(max(p, 0))
+    e^{i phase} from the expansion probabilities, each phase summed from a
+    row of `_PHASE_MATRIX`."""
+    x = [angles.phi_ab, angles.phi_ab_prime, angles.phi_ac, angles.phi_bc]
+    phases = [sum(w * a for w, a in zip(row, x)) for row in _PHASE_MATRIX.tolist()]
+    probs = expansion_probabilities(inv).tolist()
+    return [math.sqrt(max(p, 0.0)) * cmath.exp(1j * phase) for p, phase in zip(probs, phases)]
+
+
+def _coefficient_gap(a, b):
+    """The largest difference of two states' Pauli coefficients."""
+    ta, tb = a.mv.terms(), b.mv.terms()
+    return max(abs(ta.get(k, 0.0) - tb.get(k, 0.0)) for k in ta.keys() | tb.keys())
+
+
 def test_reconstruct_is_bit_identical_to_computing_the_probabilities_twice(rng):
+    # reconstruct divides its amplitudes by their norm once, so its state is
+    # pure_state_from_amplitudes of them bit for bit; the reference, which
+    # also computes the probabilities twice and normalised twice, differs by
+    # rounding, at most 1.1e-16 on these states
+    worst = 0.0
     for _ in range(50):
         _, _, inv = random_pure_invariants(rng)
         for s in solve(vector_lengths(expansion_probabilities(inv))):
-            assert same_bits(reconstruct(inv, s).mv, _reconstruct_reference(inv, s).mv)
+            rec = reconstruct(inv, s)
+            assert same_bits(rec.mv, pure_state_from_amplitudes(_amplitudes_statement(inv, s)).mv)
+            worst = max(worst, _coefficient_gap(rec, _reconstruct_reference(inv, s)))
+    assert worst <= 2.0 * np.finfo(float).eps
     # Bloch lengths whose pairwise products vanish: feasibility tests that
     # the vbars vanish, and its report still carries the expansion's own
     # probabilities, which reconstruct uses
     va, vb, vc = 1e-6, 1e-6, 0.5
     inv = InvariantSet3Q(va, vb, vc, 0.0, 0.0)
     s = solve(vector_lengths(expansion_probabilities(inv)))[0]
-    assert same_bits(reconstruct(inv, s).mv, _reconstruct_reference(inv, s).mv)
+    rec = reconstruct(inv, s)
+    assert same_bits(rec.mv, pure_state_from_amplitudes(_amplitudes_statement(inv, s)).mv)
+    assert _coefficient_gap(rec, _reconstruct_reference(inv, s)) <= 2.0 * np.finfo(float).eps
     # a feasible point with v_a = 0 has no expansion to rebuild from
     with pytest.raises(ValueError, match="nonvanishing Bloch lengths"):
         reconstruct(InvariantSet3Q(0.0, vc, vc, 0.0, 0.0), s)
